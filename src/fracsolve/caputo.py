@@ -9,11 +9,18 @@ where the weight row c_0..c_n depends on the time level n: the final weight
 couples the scheme to the initial value and differs from the interior
 formula.  The modified scheme shifts the first three weights by multiples of
 zeta(alpha - 1), which cancels the leading error term for smooth functions.
+
+Solvers march such a scheme through `_march`, which owns the weights and the
+nonlocal history sum.  All weights but c_0, the tail and the modified shifts
+are shared by every level, so the sum is a causal Toeplitz convolution;
+`_march` evaluates it exactly by blocked FFT convolution (Hairer, Lubich and
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985) in O(N log^2 N) for N levels.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -58,10 +65,25 @@ def _check_alpha(alpha: float) -> None:
 def _interior_weights(alpha: float, kmax: int) -> np.ndarray:
     """Level-independent weights c_k = (k+1)^(1-a) - 2 k^(1-a) + (k-1)^(1-a)
     for k = 1..kmax.  Valid as long as k < n; the level's own index takes the
-    tail formula instead."""
-    k = np.arange(1, kmax + 1, dtype=float)
+    tail formula instead.
+
+    The three powers cancel to a value of order k^(-1-a), so they are not
+    evaluated as written.  With e = 1-a, x = 1/k and t = e atanh(x),
+
+        (1+x)^e + (1-x)^e - 2
+            = 2 (expm1(e/2 log1p(-x^2)) cosh(t) + 2 sinh(t/2)^2),
+
+    whose two terms cancel only by a factor (2-a)/a, independent of k.  At
+    k = 1, log1p(-1) diverges, so c_1 = 2^e - 2 is set directly.
+    """
     e = 1.0 - alpha
-    return (k + 1.0) ** e - 2.0 * k ** e + (k - 1.0) ** e
+    w = np.empty(kmax)
+    w[0] = 2.0 ** e - 2.0
+    k = np.arange(2, kmax + 1, dtype=float)
+    t = e * np.arctanh(1.0 / k)
+    w[1:] = 2.0 * k ** e * (np.expm1(0.5 * e * np.log1p(-1.0 / k ** 2)) * np.cosh(t)
+                            + 2.0 * np.sinh(0.5 * t) ** 2)
+    return w
 
 
 def _tail_weights(alpha: float, nmax: int) -> np.ndarray:
@@ -102,6 +124,103 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
     w[1] += 2.0 * z
     w[2] -= z
     return CoefficientRow(alpha, n, w)
+
+
+# Blocks of at most _LEAF levels sum their own history directly, which keeps
+# the roundoff of the direct sum; larger blocks hand their left half's effect
+# on the right half to one FFT convolution.  Matrix states are transformed
+# _COLUMNS columns at a time to bound the transforms' working memory.
+_LEAF = 64
+_COLUMNS = 64
+
+
+@dataclass(eq=False)
+class _MarchState:
+    """Arrays shared by the recursion of one `_march` call."""
+
+    v: np.ndarray            # levels 0..N, each shaped like the state
+    hist: np.ndarray         # history sum of each level, as far as known
+    interior: np.ndarray     # c_1, c_2, ... shared by every level
+    z: float | None          # zeta(alpha - 1) for the modified scheme
+    solve: Callable
+    spectra: dict            # FFT of the interior weights, by transform size
+
+
+def _march(alpha: float, scheme: Scheme, n_steps: int, v0,
+           solve: Callable) -> np.ndarray:
+    """March levels 1..n_steps of the L1 or modified-L1 scheme from v0.
+
+    Level n satisfies c_0 v_n + (the rest of the equation) = -hist with
+    hist = sum_{k=1..n} c_k v_{n-k} over the level-n weight row.
+    `solve(n, modified, hist)` must return v_n; `modified` says whether the
+    row carries the modified-L1 shift (c_0 = 1 - zeta(alpha - 1), from level
+    2 on) or is plain L1 (c_0 = 1).  Returns the levels 0..n_steps stacked
+    along a new first axis; the state may be a scalar or an array.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    v = np.empty((n_steps + 1,) + v0.shape)
+    v[0] = v0
+    hist = np.empty_like(v)
+    hist[0] = 0.0
+    # the tail weight of level n multiplies v_0, which is known up front
+    np.multiply.outer(_tail_weights(alpha, n_steps), v0, out=hist[1:])
+    state = _MarchState(
+        v=v, hist=hist,
+        interior=_interior_weights(alpha, max(n_steps - 1, 1)),
+        z=(zeta_unit_strip(alpha - 1.0)
+           if scheme is Scheme.MODIFIED_L1 else None),
+        solve=solve, spectra={})
+    size = _LEAF
+    while size < n_steps:
+        size *= 2
+    _march_block(state, 1, size)
+    return v
+
+
+def _march_block(state: _MarchState, lo: int, size: int) -> None:
+    """Solve levels lo..lo+size-1 (clipped to the last level), given that
+    state.hist already holds the history of every level before lo."""
+    hi = min(lo + size, state.v.shape[0])
+    if size <= _LEAF:
+        _march_leaf(state, lo, hi)
+        return
+    mid = lo + size // 2
+    _march_block(state, lo, size // 2)
+    if mid < hi:
+        _add_history(state, lo, mid, hi, size)
+        _march_block(state, mid, size // 2)
+
+
+def _march_leaf(state: _MarchState, lo: int, hi: int) -> None:
+    v, hist, interior, z = state.v, state.hist, state.interior, state.z
+    for n in range(lo, hi):
+        total = hist[n] + interior[:n - lo] @ v[n - 1:lo - 1:-1]
+        modified = z is not None and n >= 2
+        if modified:
+            total = total + z * (2.0 * v[n - 1] - v[n - 2])
+        v[n] = state.solve(n, modified, total)
+
+
+def _add_history(state: _MarchState, lo: int, mid: int, hi: int,
+                 size: int) -> None:
+    """Add sum_{lo <= j < mid} c_{n-j} v_j to state.hist[n], mid <= n < hi.
+
+    With x = v[lo:mid] and c_1..c_{size-1}, the sum is entry n - lo - 1 of
+    their linear convolution.  A circular convolution of length size wraps
+    only entries past size - 1 onto indices below mid - lo - 1, so the
+    entries needed are free of wrap-around.
+    """
+    spectrum = state.spectra.get(size)
+    if spectrum is None:
+        spectrum = state.spectra[size] = np.fft.rfft(state.interior[:size - 1], size)
+    rows = len(state.v)
+    x = state.v.reshape(rows, -1)[lo:mid]
+    out = state.hist.reshape(rows, -1)[mid:hi]
+    start = mid - lo - 1
+    for c in range(0, x.shape[1], _COLUMNS):
+        f = np.fft.rfft(x[:, c:c + _COLUMNS], size, axis=0)
+        f *= spectrum[:, None]
+        out[:, c:c + _COLUMNS] += np.fft.irfft(f, size, axis=0)[start:start + hi - mid]
 
 
 def caputo_apply(samples, alpha: float, h: float,

@@ -7,6 +7,7 @@ success, 2 on usage or domain errors, 1 on numerical failure.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -25,8 +26,8 @@ __all__ = ["build_parser", "run", "main"]
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
     return value
 
 

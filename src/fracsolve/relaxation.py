@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .caputo import Scheme, _check_alpha, _interior_weights, _tail_weights
+from .caputo import Scheme, _check_alpha, _march
 from .specfun import (ConvergenceError, mittag_leffler, ml_relaxation_exact,
                       zeta_unit_strip)
 
@@ -78,6 +78,10 @@ class RelaxationProblem:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        for name in ("B", "y0", "T", "h"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.B <= 0.0:
             raise ValueError(f"B must be positive, got {self.B}")
         if self.T <= 0.0:
@@ -122,37 +126,20 @@ def _forcing_samples(forcing, x: np.ndarray) -> np.ndarray:
 
 
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
-    """Run the time-stepping recurrence; the nonlocal history sum makes the
-    total work quadratic in the number of steps."""
+    """Run the time-stepping recurrence; the march kernel evaluates the
+    nonlocal history sum in O(N log^2 N) work for N steps."""
     alpha, B, h = problem.alpha, problem.B, problem.h
     N = problem.n_steps
-    g = math.gamma(2.0 - alpha)
-    gha = g * h ** alpha
-    x = np.arange(N + 1) * h
-    F = _forcing_samples(problem.forcing, x)
-    # interior weights are shared by every level; only the tail changes
-    interior = _interior_weights(alpha, max(N - 1, 1))
-    tails = _tail_weights(alpha, N)
+    gha = math.gamma(2.0 - alpha) * h ** alpha
+    rhs = gha * _forcing_samples(problem.forcing, np.arange(N + 1) * h)
     z = zeta_unit_strip(alpha - 1.0) if scheme is Scheme.MODIFIED_L1 else 0.0
-    v = np.empty(N + 1)
-    v[0] = problem.y0
-    for n in range(1, N + 1):
-        modified = scheme is Scheme.MODIFIED_L1 and n >= 2
-        c0 = 1.0 - z if modified else 1.0
-        tail = tails[n - 1]
-        if n == 1:
-            hist = tail * v[0]
-        else:
-            w = interior[:n - 1].copy()
-            if modified:
-                w[0] += 2.0 * z
-                if n == 2:
-                    tail -= z
-                else:
-                    w[1] -= z
-            hist = float(w @ v[n - 1:0:-1]) + tail * v[0]
-        v[n] = (gha * F[n] - hist) / (c0 + B * gha)
-    return v
+    # c_0 + B h^alpha Gamma(2 - alpha), indexed by the level's `modified` flag
+    denominators = (1.0 + B * gha, 1.0 - z + B * gha)
+
+    def solve(n, modified, hist):
+        return (rhs[n] - hist) / denominators[modified]
+
+    return _march(alpha, scheme, N, problem.y0, solve)
 
 
 def solve_l1(problem: RelaxationProblem) -> TimeSeries:

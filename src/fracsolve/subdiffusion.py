@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .caputo import Scheme, _check_alpha, _interior_weights, _tail_weights
+from .caputo import Scheme, _check_alpha, _march
 from .relaxation import PowerSum, taylor_poly
 from .specfun import ConvergenceError, ml_relaxation_exact, zeta_unit_strip
 
@@ -57,6 +57,8 @@ class Sampled:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         self.values.setflags(write=False)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("sampled profile values must be finite")
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class SubdiffusionProblem:
             raise ValueError(f"need at least 2 space intervals, got N={self.N}")
         if self.M < 1:
             raise ValueError(f"need at least 1 time step, got M={self.M}")
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if isinstance(self.initial, Sampled):
             v = self.initial.values
             if v.size != self.N + 1:
@@ -189,14 +191,18 @@ def _solve_factored(mult, piv, upper, rhs):
     return x
 
 
+def _factor_system(system: TridiagonalSystem):
+    """Arguments of `_solve_factored` that precede the right-hand side."""
+    return (*_factor(system.lower, system.main, system.upper), system.upper)
+
+
 def thomas_solve(system: TridiagonalSystem, rhs) -> np.ndarray:
     """Solve the tridiagonal system by forward elimination and back
     substitution.  Dominance guarantees nonzero pivots."""
     b = np.asarray(rhs, dtype=float)
     if b.size != system.dim:
         raise ValueError(f"rhs has length {b.size}, expected {system.dim}")
-    mult, piv = _factor(system.lower, system.main, system.upper)
-    return _solve_factored(mult, piv, system.upper, b)
+    return _solve_factored(*_factor_system(system), b)
 
 
 def _initial_interior(problem: SubdiffusionProblem, x_interior: np.ndarray) -> np.ndarray:
@@ -210,42 +216,23 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
     alpha, N, M = problem.alpha, problem.N, problem.M
     h, tau = problem.h, problem.tau
     x_interior = np.arange(1, N) * h
-    system_l1 = build_system(alpha, tau, h, N, Scheme.L1)
-    fac_l1 = _factor(system_l1.lower, system_l1.main, system_l1.upper)
+    # LU factors of the level matrix, keyed by the level's `modified` flag
+    factors = {False: _factor_system(build_system(alpha, tau, h, N, Scheme.L1))}
     if scheme is Scheme.MODIFIED_L1:
-        z = zeta_unit_strip(alpha - 1.0)
-        system_ml1 = build_system(alpha, tau, h, N, Scheme.MODIFIED_L1)
-        fac_ml1 = _factor(system_ml1.lower, system_ml1.main, system_ml1.upper)
-    interior = _interior_weights(alpha, max(M - 1, 1))
-    tails = _tail_weights(alpha, M)
+        factors[True] = _factor_system(
+            build_system(alpha, tau, h, N, Scheme.MODIFIED_L1))
     scale = math.gamma(2.0 - alpha) * tau ** alpha
-    if problem.forcing is not None:
-        f_space = np.sin(problem.forcing.mode * x_interior)
-        f_time = problem.forcing.time_profile
-    V = np.empty((M + 1, N - 1))
-    V[0] = _initial_interior(problem, x_interior)
-    for m in range(1, M + 1):
-        modified = scheme is Scheme.MODIFIED_L1 and m >= 2
-        tail = tails[m - 1]
-        if m == 1:
-            hist = tail * V[0]
-        else:
-            w = interior[:m - 1].copy()
-            if modified:
-                w[0] += 2.0 * z
-                if m == 2:
-                    tail -= z
-                else:
-                    w[1] -= z
-            hist = w @ V[m - 1:0:-1] + tail * V[0]
+    forcing = problem.forcing
+    if forcing is not None:
+        f_space = np.sin(forcing.mode * x_interior)
+
+    def solve(m, modified, hist):
         rhs = -hist
-        if problem.forcing is not None:
-            rhs = rhs + scale * f_time(m * tau) * f_space
-        if modified:
-            V[m] = _solve_factored(*fac_ml1, system_ml1.upper, rhs)
-        else:
-            V[m] = _solve_factored(*fac_l1, system_l1.upper, rhs)
-    return V
+        if forcing is not None:
+            rhs = rhs + scale * forcing.time_profile(m * tau) * f_space
+        return _solve_factored(*factors[modified], rhs)
+
+    return _march(alpha, scheme, M, _initial_interior(problem, x_interior), solve)
 
 
 @dataclass(frozen=True, eq=False)

@@ -160,6 +160,23 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["relax", "--alpha", "0.5", "--B", "nan", "--h", "0.25"],
+        ["relax", "--alpha", "0.5", "--B", "inf", "--h", "0.25"],
+        ["relax", "--alpha", "0.5", "--h", "0.25", "--T", "inf"],
+        ["subdiff", "--problem", "s2", "--tau", "nan"],
+        ["subdiff", "--problem", "s2", "--tau", "0.125", "--T", "inf"],
+        ["converge", "--problem", "relax-mlexact", "--alpha", "0.5",
+         "--B", "inf"],
+        ["converge", "--problem", "r11", "--h0", "nan"],
+    ])
+    def test_non_finite_values_are_usage_errors(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", ["ml", "relax", "subdiff", "converge"])
     def test_help_lists_flags_with_defaults(self, command, capsys):
         assert run([command, "--help"]) == 0

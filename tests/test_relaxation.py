@@ -56,6 +56,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             RelaxationProblem(0.5, 0.0, None, 1.0, T=1.0, h=0.1)
 
+    @pytest.mark.parametrize("field", ["B", "y0", "T", "h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        data = dict(alpha=0.5, B=1.0, forcing=None, y0=1.0, T=1.0, h=0.1)
+        data[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            RelaxationProblem(**data)
+
     def test_rejects_non_callable_forcing(self):
         with pytest.raises(TypeError):
             RelaxationProblem(0.5, 1.0, 3.0, 1.0, T=1.0, h=0.1)

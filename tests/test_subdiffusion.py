@@ -156,6 +156,15 @@ class TestSolvers:
         with pytest.raises(ValueError):
             SubdiffusionProblem(alpha=0.5, N=8, M=4, T=1.0, initial=Sampled(bad))
 
+    def test_rejects_non_finite_data(self):
+        profile = np.zeros(9)
+        profile[4] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            Sampled(profile)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SubdiffusionProblem(alpha=0.5, N=8, M=4, T=T, initial=SineMode(1))
+
 
 class TestExactSingleMode:
     def test_initial_profile(self):
