@@ -10,17 +10,16 @@ couples the scheme to the initial value and differs from the interior
 formula.  The modified scheme shifts the first three weights by multiples of
 zeta(alpha - 1), which cancels the leading error term for smooth functions.
 
-Solvers march such a scheme through `_march`, which owns the weights and the
-nonlocal history sum.  All weights but c_0, the tail and the modified shifts
-are shared by every level, so the sum is a causal Toeplitz convolution;
-`_march` evaluates it exactly by blocked FFT convolution (Hairer, Lubich and
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985) in O(N log^2 N) for N levels.
+Solvers march such a scheme through `_march`, which owns the weights, the
+history sum and the level solve.  All weights but c_0, the tail and the
+modified shifts are shared by every level, so the sum is a causal Toeplitz
+convolution; `_march` evaluates it exactly by blocked FFT convolution (Hairer,
+Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985) in O(N log^2 N).
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -87,10 +86,15 @@ def _interior_weights(alpha: float, kmax: int) -> np.ndarray:
 
 
 def _tail_weights(alpha: float, nmax: int) -> np.ndarray:
-    """Final weight (n-1)^(1-a) - n^(1-a) for levels n = 1..nmax."""
-    n = np.arange(1, nmax + 1, dtype=float)
+    """Final weight (n-1)^e - n^e, e = 1-a, for levels n = 1..nmax, as
+    n^e expm1(e log1p(-1/n)) so that the powers do not cancel; at n = 1,
+    log1p(-1) diverges and the weight -1 is set directly."""
     e = 1.0 - alpha
-    return (n - 1.0) ** e - n ** e
+    w = np.empty(nmax)
+    w[0] = -1.0
+    n = np.arange(2, nmax + 1, dtype=float)
+    w[1:] = n ** e * np.expm1(e * np.log1p(-1.0 / n))
+    return w
 
 
 def l1_weights(alpha: float, n: int) -> CoefficientRow:
@@ -102,8 +106,7 @@ def l1_weights(alpha: float, n: int) -> CoefficientRow:
     w[0] = 1.0
     if n >= 2:
         w[1:n] = _interior_weights(alpha, n - 1)
-    e = 1.0 - alpha
-    w[n] = (n - 1.0) ** e - n ** e
+    w[n] = _tail_weights(alpha, n)[-1]
     return CoefficientRow(alpha, n, w)
 
 
@@ -142,20 +145,23 @@ class _MarchState:
     hist: np.ndarray         # history sum of each level, as far as known
     interior: np.ndarray     # c_1, c_2, ... shared by every level
     z: float | None          # zeta(alpha - 1) for the modified scheme
-    solve: Callable
+    lam: float | np.ndarray  # coefficient of v_n beside c_0
+    g: np.ndarray            # forcing time samples, one per level
+    f: float | np.ndarray    # forcing factor, shaped like the state
     spectra: dict            # FFT of the interior weights, by transform size
 
 
-def _march(alpha: float, scheme: Scheme, n_steps: int, v0,
-           solve: Callable) -> np.ndarray:
+def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
+           f=1.0) -> np.ndarray:
     """March levels 1..n_steps of the L1 or modified-L1 scheme from v0.
 
-    Level n satisfies c_0 v_n + (the rest of the equation) = -hist with
-    hist = sum_{k=1..n} c_k v_{n-k} over the level-n weight row.
-    `solve(n, modified, hist)` must return v_n; `modified` says whether the
-    row carries the modified-L1 shift (c_0 = 1 - zeta(alpha - 1), from level
-    2 on) or is plain L1 (c_0 = 1).  Returns the levels 0..n_steps stacked
-    along a new first axis; the state may be a scalar or an array.
+    Level n solves (c_0 + lam) v_n = g[n] f - sum_{k=1..n} c_k v_{n-k} over
+    the level-n weight row, with c_0 = 1 - zeta(alpha - 1) on modified rows
+    (level 2 on) and c_0 = 1 otherwise.  The state may be a scalar or an
+    array; lam and f are scalars or arrays of its shape, and g holds one time
+    sample per level.  For relaxation lam = B h^alpha Gamma(2 - alpha) and
+    f = 1; for subdiffusion the state is the sine modes, one lam per mode.
+    Returns the levels 0..n_steps stacked along a new first axis.
     """
     v0 = np.asarray(v0, dtype=float)
     v = np.empty((n_steps + 1,) + v0.shape)
@@ -169,7 +175,7 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0,
         interior=_interior_weights(alpha, max(n_steps - 1, 1)),
         z=(zeta_unit_strip(alpha - 1.0)
            if scheme is Scheme.MODIFIED_L1 else None),
-        solve=solve, spectra={})
+        lam=lam, g=g, f=f, spectra={})
     size = _LEAF
     while size < n_steps:
         size *= 2
@@ -193,12 +199,14 @@ def _march_block(state: _MarchState, lo: int, size: int) -> None:
 
 def _march_leaf(state: _MarchState, lo: int, hi: int) -> None:
     v, hist, interior, z = state.v, state.hist, state.interior, state.z
+    lam, g, f = state.lam, state.g, state.f
     for n in range(lo, hi):
         total = hist[n] + interior[:n - lo] @ v[n - 1:lo - 1:-1]
-        modified = z is not None and n >= 2
-        if modified:
+        c0 = 1.0
+        if z is not None and n >= 2:
             total = total + z * (2.0 * v[n - 1] - v[n - 2])
-        v[n] = state.solve(n, modified, total)
+            c0 = 1.0 - z
+        v[n] = (g[n] * f - total) / (c0 + lam)
 
 
 def _add_history(state: _MarchState, lo: int, mid: int, hi: int,

@@ -9,6 +9,7 @@ success, 2 on usage or domain errors, 1 on numerical failure.
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .caputo import Scheme
 from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
                       run_subdiffusion_study)
 from .relaxation import RelaxationProblem, choose_m
-from .specfun import ConvergenceError, SeriesPolicy, mittag_leffler, ml_relaxation_exact
+from .specfun import ConvergenceError, SeriesPolicy, mittag_leffler
 from .subdiffusion import SineMode, SubdiffusionProblem
 
 __all__ = ["build_parser", "run", "main"]
@@ -182,19 +183,14 @@ def _cmd_relax(args) -> int:
     corrected, m = _resolve_correct(args.correct, family.alpha)
     scheme = _scheme(args)
     if corrected:
-        if family.forcing is not None or family.y0 != 1.0:
-            raise ValueError(
-                f"correction applies to the homogeneous problem only, "
-                f"not {family.name}")
+        problems.require_homogeneous(family)
         series = relaxation.solve_corrected(family.alpha, family.B, m,
                                             args.T, args.h, scheme)
     else:
         problem = RelaxationProblem(alpha=family.alpha, B=family.B,
                                     forcing=family.forcing, y0=family.y0,
                                     T=args.T, h=args.h)
-        series = (relaxation.solve_ml1(problem)
-                  if scheme is Scheme.MODIFIED_L1
-                  else relaxation.solve_l1(problem))
+        series = relaxation.solve(problem, scheme)
     exact = family.exact(series.x)
     _emit(_series_table(series.x, series.values, exact), args.out)
     return 0
@@ -209,11 +205,7 @@ def _cmd_subdiff(args) -> int:
         if args.alpha is None:
             raise ValueError("subdiff needs --alpha when no --problem is given")
         alpha = args.alpha
-
-        def exact(x, t):
-            decay = 1.0 if t == 0.0 else ml_relaxation_exact(alpha, 1.0, t)
-            return np.sin(np.asarray(x, dtype=float)) * decay
-
+        exact = partial(subdiffusion.exact_single_mode, alpha, 1)
     M = round(args.T / args.tau)
     if M < 1 or abs(M * args.tau - args.T) > 1e-9 * args.T:
         raise ValueError(f"tau = {args.tau} does not divide T = {args.T}")
@@ -225,9 +217,7 @@ def _cmd_subdiff(args) -> int:
     else:
         problem = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=args.T,
                                       initial=SineMode(1))
-        sol = (subdiffusion.solve_ml1(problem)
-               if scheme is Scheme.MODIFIED_L1
-               else subdiffusion.solve_l1(problem))
+        sol = subdiffusion.solve(problem, scheme)
     exact_profile = exact(sol.x, args.T)
     _emit(_series_table(sol.x, sol.final, exact_profile), args.out)
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import relaxation, subdiffusion
 from .caputo import Scheme
-from .problems import RelaxationFamily, SubdiffusionFamily
+from .problems import RelaxationFamily, SubdiffusionFamily, require_homogeneous
 from .subdiffusion import Sampled, SineMode, SubdiffusionProblem
 
 __all__ = [
@@ -112,10 +112,7 @@ def run_relaxation_study(family: RelaxationFamily, scheme: Scheme,
     if ladder.coupling is not Coupling.NONE:
         raise ValueError("relaxation ladders do not couple step sizes")
     if corrected:
-        if family.forcing is not None or family.y0 != 1.0:
-            raise ValueError(
-                f"correction applies to the homogeneous problem only, "
-                f"not {family.name}")
+        require_homogeneous(family)
         if m is None:
             m = relaxation.choose_m(family.alpha)
     steps = [2.0 * ladder.base_step] + ladder.steps()
@@ -128,9 +125,7 @@ def run_relaxation_study(family: RelaxationFamily, scheme: Scheme,
             problem = relaxation.RelaxationProblem(
                 alpha=family.alpha, B=family.B, forcing=family.forcing,
                 y0=family.y0, T=family.T, h=h)
-            series = (relaxation.solve_ml1(problem)
-                      if scheme is Scheme.MODIFIED_L1
-                      else relaxation.solve_l1(problem))
+            series = relaxation.solve(problem, scheme)
         x = series.x
         errors.append(float(np.max(np.abs(series.values[1:] - family.exact(x[1:])))))
     return _chain_orders(steps, errors)
@@ -169,16 +164,13 @@ def run_subdiffusion_study(family: SubdiffusionFamily, scheme: Scheme,
             if family.amplitude == 1.0:
                 initial = SineMode(family.mode)
             else:
-                xs = np.arange(N + 1) * (math.pi / N)
+                xs = subdiffusion.space_nodes(N)
                 values = family.amplitude * np.sin(family.mode * xs)
-                values[0] = 0.0
-                values[-1] = 0.0
+                values[-1] = 0.0    # sin(mode pi) is only roundoff
                 initial = Sampled(values)
             problem = SubdiffusionProblem(alpha=family.alpha, N=N, M=M,
                                           T=family.T, initial=initial)
-            sol = (subdiffusion.solve_ml1(problem)
-                   if scheme is Scheme.MODIFIED_L1
-                   else subdiffusion.solve_l1(problem))
+            sol = subdiffusion.solve(problem, scheme)
         x_interior = sol.x[1:-1]
         exact = family.exact(x_interior, family.T)
         errors.append(float(np.max(np.abs(sol.final[1:-1] - exact))))

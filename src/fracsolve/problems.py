@@ -11,16 +11,19 @@ Registry ids:
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .relaxation import PowerSum
 from .specfun import ml_relaxation_exact
+from .subdiffusion import exact_single_mode
 
 __all__ = [
     "RelaxationFamily",
     "SubdiffusionFamily",
+    "require_homogeneous",
     "RELAXATION_IDS",
     "SUBDIFFUSION_IDS",
     "PROBLEM_IDS",
@@ -46,6 +49,15 @@ class RelaxationFamily:
     y0: float
     exact: Callable[[np.ndarray], np.ndarray]
     T: float = 1.0
+
+
+def require_homogeneous(family: RelaxationFamily) -> None:
+    """Reject a family that the start-up correction does not apply to: it
+    needs the homogeneous problem with y0 = 1."""
+    if family.forcing is not None or family.y0 != 1.0:
+        raise ValueError(
+            f"correction applies to the homogeneous problem only, "
+            f"not {family.name}")
 
 
 @dataclass(frozen=True)
@@ -110,9 +122,4 @@ def subdiffusion_family(pid: str, alpha: float | None = None) -> SubdiffusionFam
                        f"known ids: {SUBDIFFUSION_IDS}")
     _check_fixed(pid, alpha, None)
     a = _FIXED_ALPHA[pid]
-
-    def exact(x, t):
-        decay = 1.0 if t == 0.0 else ml_relaxation_exact(a, 1.0, t)
-        return np.sin(np.asarray(x, dtype=float)) * decay
-
-    return SubdiffusionFamily(pid, a, exact)
+    return SubdiffusionFamily(pid, a, partial(exact_single_mode, a, 1))

@@ -16,13 +16,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .caputo import Scheme, _check_alpha, _march
-from .specfun import (ConvergenceError, mittag_leffler, ml_relaxation_exact,
-                      zeta_unit_strip)
+from .specfun import ConvergenceError, mittag_leffler, ml_relaxation_exact
 
 __all__ = [
     "PowerSum",
     "RelaxationProblem",
     "TimeSeries",
+    "solve",
     "solve_l1",
     "solve_ml1",
     "miller_ross_at_zero",
@@ -128,18 +128,16 @@ def _forcing_samples(forcing, x: np.ndarray) -> np.ndarray:
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
     """Run the time-stepping recurrence; the march kernel evaluates the
     nonlocal history sum in O(N log^2 N) work for N steps."""
-    alpha, B, h = problem.alpha, problem.B, problem.h
+    alpha, h = problem.alpha, problem.h
     N = problem.n_steps
     gha = math.gamma(2.0 - alpha) * h ** alpha
     rhs = gha * _forcing_samples(problem.forcing, np.arange(N + 1) * h)
-    z = zeta_unit_strip(alpha - 1.0) if scheme is Scheme.MODIFIED_L1 else 0.0
-    # c_0 + B h^alpha Gamma(2 - alpha), indexed by the level's `modified` flag
-    denominators = (1.0 + B * gha, 1.0 - z + B * gha)
+    return _march(alpha, scheme, N, problem.y0, problem.B * gha, rhs)
 
-    def solve(n, modified, hist):
-        return (rhs[n] - hist) / denominators[modified]
 
-    return _march(alpha, scheme, N, problem.y0, solve)
+def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
+    """Numerical solution with the given scheme: `solve_l1` or `solve_ml1`."""
+    return solve_ml1(problem) if scheme is Scheme.MODIFIED_L1 else solve_l1(problem)
 
 
 def solve_l1(problem: RelaxationProblem) -> TimeSeries:
@@ -232,7 +230,7 @@ def solve_corrected(alpha: float, B: float, m: int, T: float, h: float,
     the fractional Taylor polynomial back on the grid.
     """
     problem = corrected_problem(alpha, B, m, T, h)
-    zs = solve_ml1(problem) if scheme is Scheme.MODIFIED_L1 else solve_l1(problem)
+    zs = solve(problem, scheme)
     values = zs.values + taylor_poly(alpha, B, m, zs.x)
     return TimeSeries(h, values)
 

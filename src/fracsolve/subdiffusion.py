@@ -2,8 +2,11 @@
 
 Solves d^alpha u / dt^alpha = d^2 u / dx^2 + F(x, t) on [0, pi] x [0, T] with
 homogeneous Dirichlet boundaries.  Space uses the second-order central
-difference; time uses the L1 or modified-L1 Caputo discretization, giving one
-tridiagonal solve per time level.  As in the scalar case, the single-mode
+difference; time uses the L1 or modified-L1 Caputo discretization.  On the
+grid x_j = j pi/N every sin(k x_j) is an eigenvector of the second difference,
+so an orthonormal discrete sine transform (DST-I) splits the scheme into N-1
+independent relaxation marches, one per mode, which `caputo._march` advances
+together as one vector state.  As in the scalar case, the single-mode
 solution sin(x) E_alpha(-t^alpha) is singular at t = 0 and the plain schemes
 drop to first order in time; subtracting the fractional Taylor expansion of
 the time factor restores them.
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dst, idst
 from scipy.integrate import quad
 
 from .caputo import Scheme, _check_alpha, _march
@@ -26,8 +30,10 @@ __all__ = [
     "SubdiffusionProblem",
     "TridiagonalSystem",
     "SpaceTimeSolution",
+    "space_nodes",
     "build_system",
     "thomas_solve",
+    "solve",
     "solve_l1",
     "solve_ml1",
     "exact_single_mode",
@@ -71,6 +77,11 @@ class SeparableForcing:
     def __post_init__(self):
         if self.mode < 1:
             raise ValueError(f"mode number must be >= 1, got {self.mode}")
+
+
+def space_nodes(N: int) -> np.ndarray:
+    """The space grid x_j = j pi/N, j = 0..N; the last node is exactly pi."""
+    return np.linspace(0.0, math.pi, N + 1)
 
 
 @dataclass(frozen=True)
@@ -162,77 +173,52 @@ def build_system(alpha: float, tau: float, h: float, N: int,
     return TridiagonalSystem(off, main, off.copy())
 
 
-def _factor(lower, main, upper):
-    """LU factorization of a tridiagonal matrix (Thomas algorithm, O(dim))."""
-    dim = main.size
-    piv = np.empty(dim)
-    mult = np.empty(max(dim - 1, 0))
-    piv[0] = main[0]
-    for i in range(1, dim):
-        if piv[i - 1] == 0.0:
-            raise RuntimeError("zero pivot in tridiagonal factorization")
-        mult[i - 1] = lower[i - 1] / piv[i - 1]
-        piv[i] = main[i] - mult[i - 1] * upper[i - 1]
-    if piv[-1] == 0.0:
-        raise RuntimeError("zero pivot in tridiagonal factorization")
-    return mult, piv
-
-
-def _solve_factored(mult, piv, upper, rhs):
-    dim = piv.size
-    y = np.empty(dim)
-    y[0] = rhs[0]
-    for i in range(1, dim):
-        y[i] = rhs[i] - mult[i - 1] * y[i - 1]
-    x = np.empty(dim)
+def thomas_solve(system: TridiagonalSystem, rhs) -> np.ndarray:
+    """Solve the tridiagonal system by forward elimination and back
+    substitution (Thomas algorithm, O(dim)).  Dominance guarantees nonzero
+    pivots."""
+    b = np.asarray(rhs, dtype=float)
+    if b.size != system.dim:
+        raise ValueError(f"rhs has length {b.size}, expected {system.dim}")
+    lower, main, upper = system.lower, system.main, system.upper
+    piv = np.empty(system.dim)
+    y = np.empty(system.dim)
+    piv[0], y[0] = main[0], b[0]
+    for i in range(1, system.dim):
+        mult = lower[i - 1] / piv[i - 1]
+        piv[i] = main[i] - mult * upper[i - 1]
+        y[i] = b[i] - mult * y[i - 1]
+    x = np.empty(system.dim)
     x[-1] = y[-1] / piv[-1]
-    for i in range(dim - 2, -1, -1):
+    for i in range(system.dim - 2, -1, -1):
         x[i] = (y[i] - upper[i] * x[i + 1]) / piv[i]
     return x
 
 
-def _factor_system(system: TridiagonalSystem):
-    """Arguments of `_solve_factored` that precede the right-hand side."""
-    return (*_factor(system.lower, system.main, system.upper), system.upper)
-
-
-def thomas_solve(system: TridiagonalSystem, rhs) -> np.ndarray:
-    """Solve the tridiagonal system by forward elimination and back
-    substitution.  Dominance guarantees nonzero pivots."""
-    b = np.asarray(rhs, dtype=float)
-    if b.size != system.dim:
-        raise ValueError(f"rhs has length {b.size}, expected {system.dim}")
-    return _solve_factored(*_factor_system(system), b)
-
-
-def _initial_interior(problem: SubdiffusionProblem, x_interior: np.ndarray) -> np.ndarray:
-    if isinstance(problem.initial, SineMode):
-        return np.sin(problem.initial.k * x_interior)
-    return np.array(problem.initial.values[1:-1])
-
-
 def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
-    """Time-step the interior values; returns an (M+1) x (N-1) matrix."""
+    """Time-step the interior values; returns an (M+1) x (N-1) matrix.  In
+    orthonormal DST-I coordinates mode k has B_k = (4/h^2) sin^2(k h/2)."""
     alpha, N, M = problem.alpha, problem.N, problem.M
     h, tau = problem.h, problem.tau
-    x_interior = np.arange(1, N) * h
-    # LU factors of the level matrix, keyed by the level's `modified` flag
-    factors = {False: _factor_system(build_system(alpha, tau, h, N, Scheme.L1))}
-    if scheme is Scheme.MODIFIED_L1:
-        factors[True] = _factor_system(
-            build_system(alpha, tau, h, N, Scheme.MODIFIED_L1))
+    x_interior = space_nodes(N)[1:-1]
+    if isinstance(problem.initial, SineMode):
+        u0 = np.sin(problem.initial.k * x_interior)
+    else:
+        u0 = problem.initial.values[1:-1]
     scale = math.gamma(2.0 - alpha) * tau ** alpha
+    lam = scale * 4.0 / h ** 2 * np.sin(0.5 * h * np.arange(1, N)) ** 2
     forcing = problem.forcing
-    if forcing is not None:
-        f_space = np.sin(forcing.mode * x_interior)
-
-    def solve(m, modified, hist):
-        rhs = -hist
-        if forcing is not None:
-            rhs = rhs + scale * forcing.time_profile(m * tau) * f_space
-        return _solve_factored(*factors[modified], rhs)
-
-    return _march(alpha, scheme, M, _initial_interior(problem, x_interior), solve)
+    if forcing is None:
+        g, f = np.zeros(M + 1), 0.0
+    else:
+        g = scale * forcing.time_profile(np.arange(M + 1) * tau)
+        f = dst(np.sin(forcing.mode * x_interior), type=1, norm="ortho")
+    modes = _march(alpha, scheme, M, dst(u0, type=1, norm="ortho"), lam, g, f)
+    # in place: a second array of all levels would raise peak memory
+    u = idst(modes, type=1, norm="ortho", axis=1, overwrite_x=True)
+    # the transform round trip is not exact; level 0 is the given data
+    u[0] = u0
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +235,7 @@ class SpaceTimeSolution:
 
     @property
     def x(self) -> np.ndarray:
-        return np.arange(self.values.shape[1]) * self.h
+        return space_nodes(self.values.shape[1] - 1)
 
     @property
     def t(self) -> np.ndarray:
@@ -266,8 +252,13 @@ def _assemble(problem: SubdiffusionProblem, interior: np.ndarray) -> SpaceTimeSo
     return SpaceTimeSolution(problem.h, problem.tau, full)
 
 
+def solve(problem: SubdiffusionProblem, scheme: Scheme) -> SpaceTimeSolution:
+    """Numerical solution with the given scheme: `solve_l1` or `solve_ml1`."""
+    return solve_ml1(problem) if scheme is Scheme.MODIFIED_L1 else solve_l1(problem)
+
+
 def solve_l1(problem: SubdiffusionProblem) -> SpaceTimeSolution:
-    """March the L1 scheme: one dominant tridiagonal solve per time level."""
+    """March the L1 scheme."""
     return _assemble(problem, _advance(problem, Scheme.L1))
 
 
@@ -350,7 +341,7 @@ def solve_corrected(alpha: float, m: int, T: float, N: int, M: int,
     Level 0 reproduces sin(x_n) exactly and the boundary stays exactly zero.
     """
     problem = corrected_problem(alpha, m, T, N, M)
-    vsol = solve_ml1(problem) if scheme is Scheme.MODIFIED_L1 else solve_l1(problem)
+    vsol = solve(problem, scheme)
     sine = np.sin(vsol.x)
     sine[0] = 0.0
     sine[-1] = 0.0

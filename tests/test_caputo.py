@@ -67,6 +67,24 @@ class TestInteriorWeightAccuracy:
                 worst = max(worst, float(abs(w[k] - exact) / abs(exact)))
         assert worst <= 1e-13
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_tail_matches_40_digit_reference(self, alpha):
+        """The tail weight (n-1)^(1-alpha) - n^(1-alpha) cancels two powers
+        of size n^(1-alpha) down to one of size n^(-alpha); evaluated as
+        written it is off by up to 5e-11 relative at n <= 40960."""
+        mpmath = pytest.importorskip("mpmath")
+        ns = sorted(set(range(1, 200))
+                    | {int(n) for n in np.geomspace(200, 40960, 60)})
+        worst = 0.0
+        with mpmath.workdps(40):
+            e = 1 - mpmath.mpf(alpha)
+            for n in ns:
+                nn = mpmath.mpf(n)
+                exact = (nn - 1) ** e - nn ** e
+                got = l1_weights(alpha, n).weights[n]
+                worst = max(worst, float(abs(got - exact) / abs(exact)))
+        assert worst <= 1e-14
+
 
 class TestML1Weights:
     def test_row_sums_to_zero(self):

@@ -15,7 +15,8 @@ import pytest
 from fracsolve import relaxation, subdiffusion
 from fracsolve.caputo import Scheme, l1_weights, ml1_weights
 from fracsolve.relaxation import PowerSum, RelaxationProblem
-from fracsolve.subdiffusion import Sampled, SeparableForcing, SubdiffusionProblem
+from fracsolve.subdiffusion import (Sampled, SeparableForcing, SineMode,
+                                    SubdiffusionProblem)
 
 RTOL = 1e-12
 SOLVERS = {
@@ -55,11 +56,15 @@ def direct_subdiffusion(problem, scheme):
                  - np.eye(N - 1, k=-1))
     forcing = problem.forcing
     V = np.empty((M + 1, N - 1))
-    V[0] = problem.initial.values[1:-1]
+    if isinstance(problem.initial, SineMode):
+        V[0] = np.sin(problem.initial.k * x)
+    else:
+        V[0] = problem.initial.values[1:-1]
     for m in range(1, M + 1):
         w = weight_row(alpha, scheme, m)
         rhs = -(w[1:] @ V[m - 1::-1])
-        rhs += scale * forcing.time_profile(m * tau) * np.sin(forcing.mode * x)
+        if forcing is not None:
+            rhs += scale * forcing.time_profile(m * tau) * np.sin(forcing.mode * x)
         V[m] = np.linalg.solve(w[0] * np.eye(N - 1) + eta * laplacian, rhs)
     return V
 
@@ -83,6 +88,18 @@ def sampled_problem(alpha, N, M):
                                initial=Sampled(profile), forcing=forcing)
 
 
+PDE_CASES = {
+    # one interior node: a sine transform of length 1
+    "N2": lambda alpha, M: sampled_problem(alpha, 2, M),
+    # on the grid sin((N+1) x) equals -sin((N-1) x)
+    "aliased": lambda alpha, M: SubdiffusionProblem(
+        alpha=alpha, N=70, M=M, T=1.0, initial=SineMode(71)),
+    "mode1-forced2": lambda alpha, M: SubdiffusionProblem(
+        alpha=alpha, N=70, M=M, T=1.0, initial=SineMode(1),
+        forcing=SeparableForcing(2, PowerSum(((1.0, 1.0), (0.5, 0.25))))),
+}
+
+
 @pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 63, 64, 65, 129, 1000, 5000])
@@ -99,7 +116,18 @@ def test_relaxation_matches_direct_march(n_steps, alpha, scheme):
 @pytest.mark.parametrize("M", [2, 65, 200])
 def test_subdiffusion_matches_direct_march(M, alpha, scheme):
     # 69 interior columns: the state is transformed in two column chunks
-    problem = sampled_problem(alpha, 70, M)
+    check_subdiffusion(sampled_problem(alpha, 70, M), scheme)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("M", [2, 65, 200])
+@pytest.mark.parametrize("case", PDE_CASES)
+def test_subdiffusion_edge_cases_match_direct_march(case, M, alpha, scheme):
+    check_subdiffusion(PDE_CASES[case](alpha, M), scheme)
+
+
+def check_subdiffusion(problem, scheme):
     got = SOLVERS["subdiffusion"][scheme](problem).values
     assert np.all(got[:, [0, -1]] == 0.0)
     assert_close(got[:, 1:-1], direct_subdiffusion(problem, scheme))

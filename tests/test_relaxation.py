@@ -8,7 +8,7 @@ import pytest
 from fracsolve.caputo import Scheme
 from fracsolve.relaxation import (PowerSum, RelaxationProblem, choose_m,
                                   corrected_problem, exact_convolution,
-                                  miller_ross_at_zero, solve_corrected,
+                                  miller_ross_at_zero, solve, solve_corrected,
                                   solve_l1, solve_ml1, taylor_poly)
 from fracsolve.specfun import ml_relaxation_exact
 
@@ -105,6 +105,13 @@ class TestML1Solver:
     def test_needs_two_steps(self):
         with pytest.raises(ValueError):
             solve_ml1(RelaxationProblem(0.5, 1.0, None, 1.0, T=0.1, h=0.1))
+
+    def test_solve_dispatches_on_scheme(self):
+        problem = homogeneous(0.5, 1.0, 0.05)
+        for scheme, direct in ((Scheme.L1, solve_l1),
+                               (Scheme.MODIFIED_L1, solve_ml1)):
+            assert np.array_equal(solve(problem, scheme).values,
+                                  direct(problem).values)
 
     def test_identical_max_error_on_homogeneous_half(self):
         # both schemes share the first step, where the error peaks

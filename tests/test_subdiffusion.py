@@ -12,8 +12,9 @@ from fracsolve.subdiffusion import (Sampled, SeparableForcing, SineMode,
                                     SubdiffusionProblem, TridiagonalSystem,
                                     build_system, corrected_problem,
                                     exact_single_mode,
-                                    fourier_sine_coefficients, solve_corrected,
-                                    solve_l1, solve_ml1, thomas_solve)
+                                    fourier_sine_coefficients, solve,
+                                    solve_corrected, solve_l1, solve_ml1,
+                                    thomas_solve)
 
 ETA_REFERENCE = 72.28242233197722   # Gamma(1.5) * 0.05^0.5 / (pi * 0.05 / 3)^2
 E_HALF_AT_MINUS_1 = 0.4275835761558070
@@ -117,6 +118,21 @@ class TestSolvers:
         problem = single_mode_problem(0.5, 12, 8)
         sol = solve_ml1(problem)
         assert np.array_equal(sol.values[0, 1:-1], np.sin(sol.x[1:-1]))
+
+    def test_grid_ends_exactly_at_pi(self):
+        # arange(N + 1) * (pi / N) overshoots pi by one ulp for these N, which
+        # puts the last node outside the domain of exact_single_mode
+        for N in (25, 41, 50, 100):
+            sol = solve_l1(single_mode_problem(0.5, N, 2))
+            assert sol.x[-1] == math.pi
+            exact_single_mode(0.5, 1, sol.x, 1.0)
+
+    def test_solve_dispatches_on_scheme(self):
+        problem = single_mode_problem(0.5, 12, 8)
+        for scheme, direct in ((Scheme.L1, solve_l1),
+                               (Scheme.MODIFIED_L1, solve_ml1)):
+            assert np.array_equal(solve(problem, scheme).values,
+                                  direct(problem).values)
 
     def test_discrete_max_is_non_increasing(self):
         for alpha, scheme in ((0.5, Scheme.L1), (0.3, Scheme.MODIFIED_L1)):
