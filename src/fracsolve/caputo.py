@@ -11,10 +11,14 @@ formula.  The modified scheme shifts the first three weights by multiples of
 zeta(alpha - 1), which cancels the leading error term for smooth functions.
 
 Solvers march such a scheme through `_march`, which owns the weights, the
-history sum and the level solve.  All weights but c_0, the tail and the
-modified shifts are shared by every level, so the sum is a causal Toeplitz
-convolution; `_march` evaluates it exactly by blocked FFT convolution (Hairer,
-Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985) in O(N log^2 N).
+history sum and the level solve.  Once the modified shifts are folded into
+c_0 and the interior weights, every level from 2 on has the same c_0 and
+interior weights; only the tail differs, and it multiplies the known v_0.  So
+levels 2..N solve one lower-triangular Toeplitz system.  `_march` solves it
+exactly, up to roundoff, in O(N log^2 N): blocked FFT convolution (Hairer,
+Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985) carries the history
+from block to block, and each leaf of up to 128 levels is one FFT convolution
+with the first column of its matrix's inverse.
 """
 
 import math
@@ -77,7 +81,7 @@ def _interior_weights(alpha: float, kmax: int) -> np.ndarray:
     """
     e = 1.0 - alpha
     w = np.empty(kmax)
-    w[0] = 2.0 ** e - 2.0
+    w[:1] = 2.0 ** e - 2.0
     k = np.arange(2, kmax + 1, dtype=float)
     t = e * np.arctanh(1.0 / k)
     w[1:] = 2.0 * k ** e * (np.expm1(0.5 * e * np.log1p(-1.0 / k ** 2)) * np.cosh(t)
@@ -97,17 +101,38 @@ def _tail_weights(alpha: float, nmax: int) -> np.ndarray:
     return w
 
 
+def _scheme_weights(alpha: float, scheme: Scheme, n: int):
+    """The weights of levels 1..n as (c_0, interior, tail).
+
+    interior holds c_1..c_{n-1}, shared by every level that reaches them, and
+    tail[m-1] is the final weight (m-1)^e - m^e of level m, e = 1-alpha.  The
+    modified scheme shifts indices 0, 1, 2 of every row from level 2 on by
+    -z, +2z, -z with z = zeta(alpha - 1), so its c_0 is 1 - z; index 2 is an
+    interior weight from level 3 on and the tail at level 2, so both take the
+    -z.  Level 1 has no index 2 and is the L1 row 1, tail[0] in both schemes.
+    """
+    interior = _interior_weights(alpha, n - 1)
+    tail = _tail_weights(alpha, n)
+    if scheme is Scheme.L1:
+        return 1.0, interior, tail
+    z = zeta_unit_strip(alpha - 1.0)
+    interior[:1] += 2.0 * z
+    interior[1:2] -= z
+    tail[1:2] -= z
+    return 1.0 - z, interior, tail
+
+
+def _row(alpha: float, scheme: Scheme, n: int) -> CoefficientRow:
+    c0, interior, tail = _scheme_weights(alpha, scheme, n)
+    return CoefficientRow(alpha, n, np.concatenate(([c0], interior, tail[-1:])))
+
+
 def l1_weights(alpha: float, n: int) -> CoefficientRow:
     """Weight row of the L1 scheme at time level n >= 1."""
     _check_alpha(alpha)
     if n < 1:
         raise ValueError(f"l1_weights requires n >= 1, got {n}")
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    if n >= 2:
-        w[1:n] = _interior_weights(alpha, n - 1)
-    w[n] = _tail_weights(alpha, n)[-1]
-    return CoefficientRow(alpha, n, w)
+    return _row(alpha, Scheme.L1, n)
 
 
 def ml1_weights(alpha: float, n: int) -> CoefficientRow:
@@ -121,19 +146,14 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
     _check_alpha(alpha)
     if n < 2:
         raise ValueError(f"ml1_weights requires n >= 2, got {n}")
-    z = zeta_unit_strip(alpha - 1.0)
-    w = np.array(l1_weights(alpha, n).weights)
-    w[0] -= z
-    w[1] += 2.0 * z
-    w[2] -= z
-    return CoefficientRow(alpha, n, w)
+    return _row(alpha, Scheme.MODIFIED_L1, n)
 
 
-# Blocks of at most _LEAF levels sum their own history directly, which keeps
-# the roundoff of the direct sum; larger blocks hand their left half's effect
-# on the right half to one FFT convolution.  Matrix states are transformed
+# Leaves of at most _LEAF levels are solved at once with the inverse of their
+# triangular Toeplitz matrix; larger blocks hand their left half's effect on
+# the right half to one FFT convolution.  Matrix states are transformed
 # _COLUMNS columns at a time to bound the transforms' working memory.
-_LEAF = 64
+_LEAF = 128
 _COLUMNS = 64
 
 
@@ -141,14 +161,11 @@ _COLUMNS = 64
 class _MarchState:
     """Arrays shared by the recursion of one `_march` call."""
 
-    v: np.ndarray            # levels 0..N, each shaped like the state
-    hist: np.ndarray         # history sum of each level, as far as known
-    interior: np.ndarray     # c_1, c_2, ... shared by every level
-    z: float | None          # zeta(alpha - 1) for the modified scheme
-    lam: float | np.ndarray  # coefficient of v_n beside c_0
-    g: np.ndarray            # forcing time samples, one per level
-    f: float | np.ndarray    # forcing factor, shaped like the state
-    spectra: dict            # FFT of the interior weights, by transform size
+    v: np.ndarray         # levels 0..N, one column per state entry; an
+                          # unsolved level holds its right-hand side
+    interior: np.ndarray  # c_1, c_2, ... shared by levels 2..N
+    inverse: np.ndarray   # first column s of the leaf inverse, (leaf, columns)
+    spectra: dict         # FFT of the interior weights, by transform size
 
 
 def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
@@ -156,39 +173,65 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
     """March levels 1..n_steps of the L1 or modified-L1 scheme from v0.
 
     Level n solves (c_0 + lam) v_n = g[n] f - sum_{k=1..n} c_k v_{n-k} over
-    the level-n weight row, with c_0 = 1 - zeta(alpha - 1) on modified rows
-    (level 2 on) and c_0 = 1 otherwise.  The state may be a scalar or an
-    array; lam and f are scalars or arrays of its shape, and g holds one time
-    sample per level.  For relaxation lam = B h^alpha Gamma(2 - alpha) and
-    f = 1; for subdiffusion the state is the sine modes, one lam per mode.
-    Returns the levels 0..n_steps stacked along a new first axis.
+    the level-n weight row.  The state may be a scalar or an array; lam and f
+    are scalars or arrays of its shape, and g holds one time sample per
+    level.  For relaxation lam = B h^alpha Gamma(2 - alpha) and f = 1; for
+    subdiffusion the state is the sine modes, one lam per mode.  Returns the
+    levels 0..n_steps stacked along a new first axis.
+
+    Level 1 is solved in closed form.  From level 2 on, every row has the
+    same c_0 and interior weights once the modified shifts are part of them,
+    so with the terms in v_0 and v_1 moved to the right-hand side, levels
+    2..N solve one lower-triangular Toeplitz system.  Its blocks of levels
+    are solved by `_march_block`.
     """
+    c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
     v0 = np.asarray(v0, dtype=float)
     v = np.empty((n_steps + 1,) + v0.shape)
     v[0] = v0
-    hist = np.empty_like(v)
-    hist[0] = 0.0
-    # the tail weight of level n multiplies v_0, which is known up front
-    np.multiply.outer(_tail_weights(alpha, n_steps), v0, out=hist[1:])
-    state = _MarchState(
-        v=v, hist=hist,
-        interior=_interior_weights(alpha, max(n_steps - 1, 1)),
-        z=(zeta_unit_strip(alpha - 1.0)
-           if scheme is Scheme.MODIFIED_L1 else None),
-        lam=lam, g=g, f=f, spectra={})
-    size = _LEAF
-    while size < n_steps:
+    v[1] = (g[1] * f - tail[0] * v0) / (1.0 + lam)
+    if n_steps < 2:
+        return v
+    v = v.reshape(n_steps + 1, -1)
+    f = np.broadcast_to(f, v0.shape).reshape(-1)
+    # one chunk at a time: a full-width outer product would be a second
+    # array of all levels
+    for c in range(0, v.shape[1], _COLUMNS):
+        rhs = v[2:, c:c + _COLUMNS]
+        np.multiply.outer(g[2:], f[c:c + _COLUMNS], out=rhs)
+        rhs -= np.multiply.outer(tail[1:], v[0, c:c + _COLUMNS])
+        rhs -= np.multiply.outer(interior, v[1, c:c + _COLUMNS])
+    size = 2
+    while size < n_steps - 1:
         size *= 2
-    _march_block(state, 1, size)
-    return v
+    diagonal = (c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
+    inverse = _leaf_inverse(interior, diagonal, min(_LEAF, size // 2))
+    _march_block(_MarchState(v, interior, inverse, {}), 2, size)
+    return v.reshape((n_steps + 1,) + v0.shape)
+
+
+def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray,
+                  leaf: int) -> np.ndarray:
+    """First column s of the inverse of the leaf x leaf lower-triangular
+    Toeplitz matrix with the given diagonal and subdiagonals c_1..c_{leaf-1},
+    one column of s per diagonal entry.  The inverse is lower-triangular
+    Toeplitz too, so s defines it; s solves the matrix against e_0."""
+    s = np.empty((leaf, diagonal.size))
+    s[0] = 1.0 / diagonal
+    # c_{leaf-1}..c_1, contiguous: against the leading rows of s the product
+    # runs as one matrix-vector call
+    reversed_weights = interior[:leaf - 1][::-1].copy()
+    for m in range(1, leaf):
+        s[m] = -(reversed_weights[leaf - 1 - m:] @ s[:m]) / diagonal
+    return s
 
 
 def _march_block(state: _MarchState, lo: int, size: int) -> None:
     """Solve levels lo..lo+size-1 (clipped to the last level), given that
-    state.hist already holds the history of every level before lo."""
+    their right-hand sides lack only the history of levels from lo on."""
     hi = min(lo + size, state.v.shape[0])
-    if size <= _LEAF:
-        _march_leaf(state, lo, hi)
+    if size <= state.inverse.shape[0]:
+        _solve_leaf(state, lo, hi)
         return
     mid = lo + size // 2
     _march_block(state, lo, size // 2)
@@ -197,21 +240,24 @@ def _march_block(state: _MarchState, lo: int, size: int) -> None:
         _march_block(state, mid, size // 2)
 
 
-def _march_leaf(state: _MarchState, lo: int, hi: int) -> None:
-    v, hist, interior, z = state.v, state.hist, state.interior, state.z
-    lam, g, f = state.lam, state.g, state.f
-    for n in range(lo, hi):
-        total = hist[n] + interior[:n - lo] @ v[n - 1:lo - 1:-1]
-        c0 = 1.0
-        if z is not None and n >= 2:
-            total = total + z * (2.0 * v[n - 1] - v[n - 2])
-            c0 = 1.0 - z
-        v[n] = (g[n] * f - total) / (c0 + lam)
+def _solve_leaf(state: _MarchState, lo: int, hi: int) -> None:
+    """Overwrite the right-hand sides of levels lo..hi-1 with the solution,
+    the leading hi - lo entries of their linear convolution with s.  Both
+    have at most leaf entries, so a transform of twice that length is free
+    of wrap-around."""
+    s = state.inverse
+    size = 2 * s.shape[0]
+    for c in range(0, s.shape[1], _COLUMNS):
+        rhs = state.v[lo:hi, c:c + _COLUMNS]
+        spectrum = np.fft.rfft(rhs, size, axis=0)
+        spectrum *= np.fft.rfft(s[:, c:c + _COLUMNS], size, axis=0)
+        rhs[...] = np.fft.irfft(spectrum, size, axis=0)[:hi - lo]
 
 
 def _add_history(state: _MarchState, lo: int, mid: int, hi: int,
                  size: int) -> None:
-    """Add sum_{lo <= j < mid} c_{n-j} v_j to state.hist[n], mid <= n < hi.
+    """Subtract sum_{lo <= j < mid} c_{n-j} v_j from the right-hand side of
+    level n, mid <= n < hi.
 
     With x = v[lo:mid] and c_1..c_{size-1}, the sum is entry n - lo - 1 of
     their linear convolution.  A circular convolution of length size wraps
@@ -221,14 +267,13 @@ def _add_history(state: _MarchState, lo: int, mid: int, hi: int,
     spectrum = state.spectra.get(size)
     if spectrum is None:
         spectrum = state.spectra[size] = np.fft.rfft(state.interior[:size - 1], size)
-    rows = len(state.v)
-    x = state.v.reshape(rows, -1)[lo:mid]
-    out = state.hist.reshape(rows, -1)[mid:hi]
+    x = state.v[lo:mid]
+    out = state.v[mid:hi]
     start = mid - lo - 1
     for c in range(0, x.shape[1], _COLUMNS):
         f = np.fft.rfft(x[:, c:c + _COLUMNS], size, axis=0)
         f *= spectrum[:, None]
-        out[:, c:c + _COLUMNS] += np.fft.irfft(f, size, axis=0)[start:start + hi - mid]
+        out[:, c:c + _COLUMNS] -= np.fft.irfft(f, size, axis=0)[start:start + hi - mid]
 
 
 def caputo_apply(samples, alpha: float, h: float,

@@ -178,31 +178,35 @@ def _ml_neg_spectral(alpha: float, s: float) -> float:
     """E_alpha(-s) for s > 0, 0 < alpha < 1, from its spectral representation.
 
     E_alpha(-s) is completely monotone and equals the Laplace transform of a
-    positive spectral density.  After substituting u = r^alpha the integrand
-    is smooth and positive, so the quadrature never cancels:
+    positive spectral density.  After substituting r^alpha = t / s the
+    integrand is smooth and positive, so the quadrature never cancels:
 
         E_alpha(-s) = sin(alpha pi)/(alpha pi)
-                      * int_0^inf exp(-(u s)^(1/alpha)) / (u^2 + 2 u c + 1) du,
+                      * int_0^inf exp(-t^(1/alpha)) s / (t^2 + 2 c s t + s^2) dt,
 
-    with c = cos(alpha pi).
+    with c = cos(alpha pi).  The exponential confines the integrand to
+    t ~ 1 for every s; in the unscaled variable u = t / s it would sit at
+    u ~ 1/s, where the quadrature misses it for large s.
     """
     theta = alpha * math.pi
     two_c = 2.0 * math.cos(theta)
-    log_s = math.log(s)
 
-    def integrand(u):
-        if u <= 0.0:
-            return 1.0
-        ex = (math.log(u) + log_s) / alpha
+    def integrand(t):
+        if t <= 0.0:
+            return 1.0 / s
+        ex = math.log(t) / alpha
         if ex > 700.0:
             return 0.0
-        return math.exp(-math.exp(ex)) / (u * (u + two_c) + 1.0)
+        # s / (t^2 + 2 c s t + s^2), without forming s^2, which overflows
+        # for s > 1e154
+        return math.exp(-math.exp(ex)) / (t * (t / s + two_c) + s)
 
     value, abserr = quad(integrand, 0.0, math.inf,
-                         epsabs=1e-14, epsrel=1e-12, limit=200)
-    if abserr > 1e-10:
+                         epsabs=0.0, epsrel=1e-12, limit=200)
+    if not abserr <= 1e-10 * value:
         raise ConvergenceError(
-            f"spectral quadrature for E_{alpha}(-{s}) reported error {abserr}")
+            f"spectral quadrature for E_{alpha}(-{s}) reported error {abserr} "
+            f"on the value {value}")
     return math.sin(theta) / (alpha * math.pi) * value
 
 

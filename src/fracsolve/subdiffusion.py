@@ -19,9 +19,9 @@ import numpy as np
 from scipy.fft import dst, idst
 from scipy.integrate import quad
 
-from .caputo import Scheme, _check_alpha, _march
+from .caputo import Scheme, _check_alpha, _march, _scheme_weights
 from .relaxation import PowerSum, taylor_poly
-from .specfun import ConvergenceError, ml_relaxation_exact, zeta_unit_strip
+from .specfun import ConvergenceError, ml_relaxation_exact
 
 __all__ = [
     "SineMode",
@@ -156,9 +156,9 @@ def build_system(alpha: float, tau: float, h: float, N: int,
                  scheme: Scheme = Scheme.L1) -> TridiagonalSystem:
     """Matrix applied to the unknown interior values at each time level.
 
-    With eta = Gamma(2-alpha) tau^alpha / h^2 the main diagonal is 1 + 2 eta
-    (minus zeta(alpha-1) for the modified scheme, which is a positive shift)
-    and the off-diagonals are -eta, so dominance always holds.
+    With eta = Gamma(2-alpha) tau^alpha / h^2 the main diagonal is c_0 + 2 eta
+    (c_0 = 1, or 1 - zeta(alpha-1) for the modified scheme, which is a
+    positive shift) and the off-diagonals are -eta, so dominance always holds.
     """
     _check_alpha(alpha)
     if N < 2:
@@ -166,9 +166,8 @@ def build_system(alpha: float, tau: float, h: float, N: int,
     if tau <= 0.0 or h <= 0.0:
         raise ValueError("tau and h must be positive")
     eta = math.gamma(2.0 - alpha) * tau ** alpha / h ** 2
-    main = np.full(N - 1, 1.0 + 2.0 * eta)
-    if scheme is Scheme.MODIFIED_L1:
-        main -= zeta_unit_strip(alpha - 1.0)
+    c0 = _scheme_weights(alpha, scheme, 2)[0]
+    main = np.full(N - 1, c0 + 2.0 * eta)
     off = np.full(N - 2, -eta)
     return TridiagonalSystem(off, main, off.copy())
 

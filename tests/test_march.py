@@ -1,13 +1,15 @@
-"""The blocked history sum against the direct L1/ML1 march.
+"""The blocked march against the direct L1/ML1 march.
 
-The solvers evaluate the nonlocal history sum by FFT convolution over blocks
-of levels.  The oracle here marches level by level with the public weight
-rows, summing the history directly, so every level's row, tail and
-modified-L1 shift come from `l1_weights` / `ml1_weights` alone.
+The solvers carry the nonlocal history sum across blocks of levels by FFT
+convolution and solve each leaf of levels with its Toeplitz inverse.  The
+oracle here marches level by level with the public weight rows, summing the
+history directly, so every level's row, tail and modified-L1 shift come from
+`l1_weights` / `ml1_weights` alone.
 """
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,9 +76,9 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= RTOL * scale
 
 
-def relaxation_problem(alpha, n_steps):
+def relaxation_problem(alpha, n_steps, B=1.3):
     forcing = PowerSum(((1.0, 0.0), (2.0, 1.5), (-0.5, alpha)))
-    return RelaxationProblem(alpha=alpha, B=1.3, forcing=forcing, y0=0.7,
+    return RelaxationProblem(alpha=alpha, B=B, forcing=forcing, y0=0.7,
                              T=1.0, h=1.0 / n_steps)
 
 
@@ -102,11 +104,23 @@ PDE_CASES = {
 
 @pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 63, 64, 65, 129, 1000, 5000])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 63, 64, 65, 127, 128, 129, 130,
+                                     257, 1000, 5000])
 def test_relaxation_matches_direct_march(n_steps, alpha, scheme):
     if scheme is Scheme.MODIFIED_L1 and n_steps == 1:
         n_steps = 2     # the modified scheme needs two steps
-    problem = relaxation_problem(alpha, n_steps)
+    check_relaxation(relaxation_problem(alpha, n_steps), scheme)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+@pytest.mark.parametrize("B", [1e-4, 1e4])
+def test_stiff_and_soft_relaxation_match_direct_march(B, alpha, scheme):
+    # a leaf inverse that decays at once (stiff) or barely at all (soft)
+    check_relaxation(relaxation_problem(alpha, 300, B), scheme)
+
+
+def check_relaxation(problem, scheme):
     got = SOLVERS["relaxation"][scheme](problem).values
     assert_close(got, direct_relaxation(problem, scheme))
 
@@ -150,3 +164,19 @@ def test_solves_create_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_subdiffusion_peak_memory():
+    """The traced peak of a solve stays near two arrays of all levels, the
+    march's own and the padded result.  A further array of that order, such
+    as the complex spectrum of every mode's leaf inverse, would push it past
+    2.3 of the result's size."""
+    problem = sampled_problem(0.5, 960, 320)
+    subdiffusion.solve_ml1(problem)     # first calls may set up caches
+    tracemalloc.start()
+    try:
+        values = subdiffusion.solve_ml1(problem).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * values.nbytes

@@ -166,3 +166,49 @@ class TestRelaxationExact:
     def test_domain(self, alpha, B, x):
         with pytest.raises(ValueError):
             ml_relaxation_exact(alpha, B, x)
+
+
+class TestRelaxationExactLargeArgument:
+    """E_alpha(-s) = ml_relaxation_exact(alpha, s, 1) for s in [1, 1e8],
+    where the spectral branch carries most of the range."""
+
+    ALPHAS = [round(0.05 * k, 2) for k in range(1, 20)]
+    S = np.logspace(0.0, 8.0, 33)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_positive_and_decreasing(self, alpha):
+        values = np.array([ml_relaxation_exact(alpha, s, 1.0) for s in self.S])
+        assert np.all(values > 0.0)
+        assert np.all(np.diff(values) < 0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_asymptotic_expansion(self, alpha):
+        # E_alpha(-s) ~ sum_k (-1)^(k+1) s^-k / Gamma(1 - alpha k); the first
+        # omitted term is below 1e-11 of the value for s >= 1e4
+        from scipy.special import rgamma      # 0 at the poles of Gamma
+        # s^2 overflows beyond 1e154; the value 1/(s Gamma(1-alpha)) does not
+        for s in [*self.S[self.S >= 1e4], 1e160, 1e300]:
+            series = sum((-1) ** (k + 1) * s ** -k * rgamma(1.0 - alpha * k)
+                         for k in (1, 2, 3))
+            assert ml_relaxation_exact(alpha, s, 1.0) == pytest.approx(
+                series, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_matches_mpmath_quadrature(self, alpha):
+        # the spectral integral in t = s u at 25 digits, split where the
+        # integrand turns: t ~ 1 and, for alpha > 1/2, t ~ -cos(alpha pi) s
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(25):
+            a = mpmath.mpf(alpha)
+            theta = a * mpmath.pi
+            c = mpmath.cos(theta)
+            for s in (1.0, 1e2, 1e4, 1e6, 1e8):
+                def integrand(t, s=mpmath.mpf(s)):
+                    return mpmath.exp(-t ** (1 / a)) * s / (t * t + 2 * c * s * t + s * s)
+                points = {mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(2)}
+                if c < 0:
+                    points.add(-c * s)
+                want = mpmath.sin(theta) / theta * mpmath.quad(
+                    integrand, sorted(points) + [mpmath.inf])
+                assert ml_relaxation_exact(alpha, s, 1.0) == pytest.approx(
+                    float(want), rel=1e-12)
