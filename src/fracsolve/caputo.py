@@ -15,10 +15,12 @@ history sum and the level solve.  Once the modified shifts are folded into
 c_0 and the interior weights, every level from 2 on has the same c_0 and
 interior weights; only the tail differs, and it multiplies the known v_0.  So
 levels 2..N solve one lower-triangular Toeplitz system.  `_march` solves it
-exactly, up to roundoff, in O(N log^2 N): blocked FFT convolution (Hairer,
-Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985) carries the history
-from block to block, and each leaf of up to 128 levels is one FFT convolution
-with the first column of its matrix's inverse.
+exactly, up to roundoff, in O(N log^2 N), in one pass over leaves of up to
+128 levels: each leaf is one FFT convolution with the first column of its
+matrix's inverse, and after leaf k the block of 128 (k & -k) levels that ends
+there hands its history to the next block of that width by one FFT
+convolution.  This is the blocked scheme of Hairer, Lubich and Schlichte
+(SIAM J. Sci. Stat. Comput. 6, 1985) with its recursion unrolled.
 """
 
 import math
@@ -150,22 +152,11 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
 
 
 # Leaves of at most _LEAF levels are solved at once with the inverse of their
-# triangular Toeplitz matrix; larger blocks hand their left half's effect on
-# the right half to one FFT convolution.  Matrix states are transformed
-# _COLUMNS columns at a time to bound the transforms' working memory.
+# triangular Toeplitz matrix, and each block of leaves hands its history to the
+# next block of the same width by one FFT convolution.  Matrix states are
+# marched _COLUMNS columns at a time to bound the transforms' working memory.
 _LEAF = 128
 _COLUMNS = 64
-
-
-@dataclass(eq=False)
-class _MarchState:
-    """Arrays shared by the recursion of one `_march` call."""
-
-    v: np.ndarray         # levels 0..N, one column per state entry; an
-                          # unsolved level holds its right-hand side
-    interior: np.ndarray  # c_1, c_2, ... shared by levels 2..N
-    inverse: np.ndarray   # first column s of the leaf inverse, (leaf, columns)
-    spectra: dict         # FFT of the interior weights, by transform size
 
 
 def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
@@ -182,8 +173,14 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
     Level 1 is solved in closed form.  From level 2 on, every row has the
     same c_0 and interior weights once the modified shifts are part of them,
     so with the terms in v_0 and v_1 moved to the right-hand side, levels
-    2..N solve one lower-triangular Toeplitz system.  Its blocks of levels
-    are solved by `_march_block`.
+    2..N solve one lower-triangular Toeplitz system.  It is solved leaf by
+    leaf, L levels each: a leaf's solution is the convolution of its
+    right-hand sides with s, the first column of the leaf matrix's inverse.
+    After leaf k (counted from 1) the block of width W = L (k & -k) that
+    ends there subtracts its history from the next W levels.  This is the
+    Hairer-Lubich-Schlichte recursion over power-of-two blocks, unrolled:
+    every level receives the history of every earlier block exactly once
+    before its leaf is solved.
     """
     c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
     v0 = np.asarray(v0, dtype=float)
@@ -194,19 +191,29 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
         return v
     v = v.reshape(n_steps + 1, -1)
     f = np.broadcast_to(f, v0.shape).reshape(-1)
-    # one chunk at a time: a full-width outer product would be a second
-    # array of all levels
-    for c in range(0, v.shape[1], _COLUMNS):
-        rhs = v[2:, c:c + _COLUMNS]
-        np.multiply.outer(g[2:], f[c:c + _COLUMNS], out=rhs)
-        rhs -= np.multiply.outer(tail[1:], v[0, c:c + _COLUMNS])
-        rhs -= np.multiply.outer(interior, v[1, c:c + _COLUMNS])
-    size = 2
-    while size < n_steps - 1:
-        size *= 2
     diagonal = (c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
-    inverse = _leaf_inverse(interior, diagonal, min(_LEAF, size // 2))
-    _march_block(_MarchState(v, interior, inverse, {}), 2, size)
+    leaf = min(_LEAF, n_steps - 1)
+    inverse = _leaf_inverse(interior, diagonal, leaf)
+    spectra = {}    # FFT of the interior weights, by block width
+    # one chunk at a time: full-width temporaries would be a second array
+    # of all levels
+    for c in range(0, v.shape[1], _COLUMNS):
+        x = v[:, c:c + _COLUMNS]
+        np.multiply.outer(g[2:], f[c:c + _COLUMNS], out=x[2:])
+        x[2:] -= np.multiply.outer(tail[1:], x[0])
+        x[2:] -= np.multiply.outer(interior, x[1])
+        # both factors have at most leaf entries, so a transform of twice
+        # that length is free of wrap-around
+        s = np.fft.rfft(inverse[:, c:c + _COLUMNS], 2 * leaf, axis=0)
+        for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
+            rhs = x[lo:lo + leaf]
+            rhs[...] = np.fft.irfft(np.fft.rfft(rhs, 2 * leaf, axis=0) * s,
+                                    2 * leaf, axis=0)[:len(rhs)]
+            mid, width = lo + leaf, leaf * (k & -k)
+            if mid <= n_steps:
+                if width not in spectra:
+                    spectra[width] = np.fft.rfft(interior[:2 * width - 1], 2 * width)
+                _add_history(x[mid - width:mid], x[mid:mid + width], spectra[width])
     return v.reshape((n_steps + 1,) + v0.shape)
 
 
@@ -226,54 +233,22 @@ def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray,
     return s
 
 
-def _march_block(state: _MarchState, lo: int, size: int) -> None:
-    """Solve levels lo..lo+size-1 (clipped to the last level), given that
-    their right-hand sides lack only the history of levels from lo on."""
-    hi = min(lo + size, state.v.shape[0])
-    if size <= state.inverse.shape[0]:
-        _solve_leaf(state, lo, hi)
-        return
-    mid = lo + size // 2
-    _march_block(state, lo, size // 2)
-    if mid < hi:
-        _add_history(state, lo, mid, hi, size)
-        _march_block(state, mid, size // 2)
+def _add_history(past: np.ndarray, future: np.ndarray,
+                 spectrum: np.ndarray) -> None:
+    """Subtract from the right-hand sides in `future` the history of the W
+    levels in `past` that precede them: sum_j c_{n-j} v_j for level n.
 
-
-def _solve_leaf(state: _MarchState, lo: int, hi: int) -> None:
-    """Overwrite the right-hand sides of levels lo..hi-1 with the solution,
-    the leading hi - lo entries of their linear convolution with s.  Both
-    have at most leaf entries, so a transform of twice that length is free
-    of wrap-around."""
-    s = state.inverse
-    size = 2 * s.shape[0]
-    for c in range(0, s.shape[1], _COLUMNS):
-        rhs = state.v[lo:hi, c:c + _COLUMNS]
-        spectrum = np.fft.rfft(rhs, size, axis=0)
-        spectrum *= np.fft.rfft(s[:, c:c + _COLUMNS], size, axis=0)
-        rhs[...] = np.fft.irfft(spectrum, size, axis=0)[:hi - lo]
-
-
-def _add_history(state: _MarchState, lo: int, mid: int, hi: int,
-                 size: int) -> None:
-    """Subtract sum_{lo <= j < mid} c_{n-j} v_j from the right-hand side of
-    level n, mid <= n < hi.
-
-    With x = v[lo:mid] and c_1..c_{size-1}, the sum is entry n - lo - 1 of
-    their linear convolution.  A circular convolution of length size wraps
-    only entries past size - 1 onto indices below mid - lo - 1, so the
-    entries needed are free of wrap-around.
+    With c_1..c_{2W-1}, whose FFT of length 2W is `spectrum`, the sum for
+    the i-th level of `future` is entry W - 1 + i of the linear convolution
+    of `past` with c.  The circular convolution of length 2W wraps only
+    entries past 2W - 1 onto indices below W - 1, so the entries needed are
+    free of wrap-around.
     """
-    spectrum = state.spectra.get(size)
-    if spectrum is None:
-        spectrum = state.spectra[size] = np.fft.rfft(state.interior[:size - 1], size)
-    x = state.v[lo:mid]
-    out = state.v[mid:hi]
-    start = mid - lo - 1
-    for c in range(0, x.shape[1], _COLUMNS):
-        f = np.fft.rfft(x[:, c:c + _COLUMNS], size, axis=0)
-        f *= spectrum[:, None]
-        out[:, c:c + _COLUMNS] -= np.fft.irfft(f, size, axis=0)[start:start + hi - mid]
+    size = 2 * len(past)
+    start = len(past) - 1
+    f = np.fft.rfft(past, size, axis=0)
+    f *= spectrum[:, None]
+    future -= np.fft.irfft(f, size, axis=0)[start:start + len(future)]
 
 
 def caputo_apply(samples, alpha: float, h: float,
@@ -283,8 +258,8 @@ def caputo_apply(samples, alpha: float, h: float,
     if y.ndim != 1:
         raise ValueError("samples must be a one-dimensional sequence")
     n = y.size - 1
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     if scheme is Scheme.MODIFIED_L1:
         if n < 2:
             raise ValueError("the modified L1 scheme needs at least samples y_0..y_2")
@@ -302,11 +277,11 @@ def caputo_power_rule(p: float, alpha: float, x: float) -> float:
     Requires p > 0; at x = 0 the derivative is 0 for p > alpha, finite for
     p = alpha and divergent for p < alpha.
     """
-    if p <= 0.0:
-        raise ValueError(f"caputo_power_rule requires p > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"caputo_power_rule requires a finite p > 0, got {p}")
     _check_alpha(alpha)
-    if x < 0.0:
-        raise ValueError(f"caputo_power_rule requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"caputo_power_rule requires a finite x >= 0, got {x}")
     c = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
     if x == 0.0:
         if p > alpha:

@@ -19,7 +19,7 @@ from .caputo import Scheme
 from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
                       run_subdiffusion_study)
 from .relaxation import RelaxationProblem, choose_m
-from .specfun import ConvergenceError, SeriesPolicy, mittag_leffler
+from .specfun import SeriesPolicy, mittag_leffler
 from .subdiffusion import SineMode, SubdiffusionProblem
 
 __all__ = ["build_parser", "run", "main"]
@@ -253,7 +253,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except ArithmeticError as exc:     # ConvergenceError, or an overflow
         print(f"fracsolve: numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:

@@ -156,6 +156,11 @@ def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
     return TimeSeries(problem.h, _advance(problem, Scheme.MODIFIED_L1))
 
 
+def _check_B(B: float) -> None:
+    if not 0.0 < B < math.inf:
+        raise ValueError(f"B must be positive and finite, got {B}")
+
+
 def miller_ross_at_zero(alpha: float, B: float, n: int) -> float:
     """n-fold sequential fractional derivative of the decay solution at 0.
 
@@ -163,8 +168,7 @@ def miller_ross_at_zero(alpha: float, B: float, n: int) -> float:
     alpha; alpha is validated for interface consistency only.
     """
     _check_alpha(alpha)
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
+    _check_B(B)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return (-B) ** n
@@ -177,13 +181,12 @@ def taylor_poly(alpha: float, B: float, m: int, x):
     scalar or an array of non-negative points.
     """
     _check_alpha(alpha)
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
+    _check_B(B)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError("x must be >= 0")
+    if not np.all((xa >= 0.0) & (xa < math.inf)):
+        raise ValueError("x must be finite and >= 0")
     base = -B * xa ** alpha
     out = np.zeros_like(xa)
     for n in range(m + 1):
@@ -246,10 +249,9 @@ def exact_convolution(alpha: float, B: float, forcing, x: float,
     absolute.
     """
     _check_alpha(alpha)
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_B(B)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0.0:
         return y0
     homogeneous = y0 * ml_relaxation_exact(alpha, B, x) if y0 != 0.0 else 0.0

@@ -21,8 +21,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Switch to the spectral integral when the largest series term exceeds the
-# result by this factor (about five decimal digits lost to cancellation).
+# `mittag_leffler` refuses a series sum whose largest term exceeds the result
+# by this factor (about five decimal digits lost to cancellation).
 _CANCELLATION_GUARD = 1e5
 
 
@@ -155,10 +155,13 @@ def mittag_leffler(alpha: float, beta: float, x: float,
     directly, truncating once a term drops below rel_tol times the running
     partial sum.  E_{alpha,beta}(0) = 1/Gamma(beta) exactly.
 
-    Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For strongly
-    negative x with small alpha the alternating terms grow huge before they
-    decay and the sum loses digits to cancellation; the peak-to-result ratio
-    bounds that loss.
+    Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For beta = 1 and
+    x < 0 the value is exp(x) at alpha = 1 and otherwise E_alpha(-s) with
+    s = -x by the same branch rule as `ml_relaxation_exact`.  Elsewhere a
+    strongly negative x makes the alternating terms grow huge before they
+    decay; when the largest term exceeds the result by more than
+    _CANCELLATION_GUARD, ConvergenceError is raised instead of a value
+    missing most of its digits.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
@@ -170,71 +173,107 @@ def mittag_leffler(alpha: float, beta: float, x: float,
         policy = _DEFAULT_POLICY
     if x == 0.0:
         return 1.0 / math.gamma(beta)
-    value, _ = _ml_series(alpha, beta, x, policy)
+    if beta == 1.0 and x < 0.0:
+        return math.exp(x) if alpha == 1.0 else _ml_neg(alpha, -x, policy)
+    value, peak = _ml_series(alpha, beta, x, policy)
+    if not peak <= _CANCELLATION_GUARD * abs(value):
+        raise ConvergenceError(
+            f"Mittag-Leffler series for alpha={alpha}, beta={beta}, x={x} "
+            f"cancels: its largest term is {peak} against the sum {value}")
     return value
+
+
+def _ml_neg(alpha: float, s: float, policy: SeriesPolicy) -> float:
+    """E_alpha(-s) for s > 0, 0 < alpha < 1.
+
+    The branch depends on s alone: the series for s <= 1, where no term
+    exceeds about 1 and nothing cancels, and the spectral integral above.
+    """
+    if s <= 1.0:
+        return _ml_series(alpha, 1.0, -s, policy)[0]
+    return _ml_neg_spectral(alpha, s)
 
 
 def _ml_neg_spectral(alpha: float, s: float) -> float:
     """E_alpha(-s) for s > 0, 0 < alpha < 1, from its spectral representation.
 
     E_alpha(-s) is completely monotone and equals the Laplace transform of a
-    positive spectral density.  After substituting r^alpha = t / s the
-    integrand is smooth and positive, so the quadrature never cancels:
+    positive spectral density.  After substituting r^alpha = t / s,
 
-        E_alpha(-s) = sin(alpha pi)/(alpha pi)
-                      * int_0^inf exp(-t^(1/alpha)) s / (t^2 + 2 c s t + s^2) dt,
+        E_alpha(-s) = 1/(alpha pi) int_0^inf g(t) w / ((t - p)^2 + w^2) dt,
 
-    with c = cos(alpha pi).  The exponential confines the integrand to
+    with g(t) = exp(-t^(1/alpha)), p = -s cos(alpha pi) and
+    w = s sin(alpha pi).  Nothing cancels, and g confines the integrand to
     t ~ 1 for every s; in the unscaled variable u = t / s it would sit at
     u ~ 1/s, where the quadrature misses it for large s.
+
+    For alpha > 3/4 the kernel peaks at p with a half-width w < p, and it
+    tends to a point mass as alpha -> 1.  Where g has not vanished at p, the
+    integral from p/2 on is taken in v, t = p + w sinh(v), in which the
+    kernel is 1/cosh(v).  The sine and cosine come from 1 - alpha, exact for
+    alpha >= 1/2, because near alpha = 1 the value depends on w to first
+    order.
     """
-    theta = alpha * math.pi
-    two_c = 2.0 * math.cos(theta)
+    if alpha > 0.5:
+        d = math.pi * (1.0 - alpha)
+        sin_t, cos_t = math.sin(d), -math.cos(d)
+    else:
+        sin_t, cos_t = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
+    peak, width = -cos_t * s, sin_t * s
 
-    def integrand(t):
+    def g(t):
         if t <= 0.0:
-            return 1.0 / s
+            return 1.0
         ex = math.log(t) / alpha
-        if ex > 700.0:
-            return 0.0
-        # s / (t^2 + 2 c s t + s^2), without forming s^2, which overflows
-        # for s > 1e154
-        return math.exp(-math.exp(ex)) / (t * (t / s + two_c) + s)
+        return 0.0 if ex > 700.0 else math.exp(-math.exp(ex))
 
-    value, abserr = quad(integrand, 0.0, math.inf,
-                         epsabs=0.0, epsrel=1e-12, limit=200)
+    def in_t(t):
+        # g w / ((t - p)^2 + w^2) with both parts divided by s: w^2 would
+        # overflow for s > 1e154
+        d = t - peak
+        return sin_t * g(t) / (d * (d / s) + width * sin_t)
+
+    def in_v(v):
+        return 0.0 if v > 700.0 else g(peak + width * math.sinh(v)) / math.cosh(v)
+
+    if width < peak and g(peak) > 0.0:
+        pieces = [(in_t, 0.0, 0.5 * peak),
+                  (in_v, -math.asinh(0.5 * peak / width), 0.0),
+                  (in_v, 0.0, math.inf)]
+    else:
+        pieces = [(in_t, 0.0, math.inf)]
+    value = abserr = 0.0
+    for f, a, b in pieces:
+        # full_output: a piece that is negligible against the sum may miss
+        # its own relative tolerance; the check below is on the sum
+        part, err = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200,
+                         full_output=1)[:2]
+        value += part
+        abserr += err
     if not abserr <= 1e-10 * value:
         raise ConvergenceError(
             f"spectral quadrature for E_{alpha}(-{s}) reported error {abserr} "
             f"on the value {value}")
-    return math.sin(theta) / (alpha * math.pi) * value
+    return value / (alpha * math.pi)
 
 
 def ml_relaxation_exact(alpha: float, B: float, x: float,
                         policy: SeriesPolicy | None = None) -> float:
     """Decay solution value E_alpha(-B x^alpha) of y^(alpha) + B y = 0, y(0)=1.
 
-    The series is used whenever it is numerically trustworthy.  When the
-    alternating sum would lose more than ~5 digits (large B x^alpha with
-    small alpha), the completely monotone spectral integral takes over, so
-    the returned value is accurate on the whole domain and in particular
-    stays strictly decreasing in x.
+    With s = B x^alpha, the series gives the value for s <= 1 and the
+    completely monotone spectral integral for s > 1, where the alternating
+    series would start to lose digits to cancellation.  The value is
+    accurate on the whole domain and strictly decreasing in x.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"ml_relaxation_exact requires 0 < alpha < 1, got {alpha}")
-    if B <= 0.0:
-        raise ValueError(f"ml_relaxation_exact requires B > 0, got {B}")
-    if x < 0.0:
-        raise ValueError(f"ml_relaxation_exact requires x >= 0, got {x}")
+    if not 0.0 < B < math.inf:
+        raise ValueError(f"ml_relaxation_exact requires a finite B > 0, got {B}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"ml_relaxation_exact requires a finite x >= 0, got {x}")
     if policy is None:
         policy = _DEFAULT_POLICY
     if x == 0.0:
         return 1.0
-    s = B * x ** alpha
-    try:
-        value, peak = _ml_series(alpha, 1.0, -s, policy)
-        if peak <= _CANCELLATION_GUARD * abs(value):
-            return value
-    except ConvergenceError:
-        pass
-    return _ml_neg_spectral(alpha, s)
+    return _ml_neg(alpha, B * x ** alpha, policy)

@@ -274,10 +274,10 @@ def exact_single_mode(alpha: float, k: int, x, t: float):
     if k < 1:
         raise ValueError(f"mode number must be >= 1, got {k}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > math.pi):
+    if not np.all((xa >= 0.0) & (xa <= math.pi)):
         raise ValueError("x must lie in [0, pi]")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     decay = 1.0 if t == 0.0 else ml_relaxation_exact(alpha, float(k * k), t)
     out = np.sin(k * xa) * decay
     return float(out) if np.isscalar(x) else out

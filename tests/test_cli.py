@@ -1,8 +1,12 @@
 """Command-line interface: contracts on stdout, files, and exit codes."""
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsolve.cli import run
 
@@ -27,6 +31,34 @@ class TestMl:
 
     def test_alpha_domain(self, capsys):
         assert run(["ml", "--alpha", "1.2", "--x", "1"]) == 2
+
+    @pytest.mark.parametrize("alpha,x,want", [
+        ("0.5", "-30", 0.01879588886141675150),     # was exit 1, term overflow
+        ("0.5", "-10", 0.05614099274382258586),     # printed 1.146e27
+        ("1", "-50", math.exp(-50.0)),              # printed -51133
+    ])
+    def test_negative_axis_values(self, alpha, x, want, capsys):
+        assert run(["ml", "--alpha", alpha, "--x", x]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-14)
+
+    def test_cancelling_series_is_a_numerical_failure(self, capsys):
+        # printed 0.010694 with exit 0; the true value is 0.010666
+        assert run(["ml", "--alpha", "0.5", "--beta", "0.5", "--x", "-5"]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.one_of(st.floats(0.0, 1.0), st.floats()),
+           beta=st.one_of(st.floats(0.0, 3.0), st.floats()),
+           x=st.one_of(st.floats(-50.0, 50.0), st.floats()))
+    def test_exit_status_contract(self, alpha, beta, x):
+        # "--x=-1e-05": a separate "-1e-05" would parse as an option
+        argv = ["ml", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--x={x!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = run(argv)
+        assert status in (0, 1, 2)
+        if status == 0:
+            assert math.isfinite(float(out.getvalue()))
 
 
 class TestRelax:

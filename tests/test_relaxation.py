@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fracsolve.caputo import Scheme
+from fracsolve.caputo import Scheme, caputo_apply, caputo_power_rule
 from fracsolve.relaxation import (PowerSum, RelaxationProblem, choose_m,
                                   corrected_problem, exact_convolution,
                                   miller_ross_at_zero, solve, solve_corrected,
                                   solve_l1, solve_ml1, taylor_poly)
 from fracsolve.specfun import ml_relaxation_exact
+from fracsolve.subdiffusion import exact_single_mode
 
 FIRST_STEP_CONSTANT = 0.2421522416427546   # |sqrt(pi)/2 - 2/sqrt(pi)|
 
@@ -250,3 +251,21 @@ def test_first_step_error_constant():
     y1 = ml_relaxation_exact(0.5, 1.0, h)
     ratio = abs(y1 - v1) / math.sqrt(h)
     assert ratio == pytest.approx(FIRST_STEP_CONSTANT, rel=0.01)
+
+
+# each returned nan, inf or 0.0, or raised ConvergenceError, before it
+# checked its input; the error must name the argument
+@pytest.mark.parametrize("func,args,name", [
+    pytest.param(caputo_apply, ([0.0, 1.0, 4.0], 0.5, math.nan), "h", id="caputo_apply-h-nan"),
+    pytest.param(caputo_apply, ([0.0, 1.0, 4.0], 0.5, math.inf), "h", id="caputo_apply-h-inf"),
+    pytest.param(caputo_power_rule, (2.0, 0.5, math.nan), "x", id="caputo_power_rule-x-nan"),
+    pytest.param(taylor_poly, (0.5, math.nan, 3, 0.5), "B", id="taylor_poly-B-nan"),
+    pytest.param(miller_ross_at_zero, (0.5, math.nan, 2), "B", id="miller_ross_at_zero-B-nan"),
+    pytest.param(exact_single_mode, (0.5, 1, math.nan, 1.0), "x", id="exact_single_mode-x-nan"),
+    pytest.param(ml_relaxation_exact, (0.5, math.inf, 1.0), "B", id="ml_relaxation_exact-B-inf"),
+    pytest.param(ml_relaxation_exact, (0.5, math.nan, 1.0), "B", id="ml_relaxation_exact-B-nan"),
+    pytest.param(exact_convolution, (0.5, math.nan, None, 1.0), "B", id="exact_convolution-B-nan"),
+])
+def test_non_finite_arguments_are_rejected(func, args, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        func(*args)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsolve.specfun import (ConvergenceError, SeriesPolicy, gamma,
                                mittag_leffler, ml_relaxation_exact,
@@ -29,6 +31,8 @@ E_03_AT_MINUS_1 = 0.4565944083296907
 E_07_AT_MINUS_4 = 0.09976025489051463
 E_HALF_HALF_AT_MINUS_1 = 0.1366060073919493
 E_03_DEEP = 0.1389344810783158              # E_0.3(-4 * 2^0.3), spectral regime
+E_HALF_AT_MINUS_10 = 0.05614099274382258586     # = e^100 erfc(10)
+E_HALF_AT_MINUS_30 = 0.01879588886141675150     # = e^900 erfc(30)
 
 
 class TestGamma:
@@ -212,3 +216,58 @@ class TestRelaxationExactLargeArgument:
                     integrand, sorted(points) + [mpmath.inf])
                 assert ml_relaxation_exact(alpha, s, 1.0) == pytest.approx(
                     float(want), rel=1e-12)
+
+
+class TestNegativeAxisBranchRule:
+    """E_alpha(-s) takes the series for s <= 1 and the spectral integral
+    above, in `mittag_leffler` (beta = 1) and `ml_relaxation_exact` alike;
+    other series that cancel raise instead of returning a wrong value."""
+
+    def test_inside_documented_domain(self):
+        # the series overflowed a term at n = 773 and raised
+        assert mittag_leffler(0.5, 1.0, -30.0) == pytest.approx(
+            E_HALF_AT_MINUS_30, rel=1e-15)
+
+    def test_no_cancelled_series_value(self):
+        # the series returned 1.146e27
+        assert mittag_leffler(0.5, 1.0, -10.0) == pytest.approx(
+            E_HALF_AT_MINUS_10, rel=1e-14)
+
+    def test_exponential_at_alpha_one(self):
+        # the series returned -51133
+        assert mittag_leffler(1.0, 1.0, -50.0) == math.exp(-50.0)
+
+    def test_cancelling_two_parameter_series_raises(self):
+        # the series returned 0.010694 (true 0.010666): peak/value 2.7e12
+        with pytest.raises(ConvergenceError, match="cancels"):
+            mittag_leffler(0.5, 0.5, -5.0)
+
+    def test_relaxation_exact_past_series_edge_matches_mpmath(self):
+        # s = 2.096: the series kept ~10 digits here (4.6e-10 off)
+        mpmath = pytest.importorskip("mpmath")
+        alpha, B, x = 0.3, 10.0, 0.00547
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            s = B * mpmath.mpf(x) ** a
+            want = mpmath.sin(a * mpmath.pi) / (a * mpmath.pi) * mpmath.quad(
+                lambda t: mpmath.exp(-t ** (1 / a)) * s
+                / (t * t + 2 * mpmath.cos(a * mpmath.pi) * s * t + s * s),
+                [0, 1, 2, mpmath.inf])
+        assert ml_relaxation_exact(alpha, B, x) == pytest.approx(
+            float(want), rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(0.05, 1.0),
+           x=st.floats(-50.0, 0.0, exclude_max=True),
+           y=st.floats(-50.0, 0.0, exclude_max=True))
+    def test_decays_on_negative_axis(self, alpha, x, y):
+        near, far = max(x, y), min(x, y)
+        e_near = mittag_leffler(alpha, 1.0, near)
+        e_far = mittag_leffler(alpha, 1.0, far)
+        assert 0.0 < e_far and e_near <= 1.0
+        # non-increasing in |x| up to the 1e-13 the values are good to
+        assert e_far <= e_near * (1.0 + 1e-13)
+        if alpha < 1.0:
+            assert e_near == pytest.approx(
+                ml_relaxation_exact(alpha, 1.0, (-near) ** (1.0 / alpha)),
+                rel=1e-13)
