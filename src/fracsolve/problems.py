@@ -83,8 +83,7 @@ def _check_fixed(pid: str, alpha: float | None, B: float | None) -> None:
 
 def _mlexact_curve(alpha: float, B: float):
     def exact(x):
-        return np.array([ml_relaxation_exact(alpha, B, float(xi))
-                         for xi in np.atleast_1d(x)])
+        return ml_relaxation_exact(alpha, B, np.atleast_1d(x))
     return exact
 
 

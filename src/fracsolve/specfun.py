@@ -5,10 +5,12 @@ two-parameter Mittag-Leffler functions.  Everything here is a pure function
 of its arguments and safe to call concurrently.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from scipy.integrate import quad
+import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -101,13 +103,21 @@ def zeta_unit_strip(s: float) -> float:
     return 2.0 ** s * math.pi ** (s - 1.0) * ratio * math.gamma(1.0 - s) * _eta(1.0 - s)
 
 
+def _rgamma(a: float) -> float:
+    """1/Gamma(a) for a > 0, also where Gamma(a) overflows: past a = 171
+    and below a = 1e-300."""
+    if 1e-300 < a < 171.0:
+        return 1.0 / math.gamma(a)
+    return math.exp(-math.lgamma(a))
+
+
 def _ml_series(alpha: float, beta: float, x: float, policy: SeriesPolicy):
     """Power series sum x^n / Gamma(alpha n + beta) with Neumaier summation.
 
     Returns (value, peak) where peak is the largest term magnitude seen;
     peak / |value| measures how much cancellation the sum suffered.
     """
-    total = 1.0 / math.gamma(beta)
+    total = _rgamma(beta)
     comp = 0.0
     peak = abs(total)
     log_ax = math.log(abs(x))
@@ -172,9 +182,11 @@ def mittag_leffler(alpha: float, beta: float, x: float,
     if policy is None:
         policy = _DEFAULT_POLICY
     if x == 0.0:
-        return 1.0 / math.gamma(beta)
+        return _rgamma(beta)
     if beta == 1.0 and x < 0.0:
-        return math.exp(x) if alpha == 1.0 else _ml_neg(alpha, -x, policy)
+        if alpha == 1.0:
+            return math.exp(x)
+        return float(_ml_neg(alpha, np.array([-x]), policy)[0])
     value, peak = _ml_series(alpha, beta, x, policy)
     if not peak <= _CANCELLATION_GUARD * abs(value):
         raise ConvergenceError(
@@ -183,19 +195,51 @@ def mittag_leffler(alpha: float, beta: float, x: float,
     return value
 
 
-def _ml_neg(alpha: float, s: float, policy: SeriesPolicy) -> float:
-    """E_alpha(-s) for s > 0, 0 < alpha < 1.
+def _ml_neg(alpha: float, s: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
+    """E_alpha(-s) for an array of s >= 0 and 0 < alpha < 1.
 
     The branch depends on s alone: the series for s <= 1, where no term
     exceeds about 1 and nothing cancels, and the spectral integral above.
     """
-    if s <= 1.0:
-        return _ml_series(alpha, 1.0, -s, policy)[0]
-    return _ml_neg_spectral(alpha, s)
+    out = np.empty_like(s)
+    low = s <= 1.0
+    if low.any():
+        out[low] = _ml_neg_series(alpha, s[low], policy)
+    if not low.all():
+        out[~low] = _ml_neg_spectral(alpha, s[~low])
+    return out
 
 
-def _ml_neg_spectral(alpha: float, s: float) -> float:
-    """E_alpha(-s) for s > 0, 0 < alpha < 1, from its spectral representation.
+def _ml_neg_series(alpha: float, s: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
+    """E_alpha(-s) for an array of s <= 1 by Horner's rule.
+
+    The coefficients 1/Gamma(alpha n + 1) are cut where the policy's rule
+    stops the series at the largest s, which stops it for every smaller s.
+    """
+    top = float(s.max())
+    coeffs = [1.0]
+    total = 1.0
+    for n in range(1, policy.max_terms + 1):
+        coeffs.append(1.0 / math.gamma(alpha * n + 1.0))
+        term = coeffs[-1] * top ** n
+        total += -term if n % 2 else term
+        if term <= policy.rel_tol * abs(total):
+            break
+    else:
+        raise ConvergenceError(
+            f"Mittag-Leffler series did not converge within {policy.max_terms} "
+            f"terms for alpha={alpha}, x={-top}",
+            partial_sum=total, terms_used=policy.max_terms)
+    out = np.full_like(s, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out *= -s
+        out += c
+    return out
+
+
+def _ml_neg_spectral(alpha: float, s: np.ndarray) -> np.ndarray:
+    """E_alpha(-s) for an array of s > 0 and 0 < alpha < 1, from its
+    spectral representation.
 
     E_alpha(-s) is completely monotone and equals the Laplace transform of a
     positive spectral density.  After substituting r^alpha = t / s,
@@ -205,7 +249,8 @@ def _ml_neg_spectral(alpha: float, s: float) -> float:
     with g(t) = exp(-t^(1/alpha)), p = -s cos(alpha pi) and
     w = s sin(alpha pi).  Nothing cancels, and g confines the integrand to
     t ~ 1 for every s; in the unscaled variable u = t / s it would sit at
-    u ~ 1/s, where the quadrature misses it for large s.
+    u ~ 1/s, where a quadrature misses it for large s.  The integral is split
+    at the knee t = 1 of g, which is sharp for small alpha.
 
     For alpha > 3/4 the kernel peaks at p with a half-width w < p, and it
     tends to a point mass as alpha -> 1.  Where g has not vanished at p, the
@@ -219,61 +264,155 @@ def _ml_neg_spectral(alpha: float, s: float) -> float:
         sin_t, cos_t = math.sin(d), -math.cos(d)
     else:
         sin_t, cos_t = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
-    peak, width = -cos_t * s, sin_t * s
 
     def g(t):
-        if t <= 0.0:
-            return 1.0
-        ex = math.log(t) / alpha
-        return 0.0 if ex > 700.0 else math.exp(-math.exp(ex))
+        return np.exp(-np.exp(np.minimum(np.log(t) / alpha, 700.0)))
 
-    def in_t(t):
-        # g w / ((t - p)^2 + w^2) with both parts divided by s: w^2 would
-        # overflow for s > 1e154
-        d = t - peak
-        return sin_t * g(t) / (d * (d / s) + width * sin_t)
+    def integrand(near_peak, s, p, w, rule, idx):
+        s, p, w = s[idx, None], p[idx, None], w[idx, None]
 
-    def in_v(v):
-        return 0.0 if v > 700.0 else g(peak + width * math.sinh(v)) / math.cosh(v)
+        def in_t(t):
+            # g w / ((t - p)^2 + w^2) with both parts divided by s: w^2
+            # would overflow for s > 1e154
+            d = t - p
+            return sin_t * g(t) / (d * (d / s) + w * sin_t)
 
-    if width < peak and g(peak) > 0.0:
-        pieces = [(in_t, 0.0, 0.5 * peak),
-                  (in_v, -math.asinh(0.5 * peak / width), 0.0),
-                  (in_v, 0.0, math.inf)]
-    else:
-        pieces = [(in_t, 0.0, math.inf)]
-    value = abserr = 0.0
-    for f, a, b in pieces:
-        # full_output: a piece that is negligible against the sum may miss
-        # its own relative tolerance; the check below is on the sum
-        part, err = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200,
-                         full_output=1)[:2]
-        value += part
-        abserr += err
-    if not abserr <= 1e-10 * value:
-        raise ConvergenceError(
-            f"spectral quadrature for E_{alpha}(-{s}) reported error {abserr} "
-            f"on the value {value}")
+        def in_v(v):
+            v = np.minimum(v, 700.0)
+            return g(p + w * np.sinh(v)) / np.cosh(v)
+
+        if not near_peak:
+            return rule.jy * in_t(rule.y) + rule.je * in_t(1.0 + rule.e)
+        # t in [0, knee] and [knee, p/2], then v in [-asinh(p/2w), 0] and
+        # [0, inf)
+        half = 0.5 * p
+        knee = np.minimum(half, 1.0)
+        v_low = np.arcsinh(half / w)
+        return rule.jy * (knee * in_t(knee * rule.y)
+                          + (half - knee) * in_t(knee + (half - knee) * rule.y)
+                          + v_low * in_v(v_low * (rule.y - 1.0))) \
+            + rule.je * in_v(rule.e)
+
+    peak, width = -cos_t * s, sin_t * s
+    split = width < peak
+    split[split] = g(peak[split]) > 0.0
+    value = np.empty_like(s)
+    for near_peak in (False, True):
+        cols = split == near_peak
+        if cols.any():
+            value[cols] = _de_integrate(
+                functools.partial(integrand, near_peak, s[cols], peak[cols],
+                                  width[cols]),
+                int(cols.sum()), f"spectral integral of E_{alpha}(-s)")
     return value / (alpha * math.pi)
 
 
-def ml_relaxation_exact(alpha: float, B: float, x: float,
-                        policy: SeriesPolicy | None = None) -> float:
+def ml_relaxation_exact(alpha: float, B: float, x,
+                        policy: SeriesPolicy | None = None):
     """Decay solution value E_alpha(-B x^alpha) of y^(alpha) + B y = 0, y(0)=1.
 
-    With s = B x^alpha, the series gives the value for s <= 1 and the
-    completely monotone spectral integral for s > 1, where the alternating
-    series would start to lose digits to cancellation.  The value is
-    accurate on the whole domain and strictly decreasing in x.
+    Takes a scalar or an array of x and returns a float or an array.  With
+    s = B x^alpha, the series gives the value for s <= 1 and the completely
+    monotone spectral integral for s > 1, where the alternating series would
+    start to lose digits to cancellation.  The value is accurate on the whole
+    domain and strictly decreasing in x.  An s that overflows to inf raises
+    ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"ml_relaxation_exact requires 0 < alpha < 1, got {alpha}")
     if not 0.0 < B < math.inf:
         raise ValueError(f"ml_relaxation_exact requires a finite B > 0, got {B}")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"ml_relaxation_exact requires a finite x >= 0, got {x}")
-    if policy is None:
-        policy = _DEFAULT_POLICY
-    if x == 0.0:
-        return 1.0
-    return _ml_neg(alpha, B * x ** alpha, policy)
+    xa = np.asarray(x, dtype=float)
+    bad = xa[~((xa >= 0.0) & (xa < math.inf))]
+    if bad.size:
+        raise ValueError(f"ml_relaxation_exact requires a finite x >= 0, got {bad[0]}")
+    with np.errstate(over="ignore"):
+        s = B * xa ** alpha
+    if not np.all(s < math.inf):
+        raise ValueError(
+            f"ml_relaxation_exact: B x^alpha overflows to inf for "
+            f"alpha={alpha}, B={B}, x={xa.max()}")
+    out = _ml_neg(alpha, s.ravel(), policy or _DEFAULT_POLICY).reshape(s.shape)
+    return float(out) if np.isscalar(x) else out
+
+
+class _DERule(NamedTuple):
+    """One level of the nested double-exponential rules, as (1, n) rows:
+    the step h, the tanh-sinh nodes y on (0, 1) with their weights jy, and
+    the exp-sinh nodes e on (0, inf) with their weights je.  Weights exclude
+    the step."""
+
+    h: float
+    y: np.ndarray
+    jy: np.ndarray
+    e: np.ndarray
+    je: np.ndarray
+
+
+# Double-exponential quadrature (Takahasi and Mori, Publ. RIMS 9, 1974): with
+# y = 1/(1 + exp(-pi sinh u)) and e = exp(pi/2 sinh u), an integral over
+# (0, 1) or (0, inf) becomes one over u whose integrand decays double
+# exponentially, and the trapezoidal sum in u converges as exp(-c/h).
+# Level 0 takes the step 1/16 on u in [-4.5, 3.5], past which both weights
+# are below 1e-20 of the integrand's bound (and t, v pieces have decayed);
+# each further level halves the step and adds only the odd nodes.
+_DE_LO, _DE_HI, _DE_STEP = -4.5, 3.5, 1.0 / 16.0
+_DE_LEVELS = 5          # finest step 1/512
+_DE_AGREE = 1e-12       # a column is done when two levels agree this well
+_DE_FAIL = 1e-10        # ... and fails when the last two still differ more
+_DE_BLOCK = 1 << 16     # integrand values evaluated at once
+
+
+@functools.cache
+def _de_rule(level: int) -> _DERule:
+    h = _DE_STEP / 2 ** level
+    k = np.arange(math.ceil(_DE_LO / h), math.floor(_DE_HI / h) + 1)
+    if level:
+        k = k[k % 2 == 1]
+    u = k * h
+    sh, ch = np.sinh(u), np.cosh(u)
+    z = np.exp(-math.pi * sh)
+    y = 1.0 / (1.0 + z)
+    e = np.exp(0.5 * math.pi * sh)
+    rows = [y, math.pi * ch * z * y * y, e, 0.5 * math.pi * ch * e]
+    for r in rows:
+        r.setflags(write=False)
+    return _DERule(h, *(r[None, :] for r in rows))
+
+
+def _de_integrate(integrand, n: int, what: str) -> np.ndarray:
+    """n integrals at once by the nested double-exponential rules.
+
+    integrand(rule, idx) returns, for the columns idx, the (len(idx), m)
+    transformed integrand (weights included) at the m nodes of `rule`.
+    Each level's sum is half the previous level's plus the new nodes' sum,
+    and a column stops once two levels agree to _DE_AGREE times the integral
+    of its absolute value.  ConvergenceError if a column's last two levels
+    differ by more than _DE_FAIL.
+    """
+    value, size = np.zeros(n), np.zeros(n)
+    change = np.zeros(n)
+    cols = np.arange(n)
+    for level in range(_DE_LEVELS + 1):
+        rule = _de_rule(level)
+        part, part_abs = np.empty(cols.size), np.empty(cols.size)
+        block = max(1, _DE_BLOCK // rule.y.size)
+        for i in range(0, cols.size, block):
+            f = integrand(rule, cols[i:i + block])
+            part[i:i + block] = f.sum(axis=1)
+            part_abs[i:i + block] = np.abs(f).sum(axis=1)
+        old = value[cols]
+        value[cols] = 0.5 * old + rule.h * part
+        size[cols] = 0.5 * size[cols] + rule.h * part_abs
+        if level:
+            change[cols] = np.abs(value[cols] - old)
+            # a nan sum never agrees, so it ends in the error below
+            cols = cols[~(change[cols] <= _DE_AGREE * size[cols])]
+            if not cols.size:
+                return value
+    worst = np.max(change[cols] / size[cols])
+    if not worst <= _DE_FAIL:
+        raise ConvergenceError(
+            f"{what}: the sums at steps {2 * rule.h} and {rule.h} differ by "
+            f"{worst:.3g} of the integral")
+    return value

@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, idst
-from scipy.integrate import quad
 
 from .caputo import Scheme, _check_alpha, _march, _scheme_weights
 from .relaxation import PowerSum, taylor_poly
-from .specfun import ConvergenceError, ml_relaxation_exact
+from .specfun import ml_relaxation_exact
 
 __all__ = [
     "SineMode",
@@ -37,7 +35,6 @@ __all__ = [
     "solve_l1",
     "solve_ml1",
     "exact_single_mode",
-    "fourier_sine_coefficients",
     "corrected_problem",
     "solve_corrected",
 ]
@@ -194,6 +191,24 @@ def thomas_solve(system: TridiagonalSystem, rhs) -> np.ndarray:
     return x
 
 
+# rows of the level matrix sine-transformed at once
+_DST_ROWS = 64
+
+
+def _dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis; it is its own inverse.
+
+    X_k = sqrt(2/(n+1)) sum_j x_j sin(j k pi/(n+1)) for j, k = 1..n.  The
+    sum is -1/2 the imaginary part of entry k of the real FFT of the odd
+    extension [0, x, 0, -x reversed], of length 2(n+1).
+    """
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1:n + 1] = x
+    ext[..., n + 2:] = -x[..., ::-1]
+    return np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
+
+
 def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
     """Time-step the interior values; returns an (M+1) x (N-1) matrix.  In
     orthonormal DST-I coordinates mode k has B_k = (4/h^2) sin^2(k h/2)."""
@@ -211,10 +226,12 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
         g, f = np.zeros(M + 1), 0.0
     else:
         g = scale * forcing.time_profile(np.arange(M + 1) * tau)
-        f = dst(np.sin(forcing.mode * x_interior), type=1, norm="ortho")
-    modes = _march(alpha, scheme, M, dst(u0, type=1, norm="ortho"), lam, g, f)
-    # in place: a second array of all levels would raise peak memory
-    u = idst(modes, type=1, norm="ortho", axis=1, overwrite_x=True)
+        f = _dst(np.sin(forcing.mode * x_interior))
+    u = _march(alpha, scheme, M, _dst(u0), lam, g, f)
+    # back to grid values in place, a block of rows at a time: a second
+    # array of all levels would raise peak memory
+    for rows in range(0, M + 1, _DST_ROWS):
+        u[rows:rows + _DST_ROWS] = _dst(u[rows:rows + _DST_ROWS])
     # the transform round trip is not exact; level 0 is the given data
     u[0] = u0
     return u
@@ -278,37 +295,8 @@ def exact_single_mode(alpha: float, k: int, x, t: float):
         raise ValueError("x must lie in [0, pi]")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    decay = 1.0 if t == 0.0 else ml_relaxation_exact(alpha, float(k * k), t)
-    out = np.sin(k * xa) * decay
+    out = np.sin(k * xa) * ml_relaxation_exact(alpha, float(k * k), t)
     return float(out) if np.isscalar(x) else out
-
-
-def fourier_sine_coefficients(profile, n_max: int) -> np.ndarray:
-    """Coefficients c_1..c_n_max of the sine expansion of a profile on [0, pi].
-
-    A SineMode yields its exact unit coefficient vector without quadrature;
-    a callable profile is integrated mode by mode to 1e-10 absolute.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if isinstance(profile, SineMode):
-        c = np.zeros(n_max)
-        if profile.k <= n_max:
-            c[profile.k - 1] = 1.0
-        return c
-    if not callable(profile):
-        raise TypeError(
-            "profile must be a SineMode or a callable on [0, pi]; sampled "
-            "profiles carry too little information for 1e-10 coefficients")
-    c = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        val, abserr = quad(lambda s: profile(s) * math.sin(n * s), 0.0, math.pi,
-                           epsabs=1e-12, epsrel=1e-12, limit=200)
-        if abserr > 1e-10:
-            raise ConvergenceError(
-                f"sine-coefficient quadrature for mode {n} reported error {abserr}")
-        c[n - 1] = 2.0 / math.pi * val
-    return c
 
 
 def corrected_problem(alpha: float, m: int, T: float, N: int,

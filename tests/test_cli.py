@@ -1,13 +1,19 @@
 """Command-line interface: contracts on stdout, files, and exit codes."""
 
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracsolve
 from fracsolve.cli import run
 
 
@@ -215,3 +221,50 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert "--help" in out
         assert "default" in out
+
+
+# runs each command with scipy made unimportable and prints one JSON record
+NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from fracsolve.cli import run
+records = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run(argv)
+    records.append([status, out.getvalue()])
+print(json.dumps(records))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(fracsolve.__file__).parents[1]))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyOnlyRuntime:
+    def test_commands_run_without_scipy(self):
+        commands = [
+            ["ml", "--alpha", "0.5", "--x", "-2"],
+            ["relax", "--alpha", "0.5", "--h", "0.01"],
+            ["relax", "--alpha", "0.5", "--B", "1e6", "--h", "0.25"],
+            ["subdiff", "--problem", "s03", "--scheme", "ml1", "--correct",
+             "--tau", "0.05"],
+            ["converge", "--problem", "s2", "--levels", "2"],
+        ]
+        records = json.loads(_python("-c", NO_SCIPY, json.dumps(commands)))
+        assert [status for status, _ in records] == [0] * len(commands)
+        # the spectral branch: E_0.5(-1e6) at x = 1
+        last_row = records[2][1].splitlines()[-1].split(",")
+        assert last_row[0] == "1"
+        assert last_row[2] == "5.6418958354747429e-07"
+
+    def test_import_loads_no_scipy(self):
+        out = _python("-c", "import sys, fracsolve.cli; "
+                            "print(sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"

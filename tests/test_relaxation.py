@@ -10,7 +10,7 @@ from fracsolve.relaxation import (PowerSum, RelaxationProblem, choose_m,
                                   corrected_problem, exact_convolution,
                                   miller_ross_at_zero, solve, solve_corrected,
                                   solve_l1, solve_ml1, taylor_poly)
-from fracsolve.specfun import ml_relaxation_exact
+from fracsolve.specfun import ConvergenceError, ml_relaxation_exact
 from fracsolve.subdiffusion import exact_single_mode
 
 FIRST_STEP_CONSTANT = 0.2421522416427546   # |sqrt(pi)/2 - 2/sqrt(pi)|
@@ -243,6 +243,11 @@ class TestExactConvolution:
     def test_constant_solution(self):
         got = exact_convolution(0.5, 2.0, PowerSum(((2.0, 0.0),)), 1.0)
         assert got == pytest.approx(1.0, abs=1e-10)
+
+    def test_nan_forcing_raises(self):
+        # the adaptive quadrature returned nan with a warning
+        with pytest.raises(ConvergenceError, match="nan"):
+            exact_convolution(0.5, 1.0, lambda s: math.nan, 1.0)
 
 
 def test_first_step_error_constant():

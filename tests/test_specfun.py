@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsolve.cli import run
 from fracsolve.specfun import (ConvergenceError, SeriesPolicy, gamma,
                                mittag_leffler, ml_relaxation_exact,
                                zeta_unit_strip)
@@ -33,6 +34,7 @@ E_HALF_HALF_AT_MINUS_1 = 0.1366060073919493
 E_03_DEEP = 0.1389344810783158              # E_0.3(-4 * 2^0.3), spectral regime
 E_HALF_AT_MINUS_10 = 0.05614099274382258586     # = e^100 erfc(10)
 E_HALF_AT_MINUS_30 = 0.01879588886141675150     # = e^900 erfc(30)
+E_1_172_AT_1 = 8.105021019003019e-310           # sum_n 1/Gamma(n + 172)
 
 
 class TestGamma:
@@ -197,7 +199,8 @@ class TestRelaxationExactLargeArgument:
             assert ml_relaxation_exact(alpha, s, 1.0) == pytest.approx(
                 series, rel=1e-10)
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999,
+                                       1.0 - 1e-6])
     def test_matches_mpmath_quadrature(self, alpha):
         # the spectral integral in t = s u at 25 digits, split where the
         # integrand turns: t ~ 1 and, for alpha > 1/2, t ~ -cos(alpha pi) s
@@ -271,3 +274,48 @@ class TestNegativeAxisBranchRule:
             assert e_near == pytest.approx(
                 ml_relaxation_exact(alpha, 1.0, (-near) ** (1.0 / alpha)),
                 rel=1e-13)
+
+
+class TestArrayArguments:
+    """`ml_relaxation_exact` takes arrays of x: one call per curve."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.9, 0.999])
+    @pytest.mark.parametrize("B", [0.5, 3.0])
+    def test_array_matches_scalar_calls_across_branch_edge(self, alpha, B):
+        # s = B x^alpha runs from 0 to 2.5, through both branches
+        x = np.linspace(0.0, (2.5 / B) ** (1.0 / alpha), 201)
+        got = ml_relaxation_exact(alpha, B, x)
+        want = np.array([ml_relaxation_exact(alpha, B, float(v)) for v in x])
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_scalar_gives_float_and_shape_is_kept(self):
+        assert isinstance(ml_relaxation_exact(0.5, 1.0, 0.5), float)
+        grid = np.full((2, 3), 4.0)
+        assert ml_relaxation_exact(0.5, 1.0, grid).shape == (2, 3)
+
+
+class TestFoundRegressions:
+    @pytest.mark.parametrize("x", [1e300, np.array([1.0, 1e300])])
+    def test_overflowing_argument_is_a_domain_error(self, x):
+        # s = B x^alpha overflows to inf; this raised "spectral quadrature
+        # ... error nan on the value nan"
+        with pytest.raises(ValueError, match="overflows"):
+            ml_relaxation_exact(0.5, 1e300, x)
+
+    def test_overflowing_argument_exits_2(self, capsys):
+        assert run(["relax", "--alpha", "0.5", "--B", "1e300",
+                    "--h", "1e300", "--T", "1e300"]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+    def test_large_beta_starts_from_log_gamma(self):
+        # 1/Gamma(172) overflowed in math.gamma: "math range error"
+        assert mittag_leffler(1.0, 172.0, 1.0) == pytest.approx(
+            E_1_172_AT_1, rel=1e-12)
+        assert mittag_leffler(0.5, 200.0, 0.0) == pytest.approx(
+            math.exp(-math.lgamma(200.0)), rel=1e-12)
+
+    def test_large_beta_on_the_command_line(self, capsys):
+        assert run(["ml", "--alpha", "1", "--beta", "172", "--x", "1"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(
+            E_1_172_AT_1, rel=1e-12)

@@ -8,11 +8,10 @@ import pytest
 from fracsolve.caputo import Scheme
 from fracsolve.relaxation import PowerSum
 from fracsolve.specfun import ml_relaxation_exact, zeta_unit_strip
-from fracsolve.subdiffusion import (Sampled, SeparableForcing, SineMode,
+from fracsolve.subdiffusion import (_dst, Sampled, SeparableForcing, SineMode,
                                     SubdiffusionProblem, TridiagonalSystem,
                                     build_system, corrected_problem,
-                                    exact_single_mode,
-                                    fourier_sine_coefficients, solve,
+                                    exact_single_mode, solve,
                                     solve_corrected, solve_l1, solve_ml1,
                                     thomas_solve)
 
@@ -201,28 +200,23 @@ class TestExactSingleMode:
             exact_single_mode(0.5, 0, 1.0, 1.0)
 
 
-class TestFourierSineCoefficients:
-    def test_first_mode(self):
-        c = fourier_sine_coefficients(math.sin, 4)
-        assert np.allclose(c, [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+class TestSineTransform:
+    """The orthonormal DST-I behind the sine-mode march."""
 
-    def test_sine_mode_shortcut_is_exact(self):
-        c = fourier_sine_coefficients(SineMode(3), 5)
-        assert c.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    @pytest.mark.parametrize("n", [1, 2, 39, 959])
+    def test_matches_dense_sine_matrix(self, n):
+        j = np.arange(1, n + 1)
+        # j k reduced mod 2(n+1) keeps the sine's argument below 2 pi, where
+        # it is accurate to roundoff
+        jk = np.outer(j, j) % (2 * (n + 1))
+        dense = math.sqrt(2.0 / (n + 1)) * np.sin(jk * math.pi / (n + 1))
+        x = np.random.default_rng(n).standard_normal((3, n))
+        assert np.max(np.abs(_dst(x) - x @ dense)) <= 1e-13
 
-    def test_third_mode_callable(self):
-        c = fourier_sine_coefficients(lambda s: math.sin(3.0 * s), 5)
-        assert np.allclose(c, [0.0, 0.0, 1.0, 0.0, 0.0], atol=1e-10)
-
-    def test_parabola_closed_form(self):
-        c = fourier_sine_coefficients(lambda s: s * (math.pi - s), 6)
-        for n in range(1, 7):
-            expected = 8.0 / (math.pi * n ** 3) if n % 2 else 0.0
-            assert c[n - 1] == pytest.approx(expected, abs=1e-10)
-
-    def test_rejects_sampled_profiles(self):
-        with pytest.raises(TypeError):
-            fourier_sine_coefficients(Sampled(np.zeros(9)), 3)
+    @pytest.mark.parametrize("n", [1, 2, 39, 959])
+    def test_is_its_own_inverse(self, n):
+        x = np.random.default_rng(n).standard_normal((3, n))
+        assert np.max(np.abs(_dst(_dst(x)) - x)) <= 1e-13
 
 
 class TestCorrected:
