@@ -2,25 +2,27 @@
 
 Four subcommands: `ml` evaluates the Mittag-Leffler function, `relax` and
 `subdiff` run single solves and write plot-ready delimited series, and
-`converge` runs a step-halving convergence study.  Exit status is 0 on
+`converge` runs a step-halving convergence study.  Each of the last three
+builds a problem family from `problems`; `relax` and `subdiff` call its
+`solve`, and `converge` passes it to the harness study.  `--correct [M]`
+selects the start-up corrected solver of degree M.  Exit status is 0 on
 success, 2 on usage or domain errors, 1 on numerical failure.
 """
 
 import argparse
 import math
 import sys
-from functools import partial
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import problems, relaxation, subdiffusion
+from . import problems
 from .caputo import Scheme
 from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
                       run_subdiffusion_study)
-from .relaxation import RelaxationProblem, choose_m
+from .relaxation import choose_m
 from .specfun import SeriesPolicy, mittag_leffler
-from .subdiffusion import SineMode, SubdiffusionProblem
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -87,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="time discretization")
     p_relax.add_argument("--h", type=_positive, required=True, help="step size")
     p_relax.add_argument("--T", type=_positive, default=1.0, help="interval end")
-    p_relax.add_argument("--correct", type=int, nargs="?", const=0, default=None,
-                         metavar="M",
+    p_relax.add_argument("--correct", type=_positive_int, nargs="?", const=0,
+                         default=None, metavar="M",
                          help="apply the start-up correction of degree M "
                               "(omit M to pick the smallest valid degree)")
     p_relax.add_argument("--out", type=Path, default=None,
@@ -106,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--tau", type=_positive, required=True, help="time step")
     p_sub.add_argument("--T", type=_positive, default=1.0, help="final time")
     p_sub.add_argument("--N", type=_positive_int, default=None,
-                       help="space intervals (default: 3 T / tau, i.e. h = pi tau / 3)")
-    p_sub.add_argument("--correct", type=int, nargs="?", const=0, default=None,
-                       metavar="M",
+                       help="space intervals (default: 3 T / tau, i.e. "
+                            "h = pi tau / (3 T))")
+    p_sub.add_argument("--correct", type=_positive_int, nargs="?", const=0,
+                       default=None, metavar="M",
                        help="apply the start-up correction of degree M "
                             "(omit M to pick the smallest valid degree)")
     p_sub.add_argument("--out", type=Path, default=None,
@@ -129,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base step of the halving ladder")
     p_conv.add_argument("--levels", type=_positive_int, default=5,
                         help="number of halvings (>= 2)")
-    p_conv.add_argument("--correct", type=int, nargs="?", const=0, default=None,
-                        metavar="M",
+    p_conv.add_argument("--correct", type=_positive_int, nargs="?", const=0,
+                        default=None, metavar="M",
                         help="study the corrected solver of degree M "
                              "(omit M to pick the smallest valid degree)")
     p_conv.add_argument("--format", choices=["csv", "markdown", "jsonl"],
@@ -146,15 +149,11 @@ def _scheme(args) -> Scheme:
     return Scheme(args.scheme)
 
 
-def _resolve_correct(value: int | None, alpha: float):
-    """Map the --correct flag to (corrected, m): absent, automatic, or fixed."""
-    if value is None:
-        return False, None
-    if value == 0:
-        return True, choose_m(alpha)
-    if value < 1:
-        raise ValueError(f"--correct must be a positive degree, got {value}")
-    return True, value
+def _resolve_correct(value: int | None, alpha: float) -> int | None:
+    """Map the --correct flag to a correction degree: None when absent, the
+    smallest valid degree when given without M (argparse passes the const 0
+    through unconverted), else M."""
+    return choose_m(alpha) if value == 0 else value
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -179,67 +178,38 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_relax(args) -> int:
-    family = problems.relaxation_family(args.problem, alpha=args.alpha, B=args.B)
-    corrected, m = _resolve_correct(args.correct, family.alpha)
-    scheme = _scheme(args)
-    if corrected:
-        problems.require_homogeneous(family)
-        series = relaxation.solve_corrected(family.alpha, family.B, m,
-                                            args.T, args.h, scheme)
-    else:
-        problem = RelaxationProblem(alpha=family.alpha, B=family.B,
-                                    forcing=family.forcing, y0=family.y0,
-                                    T=args.T, h=args.h)
-        series = relaxation.solve(problem, scheme)
+    family = replace(problems.relaxation_family(args.problem, alpha=args.alpha,
+                                                B=args.B), T=args.T)
+    series = family.solve(args.h, _scheme(args),
+                          _resolve_correct(args.correct, family.alpha))
     exact = family.exact(series.x)
     _emit(_series_table(series.x, series.values, exact), args.out)
     return 0
 
 
 def _cmd_subdiff(args) -> int:
-    if args.problem is not None:
-        family = problems.subdiffusion_family(args.problem, alpha=args.alpha)
-        alpha = family.alpha
-        exact = family.exact
-    else:
-        if args.alpha is None:
-            raise ValueError("subdiff needs --alpha when no --problem is given")
-        alpha = args.alpha
-        exact = partial(subdiffusion.exact_single_mode, alpha, 1)
-    M = round(args.T / args.tau)
-    if M < 1 or abs(M * args.tau - args.T) > 1e-9 * args.T:
-        raise ValueError(f"tau = {args.tau} does not divide T = {args.T}")
-    N = args.N if args.N is not None else 3 * M
-    corrected, m = _resolve_correct(args.correct, alpha)
-    scheme = _scheme(args)
-    if corrected:
-        sol = subdiffusion.solve_corrected(alpha, m, args.T, N, M, scheme)
-    else:
-        problem = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=args.T,
-                                      initial=SineMode(1))
-        sol = subdiffusion.solve(problem, scheme)
-    exact_profile = exact(sol.x, args.T)
-    _emit(_series_table(sol.x, sol.final, exact_profile), args.out)
+    family = replace(problems.subdiffusion_family(args.problem, alpha=args.alpha),
+                     T=args.T)
+    sol = family.solve(args.tau, _scheme(args),
+                       _resolve_correct(args.correct, family.alpha), N=args.N)
+    exact = family.exact(sol.x, family.T)
+    _emit(_series_table(sol.x, sol.final, exact), args.out)
     return 0
 
 
 def _cmd_converge(args) -> int:
-    scheme = _scheme(args)
     if args.problem in problems.RELAXATION_IDS:
         family = problems.relaxation_family(args.problem, alpha=args.alpha,
                                             B=args.B)
-        corrected, m = _resolve_correct(args.correct, family.alpha)
-        ladder = Ladder(args.h0, args.levels)
-        report = run_relaxation_study(family, scheme, ladder,
-                                      corrected=corrected, m=m)
+        study, coupling = run_relaxation_study, Coupling.NONE
     else:
         if args.B is not None:
             raise ValueError(f"problem {args.problem!r} does not take --B")
         family = problems.subdiffusion_family(args.problem, alpha=args.alpha)
-        corrected, m = _resolve_correct(args.correct, family.alpha)
-        ladder = Ladder(args.h0, args.levels, Coupling.SPACE_FROM_TIME)
-        report = run_subdiffusion_study(family, scheme, ladder,
-                                        corrected=corrected, m=m)
+        study, coupling = run_subdiffusion_study, Coupling.SPACE_FROM_TIME
+    m = _resolve_correct(args.correct, family.alpha)
+    report = study(family, _scheme(args), Ladder(args.h0, args.levels, coupling),
+                   corrected=m is not None, m=m)
     _emit(render_report(report, args.format), args.out)
     return 0
 

@@ -1,7 +1,8 @@
 """Convergence studies over step-halving ladders.
 
-Runs a solver at a sequence of halved step sizes, measures maximum errors
-against the exact solution, and chains empirical orders
+Runs a problem family's solver (`family.solve`) at a sequence of halved
+step sizes, measures maximum errors against the exact solution
+(`family.error`), and chains empirical orders
 log2(err_coarse / err_fine) between consecutive levels.  One extra run at
 twice the base step supplies the order for the first reported row.  Reports
 render to csv (the stable contract), markdown, or json-lines.
@@ -12,12 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from . import relaxation, subdiffusion
+from . import relaxation
 from .caputo import Scheme
-from .problems import RelaxationFamily, SubdiffusionFamily, require_homogeneous
-from .subdiffusion import Sampled, SineMode, SubdiffusionProblem
+from .problems import RelaxationFamily, SubdiffusionFamily
 
 __all__ = [
     "Coupling",
@@ -99,6 +97,17 @@ def _chain_orders(steps, errors) -> ConvergenceReport:
     return ConvergenceReport(tuple(rows))
 
 
+def _study(family, scheme: Scheme, ladder: Ladder, corrected: bool,
+           m: int | None) -> ConvergenceReport:
+    # the one ladder loop: the family picks the solver and measures the error
+    if corrected and m is None:
+        m = relaxation.choose_m(family.alpha)
+    degree = m if corrected else None
+    steps = [2.0 * ladder.base_step] + ladder.steps()
+    errors = [family.error(family.solve(step, scheme, degree)) for step in steps]
+    return _chain_orders(steps, errors)
+
+
 def run_relaxation_study(family: RelaxationFamily, scheme: Scheme,
                          ladder: Ladder, corrected: bool = False,
                          m: int | None = None) -> ConvergenceReport:
@@ -111,24 +120,7 @@ def run_relaxation_study(family: RelaxationFamily, scheme: Scheme,
     """
     if ladder.coupling is not Coupling.NONE:
         raise ValueError("relaxation ladders do not couple step sizes")
-    if corrected:
-        require_homogeneous(family)
-        if m is None:
-            m = relaxation.choose_m(family.alpha)
-    steps = [2.0 * ladder.base_step] + ladder.steps()
-    errors = []
-    for h in steps:
-        if corrected:
-            series = relaxation.solve_corrected(family.alpha, family.B, m,
-                                                family.T, h, scheme)
-        else:
-            problem = relaxation.RelaxationProblem(
-                alpha=family.alpha, B=family.B, forcing=family.forcing,
-                y0=family.y0, T=family.T, h=h)
-            series = relaxation.solve(problem, scheme)
-        x = series.x
-        errors.append(float(np.max(np.abs(series.values[1:] - family.exact(x[1:])))))
-    return _chain_orders(steps, errors)
+    return _study(family, scheme, ladder, corrected, m)
 
 
 def run_subdiffusion_study(family: SubdiffusionFamily, scheme: Scheme,
@@ -139,42 +131,14 @@ def run_subdiffusion_study(family: SubdiffusionFamily, scheme: Scheme,
 
     Each row's error is the maximum over interior space nodes at the final
     time.  The base step and its halvings must divide T into whole steps.
+    With corrected=True the singularity-corrected solver of degree m runs
+    instead; m defaults to the smallest valid degree.
     """
     if ladder.coupling is not Coupling.SPACE_FROM_TIME:
         raise ValueError("subdiffusion ladders require the h = pi tau / 3 coupling")
     if family.T != 1.0:
         raise ValueError("coupled studies are defined for T = 1")
-    if corrected:
-        if family.mode != 1 or family.amplitude != 1.0:
-            raise ValueError(
-                "the corrected solver handles the unit first mode only")
-        if m is None:
-            m = relaxation.choose_m(family.alpha)
-    steps = [2.0 * ladder.base_step] + ladder.steps()
-    errors = []
-    for tau in steps:
-        M = round(family.T / tau)
-        if abs(M * tau - family.T) > 1e-9:
-            raise ValueError(f"tau = {tau} does not divide T = {family.T}")
-        N = 3 * M
-        if corrected:
-            sol = subdiffusion.solve_corrected(family.alpha, m, family.T,
-                                               N, M, scheme)
-        else:
-            if family.amplitude == 1.0:
-                initial = SineMode(family.mode)
-            else:
-                xs = subdiffusion.space_nodes(N)
-                values = family.amplitude * np.sin(family.mode * xs)
-                values[-1] = 0.0    # sin(mode pi) is only roundoff
-                initial = Sampled(values)
-            problem = SubdiffusionProblem(alpha=family.alpha, N=N, M=M,
-                                          T=family.T, initial=initial)
-            sol = subdiffusion.solve(problem, scheme)
-        x_interior = sol.x[1:-1]
-        exact = family.exact(x_interior, family.T)
-        errors.append(float(np.max(np.abs(sol.final[1:-1] - exact))))
-    return _chain_orders(steps, errors)
+    return _study(family, scheme, ladder, corrected, m)
 
 
 def _fmt(value: float) -> str:

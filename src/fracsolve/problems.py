@@ -7,6 +7,11 @@ Registry ids:
     relax-mlexact  homogeneous relaxation, exact solution E_alpha(-B x^alpha)
     s2             subdiffusion, alpha=0.5, exact sin(x) E_0.5(-t^0.5)
     s03            subdiffusion, alpha=0.3, exact sin(x) E_0.3(-t^0.3)
+
+A family is the one place that chooses a solver: `family.solve(step, scheme,
+m)` runs the plain scheme when m is None and the start-up corrected solver of
+degree m otherwise, and `family.error(solution)` is the maximum error against
+the exact solution that the convergence harness reports.
 """
 
 import math
@@ -16,14 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .relaxation import PowerSum
+from . import relaxation, subdiffusion
+from .caputo import Scheme
+from .relaxation import PowerSum, RelaxationProblem, TimeSeries
 from .specfun import ml_relaxation_exact
-from .subdiffusion import exact_single_mode
+from .subdiffusion import (SineMode, SpaceTimeSolution, SubdiffusionProblem,
+                           exact_single_mode)
 
 __all__ = [
     "RelaxationFamily",
     "SubdiffusionFamily",
-    "require_homogeneous",
     "RELAXATION_IDS",
     "SUBDIFFUSION_IDS",
     "PROBLEM_IDS",
@@ -50,27 +57,60 @@ class RelaxationFamily:
     exact: Callable[[np.ndarray], np.ndarray]
     T: float = 1.0
 
+    def solve(self, step: float, scheme: Scheme,
+              m: int | None = None) -> TimeSeries:
+        """Solution on [0, T] with step `step`: the plain scheme when m is
+        None, else the corrected solver of degree m, which applies to the
+        homogeneous problem with y0 = 1 only."""
+        if m is None:
+            problem = RelaxationProblem(alpha=self.alpha, B=self.B,
+                                        forcing=self.forcing, y0=self.y0,
+                                        T=self.T, h=step)
+            return relaxation.solve(problem, scheme)
+        if self.forcing is not None or self.y0 != 1.0:
+            raise ValueError(
+                f"correction applies to the homogeneous problem only, "
+                f"not {self.name}")
+        return relaxation.solve_corrected(self.alpha, self.B, m, self.T,
+                                          step, scheme)
 
-def require_homogeneous(family: RelaxationFamily) -> None:
-    """Reject a family that the start-up correction does not apply to: it
-    needs the homogeneous problem with y0 = 1."""
-    if family.forcing is not None or family.y0 != 1.0:
-        raise ValueError(
-            f"correction applies to the homogeneous problem only, "
-            f"not {family.name}")
+    def error(self, series: TimeSeries) -> float:
+        """Maximum of |exact(x_n) - v_n| over the grid nodes n >= 1 (node 0
+        is exact by construction)."""
+        x = series.x
+        return float(np.max(np.abs(series.values[1:] - self.exact(x[1:]))))
 
 
 @dataclass(frozen=True)
 class SubdiffusionFamily:
-    """A subdiffusion problem family: single-mode initial data plus the exact
+    """A subdiffusion problem family: initial profile sin(x) plus the exact
     solution profile at a given time."""
 
     name: str
     alpha: float
     exact: Callable[[np.ndarray, float], np.ndarray]
-    mode: int = 1
     T: float = 1.0
-    amplitude: float = 1.0
+
+    def solve(self, step: float, scheme: Scheme, m: int | None = None,
+              N: int | None = None) -> SpaceTimeSolution:
+        """Solution on M = T / step time levels and N space intervals, by
+        default N = 3 M (h = pi step / (3 T)): the plain scheme when m is
+        None, else the corrected solver of degree m.  The step must divide T
+        into whole steps."""
+        M = round(self.T / step)
+        if M < 1 or abs(M * step - self.T) > 1e-9 * self.T:
+            raise ValueError(f"tau = {step} does not divide T = {self.T}")
+        N = 3 * M if N is None else N
+        if m is None:
+            problem = SubdiffusionProblem(alpha=self.alpha, N=N, M=M, T=self.T,
+                                          initial=SineMode(1))
+            return subdiffusion.solve(problem, scheme)
+        return subdiffusion.solve_corrected(self.alpha, m, self.T, N, M, scheme)
+
+    def error(self, solution: SpaceTimeSolution) -> float:
+        """Maximum error over the interior space nodes at the final time."""
+        x = solution.x[1:-1]
+        return float(np.max(np.abs(solution.final[1:-1] - self.exact(x, self.T))))
 
 
 def _check_fixed(pid: str, alpha: float | None, B: float | None) -> None:
@@ -114,11 +154,17 @@ def relaxation_family(pid: str, alpha: float | None = None,
                    f"known ids: {RELAXATION_IDS}")
 
 
-def subdiffusion_family(pid: str, alpha: float | None = None) -> SubdiffusionFamily:
-    """Look up a subdiffusion problem family by id (s2 or s03)."""
-    if pid not in SUBDIFFUSION_IDS:
-        raise KeyError(f"unknown subdiffusion problem {pid!r}; "
-                       f"known ids: {SUBDIFFUSION_IDS}")
-    _check_fixed(pid, alpha, None)
-    a = _FIXED_ALPHA[pid]
-    return SubdiffusionFamily(pid, a, partial(exact_single_mode, a, 1))
+def subdiffusion_family(pid: str | None,
+                        alpha: float | None = None) -> SubdiffusionFamily:
+    """Look up a subdiffusion problem family by id (s2 or s03), or with pid
+    None the single-mode problem of the given alpha."""
+    if pid is not None:
+        if pid not in SUBDIFFUSION_IDS:
+            raise KeyError(f"unknown subdiffusion problem {pid!r}; "
+                           f"known ids: {SUBDIFFUSION_IDS}")
+        _check_fixed(pid, alpha, None)
+        alpha = _FIXED_ALPHA[pid]
+    elif alpha is None:
+        raise ValueError("a subdiffusion problem needs an id or alpha")
+    name = pid or f"single-mode(alpha={alpha})"
+    return SubdiffusionFamily(name, alpha, partial(exact_single_mode, alpha, 1))

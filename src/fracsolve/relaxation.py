@@ -173,16 +173,22 @@ def miller_ross_at_zero(alpha: float, B: float, n: int) -> float:
     return (-B) ** n
 
 
+# the polynomial is the first m + 1 terms of the E_alpha series, so a degree
+# past the series' default term budget is refused; the smallest valid degree
+# 2 / alpha reaches it at alpha = 2e-4, and the sum costs m + 1 array passes
+_MAX_DEGREE = 10_000
+
+
 def taylor_poly(alpha: float, B: float, m: int, x):
     """Fractional Taylor polynomial sum_{n=0}^m (-B x^alpha)^n / Gamma(alpha n + 1).
 
     Matches the decay solution to order x^(alpha m) at the origin; accepts a
-    scalar or an array of non-negative points.
+    scalar or an array of non-negative points, and a degree m up to 10 000.
     """
     _check_alpha(alpha)
     _check_B(B)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if not 1 <= m <= _MAX_DEGREE:
+        raise ValueError(f"m must lie in [1, {_MAX_DEGREE}], got {m}")
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= 0.0) & (xa < math.inf)):
         raise ValueError("x must be finite and >= 0")
@@ -195,8 +201,13 @@ def taylor_poly(alpha: float, B: float, m: int, x):
 
 def choose_m(alpha: float) -> int:
     """Smallest polynomial degree m with m * alpha >= 2, so the corrected
-    unknown is twice continuously differentiable."""
+    unknown is twice continuously differentiable.  An alpha whose degree
+    would exceed 10 000 is refused (beyond 2^53 a step of m would not even
+    change m * alpha)."""
     _check_alpha(alpha)
+    if _MAX_DEGREE * alpha < 2.0:
+        raise ValueError(
+            f"alpha = {alpha} needs a degree above {_MAX_DEGREE}")
     m = max(1, math.ceil(2.0 / alpha))
     while m * alpha < 2.0:
         m += 1

@@ -13,10 +13,11 @@ the time factor restores them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import relaxation
 from .caputo import Scheme, _check_alpha, _march, _scheme_weights
 from .relaxation import PowerSum, taylor_poly
 from .specfun import ml_relaxation_exact
@@ -35,7 +36,6 @@ __all__ = [
     "solve_l1",
     "solve_ml1",
     "exact_single_mode",
-    "corrected_problem",
     "solve_corrected",
 ]
 
@@ -299,36 +299,24 @@ def exact_single_mode(alpha: float, k: int, x, t: float):
     return float(out) if np.isscalar(x) else out
 
 
-def corrected_problem(alpha: float, m: int, T: float, N: int,
-                      M: int) -> SubdiffusionProblem:
-    """Problem for the remainder v = u - sin(x) * (Taylor polynomial in t).
-
-    The sequential time derivatives of the single-mode solution at t = 0 are
-    (-1)^n sin x, so subtracting the degree-m fractional Taylor expansion of
-    the time factor leaves a C^2 solution of the same equation with zero
-    initial data and forcing (-1)^(m+1) sin(x) t^(alpha m) / Gamma(alpha m + 1).
-    """
-    _check_alpha(alpha)
-    if m * alpha < 2.0:
-        raise ValueError(
-            f"m * alpha = {m * alpha} < 2; the remainder would not be C^2")
-    coeff = (-1.0) ** (m + 1) / math.gamma(alpha * m + 1.0)
-    return SubdiffusionProblem(
-        alpha=alpha, N=N, M=M, T=T,
-        initial=Sampled(np.zeros(N + 1)),
-        forcing=SeparableForcing(1, PowerSum(((coeff, alpha * m),))))
-
-
 def solve_corrected(alpha: float, m: int, T: float, N: int, M: int,
                     scheme: Scheme = Scheme.L1) -> SpaceTimeSolution:
     """Singularity-corrected solution of the single-mode problem.
 
-    Solves the smooth remainder problem, then adds sin(x_n) times the
-    fractional Taylor polynomial of the time factor back on every level.
-    Level 0 reproduces sin(x_n) exactly and the boundary stays exactly zero.
+    The sequential time derivatives of the single-mode solution at t = 0 are
+    (-1)^n sin x, so the remainder v = u - sin(x) * (Taylor polynomial in t)
+    solves the same equation with zero initial data and the forcing sin(x)
+    times the relaxation remainder forcing with B = 1,
+    (-1)^(m+1) t^(alpha m) / Gamma(alpha m + 1).  Solves that smooth
+    problem, then adds sin(x_n) times the fractional Taylor polynomial of the
+    time factor back on every level.  Level 0 reproduces sin(x_n) exactly and
+    the boundary stays exactly zero.
     """
-    problem = corrected_problem(alpha, m, T, N, M)
-    vsol = solve(problem, scheme)
+    problem = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=T,
+                                  initial=Sampled(np.zeros(N + 1)))
+    remainder = relaxation.corrected_problem(alpha, 1.0, m, T, problem.tau)
+    forcing = SeparableForcing(1, remainder.forcing)
+    vsol = solve(replace(problem, forcing=forcing), scheme)
     sine = np.sin(vsol.x)
     sine[0] = 0.0
     sine[-1] = 0.0

@@ -14,11 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracsolve
+from fracsolve.caputo import Scheme
 from fracsolve.cli import run
+from fracsolve.harness import (Coupling, Ladder, render_report,
+                               run_relaxation_study, run_subdiffusion_study)
+from fracsolve.problems import relaxation_family, subdiffusion_family
 
 
 def lines_of(capsys):
     return capsys.readouterr().out.splitlines()
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = run(argv)
+    return status, out.getvalue(), err.getvalue()
 
 
 class TestMl:
@@ -59,12 +70,10 @@ class TestMl:
     def test_exit_status_contract(self, alpha, beta, x):
         # "--x=-1e-05": a separate "-1e-05" would parse as an option
         argv = ["ml", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--x={x!r}"]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            status = run(argv)
+        status, out, _ = run_captured(argv)
         assert status in (0, 1, 2)
         if status == 0:
-            assert math.isfinite(float(out.getvalue()))
+            assert math.isfinite(float(out))
 
 
 class TestRelax:
@@ -187,6 +196,20 @@ class TestConverge:
     def test_alpha_rejected_for_fixed_problem(self, capsys):
         assert run(["converge", "--problem", "s2", "--alpha", "0.4"]) == 2
 
+    @pytest.mark.parametrize("argv, study", [
+        (["--problem", "s2"],
+         lambda: run_subdiffusion_study(
+             subdiffusion_family("s2"), Scheme.L1,
+             Ladder(0.05, 5, Coupling.SPACE_FROM_TIME))),
+        (["--problem", "relax-mlexact", "--alpha", "0.3", "--correct"],
+         lambda: run_relaxation_study(
+             relaxation_family("relax-mlexact", alpha=0.3), Scheme.L1,
+             Ladder(0.05, 5), corrected=True)),
+    ])
+    def test_report_is_the_study(self, argv, study, capsys):
+        assert run(["converge", *argv]) == 0
+        assert capsys.readouterr().out == render_report(study())
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -214,6 +237,47 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "finite" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["relax", "--alpha", "0.5", "--h", "0.25"],
+        ["subdiff", "--problem", "s2", "--tau", "0.25"],
+        ["converge", "--problem", "s2", "--levels", "2"],
+    ])
+    def test_degree_zero_is_a_usage_error(self, argv, capsys):
+        # --correct 0 used to stand for the automatic degree
+        assert run([*argv, "--correct", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["relax", "subdiff", "converge"]),
+           problem=st.sampled_from(["relax-mlexact", "s2", "s03"]),
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           step=st.sampled_from(["1", "0.5", "0.3", "0.25", "0.125"]),
+           scheme=st.sampled_from(["l1", "ml1"]),
+           correct=st.one_of(st.none(), st.just("--correct"),
+                             st.integers(-2, 30).map(
+                                 lambda m: f"--correct={m}")))
+    def test_solver_exit_status_contract(self, command, problem, alpha, step,
+                                         scheme, correct):
+        if command == "relax":
+            argv = ["relax", f"--alpha={alpha!r}", "--h", step]
+        elif command == "subdiff":
+            argv = ["subdiff", f"--alpha={alpha!r}", "--tau", step]
+        else:
+            argv = ["converge", "--problem", problem, "--h0", step,
+                    "--levels", "2", "--format", "csv"]
+            if problem == "relax-mlexact":
+                argv.append(f"--alpha={alpha!r}")
+        argv += ["--scheme", scheme] + ([] if correct is None else [correct])
+        status, out, err = run_captured(argv)
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err
+        if status == 0:
+            cells = [cell for line in out.splitlines()[1:]
+                     for cell in line.split(",") if cell]
+            assert cells and all(math.isfinite(float(c)) for c in cells)
 
     @pytest.mark.parametrize("command", ["ml", "relax", "subdiff", "converge"])
     def test_help_lists_flags_with_defaults(self, command, capsys):

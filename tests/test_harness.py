@@ -1,8 +1,11 @@
 """Convergence-study machinery: ladders, orders, reports, rendering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fracsolve import relaxation, subdiffusion
 from fracsolve.caputo import Scheme
 from fracsolve.harness import (ConvergenceReport, Coupling, Ladder, ReportRow,
                                estimate_order, parse_report_jsonl,
@@ -150,16 +153,51 @@ class TestSubdiffusionStudy:
         assert [row.step for row in report.rows] == [0.1, 0.05]
         assert all(0.9 < row.order < 1.3 for row in report.rows)
 
-    def test_zero_data_problem_reports_zero_errors(self):
-        family = SubdiffusionFamily(
-            "zero", 0.5,
-            lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-            amplitude=0.0)
-        report = run_subdiffusion_study(family, Scheme.L1,
-                                        Ladder(0.1, 2, Coupling.SPACE_FROM_TIME))
-        for row in report.rows:
-            assert row.max_error == 0.0
-            assert row.order is None
+
+class TestFamilySolve:
+    """family.solve is the one plain/corrected dispatch: it returns exactly
+    what the module solvers return."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("pid, alpha, m", [("r12", None, None),
+                                               ("relax-mlexact", 0.5, None),
+                                               ("relax-mlexact", 0.3, 7)])
+    def test_relaxation_matches_module_call(self, pid, alpha, m, scheme):
+        family = replace(relaxation_family(pid, alpha=alpha), T=2.0)
+        got = family.solve(0.05, scheme, m)
+        if m is None:
+            want = relaxation.solve(relaxation.RelaxationProblem(
+                alpha=family.alpha, B=family.B, forcing=family.forcing,
+                y0=family.y0, T=2.0, h=0.05), scheme)
+        else:
+            want = relaxation.solve_corrected(0.3, 1.0, m, 2.0, 0.05, scheme)
+        assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("m", [None, 7])
+    @pytest.mark.parametrize("N", [None, 17])
+    def test_subdiffusion_matches_module_call(self, m, N, scheme):
+        family = replace(subdiffusion_family("s03"), T=0.5)
+        got = family.solve(0.0625, scheme, m, N=N)
+        N = 24 if N is None else N
+        if m is None:
+            want = subdiffusion.solve(subdiffusion.SubdiffusionProblem(
+                alpha=0.3, N=N, M=8, T=0.5,
+                initial=subdiffusion.SineMode(1)), scheme)
+        else:
+            want = subdiffusion.solve_corrected(0.3, m, 0.5, N, 8, scheme)
+        assert np.array_equal(got.values, want.values)
+
+    def test_step_divides_interval_to_relative_tolerance(self):
+        family = replace(subdiffusion_family("s2"), T=0.9)
+        # 3 * 0.3 = 0.8999999999999999
+        assert family.solve(0.3, Scheme.L1).values.shape == (4, 10)
+        with pytest.raises(ValueError):
+            family.solve(0.4, Scheme.L1)
+
+    def test_correction_requires_homogeneous_family(self):
+        with pytest.raises(ValueError):
+            relaxation_family("r11").solve(0.1, Scheme.L1, 4)
 
 
 def test_problem_registry_validation():
@@ -173,3 +211,6 @@ def test_problem_registry_validation():
         subdiffusion_family("r11")
     with pytest.raises(ValueError):
         subdiffusion_family("s03", alpha=0.5)
+    with pytest.raises(ValueError):
+        subdiffusion_family(None)
+    assert subdiffusion_family(None, alpha=0.4).alpha == 0.4

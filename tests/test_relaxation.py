@@ -158,6 +158,10 @@ class TestTaylorPoly:
         with pytest.raises(ValueError):
             taylor_poly(0.5, 1.0, 0, 1.0)
 
+    def test_rejects_degree_past_series_budget(self):
+        with pytest.raises(ValueError):
+            taylor_poly(1e-6, 1.0, 10_001, 1.0)
+
 
 class TestChooseM:
     @pytest.mark.parametrize("alpha,m", [(0.3, 7), (0.7, 3), (0.5, 4)])
@@ -169,6 +173,14 @@ class TestChooseM:
             m = choose_m(float(alpha))
             assert m * alpha >= 2.0
             assert (m - 1) * alpha < 2.0
+
+    def test_rejects_alpha_past_degree_budget(self):
+        assert choose_m(2e-4 + 1e-12) == 10_000
+        # near m = 2e300 a step of m leaves m * alpha below 2, so the search
+        # never ended
+        for alpha in (2e-4 - 1e-12, 1e-300, 5e-324):
+            with pytest.raises(ValueError):
+                choose_m(alpha)
 
 
 class TestCorrectedProblem:

@@ -10,8 +10,7 @@ from fracsolve.relaxation import PowerSum
 from fracsolve.specfun import ml_relaxation_exact, zeta_unit_strip
 from fracsolve.subdiffusion import (_dst, Sampled, SeparableForcing, SineMode,
                                     SubdiffusionProblem, TridiagonalSystem,
-                                    build_system, corrected_problem,
-                                    exact_single_mode, solve,
+                                    build_system, exact_single_mode, solve,
                                     solve_corrected, solve_l1, solve_ml1,
                                     thomas_solve)
 
@@ -220,19 +219,9 @@ class TestSineTransform:
 
 
 class TestCorrected:
-    def test_corrected_problem_shape(self):
-        problem = corrected_problem(0.3, 7, T=1.0, N=30, M=10)
-        assert isinstance(problem.initial, Sampled)
-        assert not np.any(problem.initial.values)
-        ((c, p),) = problem.forcing.time_profile.terms
-        assert problem.forcing.mode == 1
-        assert p == pytest.approx(2.1)
-        assert c == pytest.approx(1.0 / math.gamma(3.1), rel=1e-14)
-        assert c > 0.0   # (-1)^(m+1) with m = 7
-
     def test_rejects_insufficient_degree(self):
         with pytest.raises(ValueError):
-            corrected_problem(0.3, 6, T=1.0, N=30, M=10)
+            solve_corrected(0.3, 6, T=1.0, N=30, M=10)
 
     def test_initial_level_reproduces_sine(self):
         sol = solve_corrected(0.3, 7, T=1.0, N=24, M=8, scheme=Scheme.L1)
