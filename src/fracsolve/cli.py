@@ -71,9 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--beta", type=_positive, default=1.0,
                       help="series parameter beta > 0")
     p_ml.add_argument("--x", type=float, required=True, help="argument, |x| <= 50")
-    p_ml.add_argument("--rel-tol", type=_positive, default=1e-15,
+    p_ml.add_argument("--rel-tol", type=_positive, default=SeriesPolicy.rel_tol,
                       help="series truncation tolerance")
-    p_ml.add_argument("--max-terms", type=_positive_int, default=10_000,
+    p_ml.add_argument("--max-terms", type=_positive_int,
+                      default=SeriesPolicy.max_terms,
                       help="series term budget")
     p_ml.set_defaults(func=_cmd_ml)
 

@@ -5,7 +5,9 @@ modified-L1 discretization of the Caputo derivative.  The homogeneous
 problem's solution E_alpha(-B x^alpha) has a differentiable singularity at
 x = 0 which caps the plain schemes at order alpha; subtracting the fractional
 Taylor expansion of the solution at the origin removes the singular part and
-restores the smooth-solution orders 2-alpha and 2.
+restores the smooth-solution orders 2-alpha and 2.  That polynomial is the
+Mittag-Leffler power series of `specfun` cut at degree m; a correction whose
+polynomial would cancel to roundoff at T is refused.
 """
 
 import math
@@ -15,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .caputo import Scheme, _check_alpha, _march
-from .specfun import _de_integrate, mittag_leffler, ml_relaxation_exact
+from .specfun import (ConvergenceError, SeriesPolicy, _de_integrate, _ml_series,
+                      mittag_leffler, ml_relaxation_exact)
 
 __all__ = [
     "PowerSum",
@@ -64,8 +67,9 @@ class PowerSum:
 class RelaxationProblem:
     """Complete statement of a fractional relaxation problem.
 
-    The forcing may be a PowerSum, any callable of x, or None for zero.
-    T/h must be a whole number of steps.
+    The forcing may be a PowerSum, a callable of an array of x that returns
+    an array of the same shape or a scalar, or None for zero.  T/h must be a
+    whole number of steps.
     """
 
     alpha: float
@@ -114,14 +118,11 @@ class TimeSeries:
 
 
 def _forcing_samples(forcing, x: np.ndarray) -> np.ndarray:
-    if forcing is None:
-        return np.zeros_like(x)
-    out = forcing(x)
-    out = np.asarray(out, dtype=float)
-    if out.shape != x.shape:
-        # plain scalar-valued callables get sampled pointwise
-        out = np.array([float(forcing(xi)) for xi in x])
-    return out
+    out = np.asarray(0.0 if forcing is None else forcing(x), dtype=float)
+    if out.shape not in ((), x.shape):
+        raise ValueError(
+            f"forcing returned shape {out.shape} for points of shape {x.shape}")
+    return np.broadcast_to(out, x.shape)
 
 
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
@@ -176,7 +177,7 @@ def miller_ross_at_zero(alpha: float, B: float, n: int) -> float:
 # the polynomial is the first m + 1 terms of the E_alpha series, so a degree
 # past the series' default term budget is refused; the smallest valid degree
 # 2 / alpha reaches it at alpha = 2e-4, and the sum costs m + 1 array passes
-_MAX_DEGREE = 10_000
+_MAX_DEGREE = SeriesPolicy.max_terms
 
 
 def taylor_poly(alpha: float, B: float, m: int, x):
@@ -184,6 +185,7 @@ def taylor_poly(alpha: float, B: float, m: int, x):
 
     Matches the decay solution to order x^(alpha m) at the origin; accepts a
     scalar or an array of non-negative points, and a degree m up to 10 000.
+    These are the first m + 1 terms of the series of E_alpha(-B x^alpha).
     """
     _check_alpha(alpha)
     _check_B(B)
@@ -192,10 +194,7 @@ def taylor_poly(alpha: float, B: float, m: int, x):
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= 0.0) & (xa < math.inf)):
         raise ValueError("x must be finite and >= 0")
-    base = -B * xa ** alpha
-    out = np.zeros_like(xa)
-    for n in range(m + 1):
-        out += base ** n / math.gamma(alpha * n + 1.0)
+    out = _ml_series(alpha, 1.0, -B * xa ** alpha, degree=m)[0]
     return float(out) if np.isscalar(x) else out
 
 
@@ -224,15 +223,27 @@ def corrected_problem(alpha: float, B: float, m: int, T: float,
     homogeneous decay problem leaves z^(alpha) + B z = (-B)^(m+1)
     x^(alpha m) / Gamma(alpha m + 1) with z(0) = 0; for m alpha >= 2 the
     remainder is C^2, which the plain schemes need for full order.
+
+    The polynomial and the remainder cancel where the polynomial's terms
+    dwarf the solution.  ConvergenceError when roundoff in the polynomial's
+    largest term at T alone exceeds 1% of the lower bound 1 / (1 +
+    Gamma(1 - alpha) B T^alpha) of the solution E_alpha(-B T^alpha).
     """
     _check_alpha(alpha)
     if m * alpha < 2.0:
         raise ValueError(
             f"m * alpha = {m * alpha} < 2; the remainder would not be C^2")
     coeff = (-B) ** (m + 1) / math.gamma(alpha * m + 1.0)
-    return RelaxationProblem(alpha=alpha, B=B,
-                             forcing=PowerSum(((coeff, alpha * m),)),
-                             y0=0.0, T=T, h=h)
+    problem = RelaxationProblem(alpha=alpha, B=B,
+                                forcing=PowerSum(((coeff, alpha * m),)),
+                                y0=0.0, T=T, h=h)
+    s = B * T ** alpha
+    peak = _ml_series(alpha, 1.0, np.array([-s]), degree=m)[1]
+    if np.finfo(float).eps * peak * (1.0 + math.gamma(1.0 - alpha) * s) > 0.01:
+        raise ConvergenceError(
+            f"the degree-{m} Taylor polynomial cancels at T = {T}: its largest "
+            f"term {peak:.3g} leaves roundoff above 1% of the solution")
+    return problem
 
 
 def solve_corrected(alpha: float, B: float, m: int, T: float, h: float,
@@ -276,8 +287,8 @@ def exact_convolution(alpha: float, B: float, forcing, x: float,
         # rounding in u**(1/alpha) can overshoot x by one ulp near the
         # upper limit; clamp so fractional-power forcings never see x < 0
         xi = np.maximum(x - u ** inv_alpha, 0.0)
-        kernel = np.array([mittag_leffler(alpha, alpha, -B * ui) for ui in u])
-        return top * rule.jy * kernel * _forcing_samples(forcing, xi)
+        return (top * rule.jy * mittag_leffler(alpha, alpha, -B * u)
+                * _forcing_samples(forcing, xi))
 
     value = _de_integrate(integrand, 1, "convolution integral")[0]
     return homogeneous + inv_alpha * value

@@ -1,8 +1,11 @@
 """Special functions behind the fractional solvers.
 
 Gamma, the Riemann zeta function on the strip (-1, 0], and the one- and
-two-parameter Mittag-Leffler functions.  Everything here is a pure function
-of its arguments and safe to call concurrently.
+two-parameter Mittag-Leffler functions.  One power series, summed by
+Horner's rule in `_ml_series`, gives `mittag_leffler`, E_alpha(-s) for small
+s and the fractional Taylor polynomial of `relaxation`; a spectral integral
+gives E_alpha(-s) for larger s.  Everything here is a pure function of its
+arguments and safe to call concurrently.
 """
 
 import functools
@@ -103,73 +106,72 @@ def zeta_unit_strip(s: float) -> float:
     return 2.0 ** s * math.pi ** (s - 1.0) * ratio * math.gamma(1.0 - s) * _eta(1.0 - s)
 
 
-def _rgamma(a: float) -> float:
-    """1/Gamma(a) for a > 0, also where Gamma(a) overflows: past a = 171
-    and below a = 1e-300."""
-    if 1e-300 < a < 171.0:
-        return 1.0 / math.gamma(a)
-    return math.exp(-math.lgamma(a))
+def _ml_series(alpha: float, beta: float, x: np.ndarray,
+               policy: SeriesPolicy = _DEFAULT_POLICY, degree: int | None = None):
+    """Power series sum x^n / Gamma(alpha n + beta) over an array x of one sign.
 
-
-def _ml_series(alpha: float, beta: float, x: float, policy: SeriesPolicy):
-    """Power series sum x^n / Gamma(alpha n + beta) with Neumaier summation.
-
-    Returns (value, peak) where peak is the largest term magnitude seen;
-    peak / |value| measures how much cancellation the sum suffered.
+    The sum runs to n = degree, or else until the policy's rule stops it at
+    the x of largest magnitude, top, which stops it for every smaller |x|.
+    Horner's rule runs in x / top, so the coefficients top^n / Gamma(alpha n
+    + beta) are the terms at top: a coefficient 1 / Gamma(alpha n + beta)
+    alone would go subnormal long before its term does.  A coefficient is
+    computed directly where that is representable.
+    Returns the values and the largest term magnitude at top; peak / |value|
+    measures how much cancellation the sum suffers.  ConvergenceError when a
+    term or the sum at top overflows, or the policy's budget runs out.
     """
-    total = _rgamma(beta)
-    comp = 0.0
-    peak = abs(total)
-    log_ax = math.log(abs(x))
-    negative = x < 0.0
-    for n in range(1, policy.max_terms + 1):
+    # the floor keeps log(top) finite; an all-zero x gives x / top = 0 anyway
+    top = max(float(np.max(np.abs(x), initial=0.0)), 1e-300)
+    sign = -1.0 if np.any(x < 0.0) else 1.0
+    log_top = math.log(top)
+    coeffs, total = [], 0.0
+    last = policy.max_terms if degree is None else degree
+    for n in range(last + 1):
         a = alpha * n + beta
-        if a <= 170.0 and n * log_ax <= 700.0:
-            term = x ** n / math.gamma(a)
+        if 1e-300 < a < 171.0 and n * log_top < 700.0:
+            c = top ** n / math.gamma(a)
         else:
-            log_term = n * log_ax - math.lgamma(a)
-            if log_term > 709.0:
-                raise ConvergenceError(
-                    f"Mittag-Leffler term overflow at n={n} for "
-                    f"alpha={alpha}, beta={beta}, x={x}",
-                    partial_sum=total + comp,
-                    terms_used=n - 1,
-                )
-            term = math.exp(log_term)
-            if negative and n % 2:
-                term = -term
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        if mag <= policy.rel_tol * abs(total + comp):
-            return total + comp, peak
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not converge within {policy.max_terms} "
-        f"terms for alpha={alpha}, beta={beta}, x={x}",
-        partial_sum=total + comp,
-        terms_used=policy.max_terms,
-    )
+            log_c = n * log_top - math.lgamma(a)
+            c = math.exp(log_c) if log_c < 709.0 else math.inf
+        step = total + sign ** n * c
+        if not abs(step) < math.inf:
+            raise ConvergenceError(
+                f"Mittag-Leffler term or sum overflows at n={n} for "
+                f"alpha={alpha}, beta={beta}, x={sign * top}",
+                partial_sum=total, terms_used=n)
+        coeffs.append(c)
+        total = step
+        if degree is None and c <= policy.rel_tol * abs(total):
+            break
+    else:
+        if degree is None:
+            raise ConvergenceError(
+                f"Mittag-Leffler series did not converge within "
+                f"{policy.max_terms} terms for alpha={alpha}, beta={beta}, "
+                f"x={sign * top}", partial_sum=total, terms_used=n)
+    u = x / top
+    out = np.full_like(u, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out *= u
+        out += c
+    return out, max(coeffs)
 
 
-def mittag_leffler(alpha: float, beta: float, x: float,
-                   policy: SeriesPolicy | None = None) -> float:
+def mittag_leffler(alpha: float, beta: float, x,
+                   policy: SeriesPolicy | None = None):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(x).
 
+    Takes a scalar or an array of x and returns a float or an array.
     Evaluates the defining power series sum_{n>=0} x^n / Gamma(alpha n + beta)
-    directly, truncating once a term drops below rel_tol times the running
-    partial sum.  E_{alpha,beta}(0) = 1/Gamma(beta) exactly.
+    directly, truncating once a term drops below rel_tol times the partial
+    sum; the positive and the negative x are summed apart, each cut where
+    the rule stops its largest |x|.  E_{alpha,beta}(0) = 1/Gamma(beta) exactly.
 
     Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For beta = 1 and
     x < 0 the value is exp(x) at alpha = 1 and otherwise E_alpha(-s) with
     s = -x by the same branch rule as `ml_relaxation_exact`.  Elsewhere a
     strongly negative x makes the alternating terms grow huge before they
-    decay; when the largest term exceeds the result by more than
+    decay; when the largest term exceeds a result by more than
     _CANCELLATION_GUARD, ConvergenceError is raised instead of a value
     missing most of its digits.
     """
@@ -177,63 +179,46 @@ def mittag_leffler(alpha: float, beta: float, x: float,
         raise ValueError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
     if beta <= 0.0:
         raise ValueError(f"mittag_leffler requires beta > 0, got {beta}")
-    if not abs(x) <= 50.0:
-        raise ValueError(f"mittag_leffler requires |x| <= 50, got {x}")
-    if policy is None:
-        policy = _DEFAULT_POLICY
-    if x == 0.0:
-        return _rgamma(beta)
-    if beta == 1.0 and x < 0.0:
-        if alpha == 1.0:
-            return math.exp(x)
-        return float(_ml_neg(alpha, np.array([-x]), policy)[0])
-    value, peak = _ml_series(alpha, beta, x, policy)
-    if not peak <= _CANCELLATION_GUARD * abs(value):
-        raise ConvergenceError(
-            f"Mittag-Leffler series for alpha={alpha}, beta={beta}, x={x} "
-            f"cancels: its largest term is {peak} against the sum {value}")
-    return value
+    xa = np.asarray(x, dtype=float)
+    bad = xa[~(np.abs(xa) <= 50.0)]
+    if bad.size:
+        raise ValueError(f"mittag_leffler requires |x| <= 50, got {bad[0]}")
+    policy = policy or _DEFAULT_POLICY
+    out = np.empty_like(xa)
+    pos, neg = xa >= 0.0, xa < 0.0
+    out[pos] = _ml_series(alpha, beta, xa[pos], policy)[0]
+    if beta == 1.0:
+        out[neg] = np.exp(xa[neg]) if alpha == 1.0 else _ml_neg(alpha, -xa[neg], policy)
+    else:
+        value, peak = _ml_series(alpha, beta, xa[neg], policy)
+        worst = np.min(np.abs(value), initial=math.inf)
+        if not peak <= _CANCELLATION_GUARD * worst:
+            raise ConvergenceError(
+                f"Mittag-Leffler series for alpha={alpha}, beta={beta}, "
+                f"x={np.min(xa[neg])} cancels: its largest term is {peak} "
+                f"against the sum {worst}")
+        out[neg] = value
+    return float(out) if np.isscalar(x) else out
 
 
 def _ml_neg(alpha: float, s: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
     """E_alpha(-s) for an array of s >= 0 and 0 < alpha < 1.
 
-    The branch depends on s alone: the series for s <= 1, where no term
-    exceeds about 1 and nothing cancels, and the spectral integral above.
+    The branch depends on alpha and s alone: the series for s <= 1, where no
+    term exceeds about 1 and nothing cancels, and the spectral integral
+    above.  For alpha <= 0.01 the series would need about 18 / alpha terms
+    near s = 1, so there it takes only s < 1e-8 (at most three terms).
     """
+    if alpha < 1e-17:
+        # the limit 1 / (1 + s) is off by less than alpha relative, below
+        # roundoff; sin(alpha pi) in the spectral integral would be subnormal
+        return 1.0 / (1.0 + s)
     out = np.empty_like(s)
-    low = s <= 1.0
+    low = s <= 1.0 if alpha > 0.01 else s < 1e-8
     if low.any():
-        out[low] = _ml_neg_series(alpha, s[low], policy)
+        out[low] = _ml_series(alpha, 1.0, -s[low], policy)[0]
     if not low.all():
         out[~low] = _ml_neg_spectral(alpha, s[~low])
-    return out
-
-
-def _ml_neg_series(alpha: float, s: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
-    """E_alpha(-s) for an array of s <= 1 by Horner's rule.
-
-    The coefficients 1/Gamma(alpha n + 1) are cut where the policy's rule
-    stops the series at the largest s, which stops it for every smaller s.
-    """
-    top = float(s.max())
-    coeffs = [1.0]
-    total = 1.0
-    for n in range(1, policy.max_terms + 1):
-        coeffs.append(1.0 / math.gamma(alpha * n + 1.0))
-        term = coeffs[-1] * top ** n
-        total += -term if n % 2 else term
-        if term <= policy.rel_tol * abs(total):
-            break
-    else:
-        raise ConvergenceError(
-            f"Mittag-Leffler series did not converge within {policy.max_terms} "
-            f"terms for alpha={alpha}, x={-top}",
-            partial_sum=total, terms_used=policy.max_terms)
-    out = np.full_like(s, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out *= -s
-        out += c
     return out
 
 
@@ -266,7 +251,8 @@ def _ml_neg_spectral(alpha: float, s: np.ndarray) -> np.ndarray:
         sin_t, cos_t = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
 
     def g(t):
-        return np.exp(-np.exp(np.minimum(np.log(t) / alpha, 700.0)))
+        with np.errstate(over="ignore"):     # log(t) / alpha for tiny alpha
+            return np.exp(-np.exp(np.minimum(np.log(t) / alpha, 700.0)))
 
     def integrand(near_peak, s, p, w, rule, idx):
         s, p, w = s[idx, None], p[idx, None], w[idx, None]
@@ -312,9 +298,10 @@ def ml_relaxation_exact(alpha: float, B: float, x,
     """Decay solution value E_alpha(-B x^alpha) of y^(alpha) + B y = 0, y(0)=1.
 
     Takes a scalar or an array of x and returns a float or an array.  With
-    s = B x^alpha, the series gives the value for s <= 1 and the completely
-    monotone spectral integral for s > 1, where the alternating series would
-    start to lose digits to cancellation.  The value is accurate on the whole
+    s = B x^alpha, the series gives the value for s <= 1 (s < 1e-8 when
+    alpha <= 0.01) and the completely monotone spectral integral above, where
+    the alternating series would lose digits to cancellation or need too many
+    terms.  The value is accurate on the whole
     domain and strictly decreasing in x.  An s that overflows to inf raises
     ValueError.
     """

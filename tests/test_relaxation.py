@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracsolve.caputo import Scheme, caputo_apply, caputo_power_rule
+from fracsolve.cli import run
 from fracsolve.relaxation import (PowerSum, RelaxationProblem, choose_m,
                                   corrected_problem, exact_convolution,
                                   miller_ross_at_zero, solve, solve_corrected,
@@ -102,6 +103,18 @@ class TestML1Solver:
                                     1.0, T=1.0, h=0.05)
         series = solve_ml1(problem)
         assert np.max(np.abs(series.values - 1.0)) <= 1e-12
+
+    def test_scalar_returning_forcing_is_broadcast(self):
+        constant = RelaxationProblem(0.5, 1.0, lambda x: 1.0, 1.0, T=1.0, h=0.05)
+        power = RelaxationProblem(0.5, 1.0, PowerSum(((1.0, 0.0),)), 1.0,
+                                  T=1.0, h=0.05)
+        assert np.array_equal(solve_l1(constant).values, solve_l1(power).values)
+
+    def test_wrong_shape_forcing_is_rejected(self):
+        problem = RelaxationProblem(0.5, 1.0, lambda x: np.ones(3), 1.0,
+                                    T=1.0, h=0.05)
+        with pytest.raises(ValueError, match="shape"):
+            solve_l1(problem)
 
     def test_needs_two_steps(self):
         with pytest.raises(ValueError):
@@ -206,6 +219,23 @@ class TestCorrectedProblem:
     def test_rejects_insufficient_degree(self):
         with pytest.raises(ValueError):
             corrected_problem(0.3, 1.0, 6, T=1.0, h=0.1)
+
+    def test_rejects_cancelling_polynomial(self, capsys):
+        # degree 20: the terms reach 5e19 at x = 1 against E = 0.0857; the
+        # corrected solve printed -1.33e15 there with exit status 0
+        with pytest.raises(ConvergenceError, match="cancels"):
+            corrected_problem(0.1, 10.0, 20, T=1.0, h=0.05)
+        assert run(["relax", "--alpha", "0.1", "--B", "10", "--h", "0.05",
+                    "--correct"]) == 1
+        assert "cancels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.999])
+    def test_cancellation_check_bound_is_below_solution(self, alpha):
+        # the check takes 1 / (1 + Gamma(1 - alpha) s) as a lower bound of
+        # E_alpha(-s)
+        s = np.logspace(-8.0, 8.0, 65)
+        exact = ml_relaxation_exact(alpha, 1.0, s ** (1.0 / alpha))
+        assert np.all(exact * (1.0 + math.gamma(1.0 - alpha) * s) >= 1.0)
 
 
 class TestSolveCorrected:

@@ -35,6 +35,8 @@ E_03_DEEP = 0.1389344810783158              # E_0.3(-4 * 2^0.3), spectral regime
 E_HALF_AT_MINUS_10 = 0.05614099274382258586     # = e^100 erfc(10)
 E_HALF_AT_MINUS_30 = 0.01879588886141675150     # = e^900 erfc(30)
 E_1_172_AT_1 = 8.105021019003019e-310           # sum_n 1/Gamma(n + 172)
+E_07_25_AT_30 = 9.118616099121992e52
+E_0001_AT_MINUS_1 = 0.49985569607852429795
 
 
 class TestGamma:
@@ -222,9 +224,10 @@ class TestRelaxationExactLargeArgument:
 
 
 class TestNegativeAxisBranchRule:
-    """E_alpha(-s) takes the series for s <= 1 and the spectral integral
-    above, in `mittag_leffler` (beta = 1) and `ml_relaxation_exact` alike;
-    other series that cancel raise instead of returning a wrong value."""
+    """E_alpha(-s) takes the series for s <= 1 (s < 1e-8 for alpha <= 0.01)
+    and the spectral integral above, in `mittag_leffler` (beta = 1) and
+    `ml_relaxation_exact` alike; other series that cancel raise instead of
+    returning a wrong value."""
 
     def test_inside_documented_domain(self):
         # the series overflowed a term at n = 773 and raised
@@ -245,17 +248,22 @@ class TestNegativeAxisBranchRule:
         with pytest.raises(ConvergenceError, match="cancels"):
             mittag_leffler(0.5, 0.5, -5.0)
 
-    def test_relaxation_exact_past_series_edge_matches_mpmath(self):
-        # s = 2.096: the series kept ~10 digits here (4.6e-10 off)
+    @pytest.mark.parametrize("alpha,B,x", [
+        (0.3, 10.0, 0.00547),   # s = 2.096: the series kept ~10 digits here
+        (1e-3, 1.0, 1.0),       # s = 1: the series ran out of its 10 000 terms
+        (1e-4, 1.0, 1.0),
+        (1e-3, 1.0, 0.5 ** 1000),
+    ])
+    def test_relaxation_exact_past_series_edge_matches_mpmath(self, alpha, B, x):
         mpmath = pytest.importorskip("mpmath")
-        alpha, B, x = 0.3, 10.0, 0.00547
         with mpmath.workdps(40):
             a = mpmath.mpf(alpha)
             s = B * mpmath.mpf(x) ** a
+            # exp(-t^(1/a)) is below exp(-e^40) past t = 1 + 40 a
             want = mpmath.sin(a * mpmath.pi) / (a * mpmath.pi) * mpmath.quad(
                 lambda t: mpmath.exp(-t ** (1 / a)) * s
                 / (t * t + 2 * mpmath.cos(a * mpmath.pi) * s * t + s * s),
-                [0, 1, 2, mpmath.inf])
+                sorted({0, max(0, 1 - 40 * a), 1, 1 + 40 * a}))
         assert ml_relaxation_exact(alpha, B, x) == pytest.approx(
             float(want), rel=1e-13)
 
@@ -277,7 +285,27 @@ class TestNegativeAxisBranchRule:
 
 
 class TestArrayArguments:
-    """`ml_relaxation_exact` takes arrays of x: one call per curve."""
+    """`ml_relaxation_exact` and `mittag_leffler` take arrays of x: one call
+    per curve."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+    def test_mittag_leffler_array_matches_scalar_calls(self, beta):
+        x = np.linspace(-3.0, 3.0, 25)
+        got = mittag_leffler(0.8, beta, x)
+        want = np.array([mittag_leffler(0.8, beta, float(v)) for v in x])
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_mittag_leffler_array_raises_when_an_element_would(self):
+        with pytest.raises(ConvergenceError, match="cancels"):
+            mittag_leffler(0.5, 0.5, np.array([1.0, -0.5, -5.0]))
+        with pytest.raises(ValueError, match="50"):
+            mittag_leffler(0.5, 1.0, np.array([1.0, -51.0]))
+
+    def test_large_argument_coefficients_do_not_go_subnormal(self):
+        # Horner on 1/Gamma(alpha n + beta) alone was 2.4e-5 off here
+        assert mittag_leffler(0.7, 2.5, 30.0) == pytest.approx(
+            E_07_25_AT_30, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.9, 0.999])
     @pytest.mark.parametrize("B", [0.5, 3.0])
@@ -314,6 +342,13 @@ class TestFoundRegressions:
             E_1_172_AT_1, rel=1e-12)
         assert mittag_leffler(0.5, 200.0, 0.0) == pytest.approx(
             math.exp(-math.lgamma(200.0)), rel=1e-12)
+
+    def test_small_alpha_at_s_one(self, capsys):
+        # E_0.001(-1) needed 31 722 series terms; it exited 1, and so did
+        # every corrected solve at alpha = 0.001, whose reference reaches s = 1
+        assert run(["ml", "--alpha", "0.001", "--x", "-1"]) == 0
+        assert abs(float(capsys.readouterr().out) - E_0001_AT_MINUS_1) <= 1e-14
+        assert run(["relax", "--alpha", "0.001", "--h", "0.25", "--correct"]) == 0
 
     def test_large_beta_on_the_command_line(self, capsys):
         assert run(["ml", "--alpha", "1", "--beta", "172", "--x", "1"]) == 0
