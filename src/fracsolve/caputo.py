@@ -15,12 +15,15 @@ history sum and the level solve.  Once the modified shifts are folded into
 c_0 and the interior weights, every level from 2 on has the same c_0 and
 interior weights; only the tail differs, and it multiplies the known v_0.  So
 levels 2..N solve one lower-triangular Toeplitz system.  `_march` solves it
-exactly, up to roundoff, in O(N log^2 N), in one pass over leaves of up to
-128 levels: each leaf is one FFT convolution with the first column of its
-matrix's inverse, and after leaf k the block of 128 (k & -k) levels that ends
-there hands its history to the next block of that width by one FFT
-convolution.  This is the blocked scheme of Hairer, Lubich and Schlichte
-(SIAM J. Sci. Stat. Comput. 6, 1985) with its recursion unrolled.
+exactly, up to roundoff, in O(N log^2 N), in one pass over leaves of L
+levels, 128 for a state of 8 or more columns and up to 1024 for a scalar:
+each leaf is one FFT convolution with the first column of its matrix's
+inverse, and after leaf k the block of L (k & -k) levels that ends there
+hands its history to the next block of that width by one FFT convolution.
+This is the blocked scheme of Hairer, Lubich and Schlichte (SIAM J. Sci.
+Stat. Comput. 6, 1985) with its recursion unrolled.  Past 128 entries the
+inverse's first column grows by Newton doubling through the same history
+hand-off and leaf convolution.
 """
 
 import math
@@ -151,11 +154,14 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
     return _row(alpha, Scheme.MODIFIED_L1, n)
 
 
-# Leaves of at most _LEAF levels are solved at once with the inverse of their
-# triangular Toeplitz matrix, and each block of leaves hands its history to the
-# next block of the same width by one FFT convolution.  Matrix states are
-# marched _COLUMNS columns at a time to bound the transforms' working memory.
+# Leaves are solved at once with the inverse of their triangular Toeplitz
+# matrix, and each block of leaves hands its history to the next block of the
+# same width by one FFT convolution.  A leaf holds at least _LEAF levels and,
+# for narrow states, up to _LEAF_VALUES values: each FFT call then does enough
+# arithmetic to outweigh its fixed cost.  Matrix states are marched _COLUMNS
+# columns at a time to bound the transforms' working memory.
 _LEAF = 128
+_LEAF_VALUES = 1024
 _COLUMNS = 64
 
 
@@ -176,8 +182,11 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
     2..N solve one lower-triangular Toeplitz system.  It is solved leaf by
     leaf, L levels each: a leaf's solution is the convolution of its
     right-hand sides with s, the first column of the leaf matrix's inverse.
-    After leaf k (counted from 1) the block of width W = L (k & -k) that
-    ends there subtracts its history from the next W levels.  This is the
+    L is the power of two at or below max(_LEAF, _LEAF_VALUES / columns),
+    columns being the width of one chunk, so a scalar state takes leaves of
+    1024 levels and a state of 8 or more columns leaves of 128.  After
+    leaf k (counted from 1) the block of width W = L (k & -k) that ends
+    there subtracts its history from the next W levels.  This is the
     Hairer-Lubich-Schlichte recursion over power-of-two blocks, unrolled:
     every level receives the history of every earlier block exactly once
     before its leaf is solved.
@@ -192,9 +201,10 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
     v = v.reshape(n_steps + 1, -1)
     f = np.broadcast_to(f, v0.shape).reshape(-1)
     diagonal = (c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
-    leaf = min(_LEAF, n_steps - 1)
-    inverse = _leaf_inverse(interior, diagonal, leaf)
+    longest = max(_LEAF, _LEAF_VALUES // min(_COLUMNS, v.shape[1]))
+    leaf = min(1 << (longest.bit_length() - 1), n_steps - 1)
     spectra = {}    # FFT of the interior weights, by block width
+    inverse = _leaf_inverse(interior, diagonal, leaf, spectra)
     # one chunk at a time: full-width temporaries would be a second array
     # of all levels
     for c in range(0, v.shape[1], _COLUMNS):
@@ -202,35 +212,75 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
         np.multiply.outer(g[2:], f[c:c + _COLUMNS], out=x[2:])
         x[2:] -= np.multiply.outer(tail[1:], x[0])
         x[2:] -= np.multiply.outer(interior, x[1])
-        # both factors have at most leaf entries, so a transform of twice
-        # that length is free of wrap-around
-        s = np.fft.rfft(inverse[:, c:c + _COLUMNS], 2 * leaf, axis=0)
+        s = _inverse_spectrum(inverse[:, c:c + _COLUMNS])
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
-            rhs = x[lo:lo + leaf]
-            rhs[...] = np.fft.irfft(np.fft.rfft(rhs, 2 * leaf, axis=0) * s,
-                                    2 * leaf, axis=0)[:len(rhs)]
+            _solve_leaf(x[lo:lo + leaf], s)
             mid, width = lo + leaf, leaf * (k & -k)
             if mid <= n_steps:
-                if width not in spectra:
-                    spectra[width] = np.fft.rfft(interior[:2 * width - 1], 2 * width)
-                _add_history(x[mid - width:mid], x[mid:mid + width], spectra[width])
+                _add_history(x[mid - width:mid], x[mid:mid + width],
+                             _weight_spectrum(spectra, interior, width))
     return v.reshape((n_steps + 1,) + v0.shape)
 
 
-def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray,
-                  leaf: int) -> np.ndarray:
+def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray, leaf: int,
+                  spectra: dict) -> np.ndarray:
     """First column s of the inverse of the leaf x leaf lower-triangular
     Toeplitz matrix with the given diagonal and subdiagonals c_1..c_{leaf-1},
     one column of s per diagonal entry.  The inverse is lower-triangular
-    Toeplitz too, so s defines it; s solves the matrix against e_0."""
+    Toeplitz too, so s defines it; s solves the matrix against e_0.
+
+    The first _LEAF entries come from the recurrence, one matrix-vector call
+    per entry.  Beyond them s doubles by Newton's step s <- s (2 - a s) for
+    power series (Kung, Numer. Math. 22, 1974), a the matrix's first
+    column: with s exact to k entries, a s = 1 + r with r zero below k, and
+    entries k..2k-1 of s are those of -r convolved with s.  In march terms,
+    -r is the history that levels 0..k-1 of s hand to the next k levels,
+    and the convolution solves those k levels as a leaf with s[:k].  The
+    weight spectra by width are `spectra`, shared with the march.
+    """
     s = np.empty((leaf, diagonal.size))
     s[0] = 1.0 / diagonal
-    # c_{leaf-1}..c_1, contiguous: against the leading rows of s the product
+    head = min(leaf, _LEAF)
+    # c_{head-1}..c_1, contiguous: against the leading rows of s the product
     # runs as one matrix-vector call
-    reversed_weights = interior[:leaf - 1][::-1].copy()
-    for m in range(1, leaf):
-        s[m] = -(reversed_weights[leaf - 1 - m:] @ s[:m]) / diagonal
+    reversed_weights = interior[:head - 1][::-1].copy()
+    for m in range(1, head):
+        s[m] = -(reversed_weights[head - 1 - m:] @ s[:m]) / diagonal
+    k = head
+    while k < leaf:
+        grown = s[k:2 * k]
+        grown[...] = 0.0
+        _add_history(s[:k], grown, _weight_spectrum(spectra, interior, k))
+        _solve_leaf(grown, _inverse_spectrum(s[:k]))
+        k *= 2
     return s
+
+
+def _inverse_spectrum(s: np.ndarray) -> np.ndarray:
+    """FFT of the first column s of a leaf inverse, padded to twice its
+    length: the operand of `_solve_leaf` for leaves of up to len(s) levels."""
+    return np.fft.rfft(s, 2 * len(s), axis=0)
+
+
+def _solve_leaf(rhs: np.ndarray, spectrum: np.ndarray) -> None:
+    """Overwrite the right-hand sides of a leaf's levels with their
+    solution: the first len(rhs) entries of their convolution with the leaf
+    inverse's first column, whose `_inverse_spectrum` is `spectrum`.  Both
+    factors have at most half the transform length of entries, so the
+    circular convolution is free of wrap-around."""
+    size = 2 * (len(spectrum) - 1)
+    rhs[...] = np.fft.irfft(np.fft.rfft(rhs, size, axis=0) * spectrum, size,
+                            axis=0)[:len(rhs)]
+
+
+def _weight_spectrum(spectra: dict, interior: np.ndarray,
+                     width: int) -> np.ndarray:
+    """FFT of length 2 width of c_1..c_{2 width - 1}, the operand of
+    `_add_history` for blocks of that width; computed once per width and
+    kept in `spectra`."""
+    if width not in spectra:
+        spectra[width] = np.fft.rfft(interior[:2 * width - 1], 2 * width)
+    return spectra[width]
 
 
 def _add_history(past: np.ndarray, future: np.ndarray,

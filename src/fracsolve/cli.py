@@ -6,7 +6,8 @@ Four subcommands: `ml` evaluates the Mittag-Leffler function, `relax` and
 builds a problem family from `problems`; `relax` and `subdiff` call its
 `solve`, and `converge` passes it to the harness study.  `--correct [M]`
 selects the start-up corrected solver of degree M.  Exit status is 0 on
-success, 2 on usage or domain errors, 1 on numerical failure.
+success, 2 on usage or domain errors, 1 on numerical failure or when memory
+runs out.
 """
 
 import argparse
@@ -226,6 +227,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except ArithmeticError as exc:     # ConvergenceError, or an overflow
         print(f"fracsolve: numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:         # a step too small for the grid to fit
+        print(f"fracsolve: out of memory: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:
         print(f"fracsolve: {exc}", file=sys.stderr)

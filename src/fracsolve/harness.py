@@ -10,6 +10,7 @@ render to csv (the stable contract), markdown, or json-lines.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,8 +50,12 @@ class Ladder:
     coupling: Coupling = Coupling.NONE
 
     def __post_init__(self):
-        if self.base_step <= 0.0:
-            raise ValueError(f"base_step must be positive, got {self.base_step}")
+        if not 0.0 < self.base_step < math.inf:
+            raise ValueError(
+                f"base_step must be positive and finite, got {self.base_step}")
+        if (isinstance(self.levels, bool)
+                or not isinstance(self.levels, numbers.Integral)):
+            raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 2:
             raise ValueError(f"need at least 2 levels, got {self.levels}")
 

@@ -120,6 +120,19 @@ class TestRelax:
     def test_bad_step_is_usage_error(self, capsys):
         assert run(["relax", "--alpha", "0.5", "--h", "0.3"]) == 2
 
+    def test_memory_exhaustion_is_one_line(self, monkeypatch, capsys):
+        # `relax --h 1e-12` asks for terabytes; the solver is replaced so
+        # that no test allocates them, which overcommit might even allow
+        def exhausted(problem, scheme):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(fracsolve.relaxation, "solve", exhausted)
+        assert run(["relax", "--alpha", "0.5", "--h", "1e-12"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("fracsolve: out of memory: Unable to allocate "
+                                "7.28 TiB for an array\n")
+
 
 class TestSubdiff:
     def test_final_profile(self, capsys):

@@ -1,5 +1,6 @@
 """Convergence-study machinery: ladders, orders, reports, rendering."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,18 @@ class TestLadder:
     def test_needs_positive_base(self):
         with pytest.raises(ValueError):
             Ladder(0.0, 3)
+
+    @pytest.mark.parametrize("base_step", [math.nan, math.inf])
+    def test_needs_finite_base(self, base_step):
+        # accepted before, and every step came out nan or inf
+        with pytest.raises(ValueError):
+            Ladder(base_step, 3)
+
+    @pytest.mark.parametrize("levels", [2.5, 3.0, True])
+    def test_needs_integer_levels(self, levels):
+        # 2.5 was accepted and raised TypeError later, in steps()
+        with pytest.raises(ValueError):
+            Ladder(0.05, levels)
 
 
 class TestReport:

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from fracsolve import relaxation, subdiffusion
-from fracsolve.caputo import Scheme, l1_weights, ml1_weights
+from fracsolve.caputo import (Scheme, _leaf_inverse, _scheme_weights,
+                              l1_weights, ml1_weights)
 from fracsolve.relaxation import PowerSum, RelaxationProblem
 from fracsolve.subdiffusion import (Sampled, SeparableForcing, SineMode,
                                     SubdiffusionProblem)
@@ -105,7 +106,7 @@ PDE_CASES = {
 @pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 63, 64, 65, 127, 128, 129, 130,
-                                     257, 1000, 5000])
+                                     257, 1000, 1025, 1026, 2049, 5000])
 def test_relaxation_matches_direct_march(n_steps, alpha, scheme):
     if scheme is Scheme.MODIFIED_L1 and n_steps == 1:
         n_steps = 2     # the modified scheme needs two steps
@@ -116,8 +117,10 @@ def test_relaxation_matches_direct_march(n_steps, alpha, scheme):
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 @pytest.mark.parametrize("B", [1e-4, 1e4])
 def test_stiff_and_soft_relaxation_match_direct_march(B, alpha, scheme):
-    # a leaf inverse that decays at once (stiff) or barely at all (soft)
-    check_relaxation(relaxation_problem(alpha, 300, B), scheme)
+    # a leaf inverse that decays at once (stiff) or barely at all (soft),
+    # in leaves of 128 levels (300) and of 1024 (3000)
+    for n_steps in (300, 3000):
+        check_relaxation(relaxation_problem(alpha, n_steps, B), scheme)
 
 
 def check_relaxation(problem, scheme):
@@ -141,10 +144,38 @@ def test_subdiffusion_edge_cases_match_direct_march(case, M, alpha, scheme):
     check_subdiffusion(PDE_CASES[case](alpha, M), scheme)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("N", [2, 4])
+def test_narrow_subdiffusion_matches_direct_march(N, alpha, scheme):
+    # one or three columns: leaves of 1024 or 256 levels, more than one each
+    check_subdiffusion(sampled_problem(alpha, N, 1100), scheme)
+
+
 def check_subdiffusion(problem, scheme):
     got = SOLVERS["subdiffusion"][scheme](problem).values
     assert np.all(got[:, [0, -1]] == 0.0)
     assert_close(got[:, 1:-1], direct_subdiffusion(problem, scheme))
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.95, 1e-6), (0.05, 1e4)],
+                         ids=["soft", "stiff"])
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("leaf", [1, 2, 127, 128, 129, 1000, 1024])
+def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
+    """Past 128 entries the inverse grows by Newton doubling through the
+    history hand-off; each column must still solve its triangular Toeplitz
+    matrix against e_0."""
+    c0, interior, _ = _scheme_weights(alpha, Scheme.MODIFIED_L1, leaf + 1)
+    diagonal = c0 + lam * np.arange(1.0, columns + 1)
+    got = _leaf_inverse(interior, diagonal, leaf, {})
+    c = np.concatenate(([0.0], interior[:leaf - 1]))
+    lags = np.subtract.outer(np.arange(leaf), np.arange(leaf))
+    lower = np.where(lags > 0, c[np.clip(lags, 0, None)], 0.0)
+    e0 = np.eye(leaf)[:, 0]
+    for j, d in enumerate(diagonal):
+        want = np.linalg.solve(lower + d * np.eye(leaf), e0)
+        assert_close(got[:, j], want)
 
 
 def test_solves_create_no_reference_cycles():
