@@ -10,20 +10,14 @@ couples the scheme to the initial value and differs from the interior
 formula.  The modified scheme shifts the first three weights by multiples of
 zeta(alpha - 1), which cancels the leading error term for smooth functions.
 
-Solvers march such a scheme through `_march`, which owns the weights, the
-history sum and the level solve.  Once the modified shifts are folded into
-c_0 and the interior weights, every level from 2 on has the same c_0 and
-interior weights; only the tail differs, and it multiplies the known v_0.  So
-levels 2..N solve one lower-triangular Toeplitz system.  `_march` solves it
-exactly, up to roundoff, in O(N log^2 N), in one pass over leaves of L
-levels, 128 for a state of 8 or more columns and up to 1024 for a scalar:
-each leaf is one FFT convolution with the first column of its matrix's
-inverse, and after leaf k the block of L (k & -k) levels that ends there
-hands its history to the next block of that width by one FFT convolution.
-This is the blocked scheme of Hairer, Lubich and Schlichte (SIAM J. Sci.
-Stat. Comput. 6, 1985) with its recursion unrolled.  Past 128 entries the
-inverse's first column grows by Newton doubling through the same history
-hand-off and leaf convolution.
+Solvers march such a scheme through `_march`, which takes the equation's
+step, decay rates and forcing samples and owns the step scaling, the weights,
+the history sum and the level solve.  With the modified shifts folded into
+the weights, levels 2..N solve one lower-triangular Toeplitz system, which
+`_march` solves exactly, up to roundoff, in O(N log^2 N): the blocked scheme
+of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) with its
+recursion unrolled, over leaves solved by FFT convolution with the first
+column of their matrix's inverse.
 """
 
 import math
@@ -165,16 +159,17 @@ _LEAF_VALUES = 1024
 _COLUMNS = 64
 
 
-def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
+def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
            f=1.0) -> np.ndarray:
-    """March levels 1..n_steps of the L1 or modified-L1 scheme from v0.
+    """March v^(alpha) + B v = F(x) f from v0 with the L1 or modified-L1
+    scheme on the grid x_n = n h, n = 0..N.
 
-    Level n solves (c_0 + lam) v_n = g[n] f - sum_{k=1..n} c_k v_{n-k} over
-    the level-n weight row.  The state may be a scalar or an array; lam and f
-    are scalars or arrays of its shape, and g holds one time sample per
-    level.  For relaxation lam = B h^alpha Gamma(2 - alpha) and f = 1; for
-    subdiffusion the state is the sine modes, one lam per mode.  Returns the
-    levels 0..n_steps stacked along a new first axis.
+    The state v0 may be a scalar or an array; B and f are scalars or arrays
+    of its shape, and F holds one forcing sample per level, N + 1 in all.
+    The modified scheme needs N >= 2.  With gha = Gamma(2 - alpha) h^alpha,
+    level n solves (c_0 + B gha) v_n = F_n gha f - sum_{k=1..n} c_k v_{n-k}
+    over the level-n weight row.  Returns the levels 0..N stacked along a
+    new first axis.
 
     Level 1 is solved in closed form.  From level 2 on, every row has the
     same c_0 and interior weights once the modified shifts are part of them,
@@ -191,11 +186,18 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
     every level receives the history of every earlier block exactly once
     before its leaf is solved.
     """
+    n_steps = len(F) - 1
+    if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
+        raise ValueError("the modified L1 scheme needs at least 2 steps")
+    gha = math.gamma(2.0 - alpha) * h ** alpha
+    # the scaling goes into the rates and the spatial factor, not F: a
+    # scaled copy of F would be a second array of all levels
+    lam, f = B * gha, gha * f
     c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
     v0 = np.asarray(v0, dtype=float)
     v = np.empty((n_steps + 1,) + v0.shape)
     v[0] = v0
-    v[1] = (g[1] * f - tail[0] * v0) / (1.0 + lam)
+    v[1] = (F[1] * f - tail[0] * v0) / (1.0 + lam)
     if n_steps < 2:
         return v
     v = v.reshape(n_steps + 1, -1)
@@ -209,7 +211,7 @@ def _march(alpha: float, scheme: Scheme, n_steps: int, v0, lam, g,
     # of all levels
     for c in range(0, v.shape[1], _COLUMNS):
         x = v[:, c:c + _COLUMNS]
-        np.multiply.outer(g[2:], f[c:c + _COLUMNS], out=x[2:])
+        np.multiply.outer(F[2:], f[c:c + _COLUMNS], out=x[2:])
         x[2:] -= np.multiply.outer(tail[1:], x[0])
         x[2:] -= np.multiply.outer(interior, x[1])
         s = _inverse_spectrum(inverse[:, c:c + _COLUMNS])
@@ -307,17 +309,10 @@ def caputo_apply(samples, alpha: float, h: float,
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1:
         raise ValueError("samples must be a one-dimensional sequence")
-    n = y.size - 1
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    if scheme is Scheme.MODIFIED_L1:
-        if n < 2:
-            raise ValueError("the modified L1 scheme needs at least samples y_0..y_2")
-        row = ml1_weights(alpha, n)
-    else:
-        if n < 1:
-            raise ValueError("need at least samples y_0..y_1")
-        row = l1_weights(alpha, n)
+    weights = ml1_weights if scheme is Scheme.MODIFIED_L1 else l1_weights
+    row = weights(alpha, y.size - 1)
     return float(row.weights @ y[::-1]) / (math.gamma(2.0 - alpha) * h ** alpha)
 
 

@@ -64,6 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    # the flags every solver command takes
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--scheme", choices=["l1", "ml1"], default="l1",
+                        help="time discretization")
+    solver.add_argument("--correct", type=_positive_int, nargs="?", const=0,
+                        default=None, metavar="M",
+                        help="apply the start-up correction of degree M "
+                             "(omit M to pick the smallest valid degree)")
+    solver.add_argument("--out", type=Path, default=None,
+                        help="output file (default: stdout)")
 
     p_ml = sub.add_parser("ml", formatter_class=fmt,
                           help="evaluate the Mittag-Leffler function E_{alpha,beta}(x)")
@@ -79,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="series term budget")
     p_ml.set_defaults(func=_cmd_ml)
 
-    p_relax = sub.add_parser("relax", formatter_class=fmt,
+    p_relax = sub.add_parser("relax", parents=[solver], formatter_class=fmt,
                              help="solve one fractional relaxation problem")
     p_relax.add_argument("--problem", choices=problems.RELAXATION_IDS,
                          default="relax-mlexact", help="built-in problem id")
@@ -87,40 +97,24 @@ def build_parser() -> argparse.ArgumentParser:
                          help="derivative order (required for relax-mlexact)")
     p_relax.add_argument("--B", type=_positive, default=None,
                          help="decay coefficient (relax-mlexact only)")
-    p_relax.add_argument("--scheme", choices=["l1", "ml1"], default="l1",
-                         help="time discretization")
     p_relax.add_argument("--h", type=_positive, required=True, help="step size")
     p_relax.add_argument("--T", type=_positive, default=1.0, help="interval end")
-    p_relax.add_argument("--correct", type=_positive_int, nargs="?", const=0,
-                         default=None, metavar="M",
-                         help="apply the start-up correction of degree M "
-                              "(omit M to pick the smallest valid degree)")
-    p_relax.add_argument("--out", type=Path, default=None,
-                         help="output file (default: stdout)")
     p_relax.set_defaults(func=_cmd_relax)
 
-    p_sub = sub.add_parser("subdiff", formatter_class=fmt,
+    p_sub = sub.add_parser("subdiff", parents=[solver], formatter_class=fmt,
                            help="solve one subdiffusion problem on [0, pi]")
     p_sub.add_argument("--problem", choices=problems.SUBDIFFUSION_IDS, default=None,
                        help="built-in problem id (fixes alpha)")
     p_sub.add_argument("--alpha", type=_alpha_open, default=None,
                        help="derivative order (when no --problem is given)")
-    p_sub.add_argument("--scheme", choices=["l1", "ml1"], default="l1",
-                       help="time discretization")
     p_sub.add_argument("--tau", type=_positive, required=True, help="time step")
     p_sub.add_argument("--T", type=_positive, default=1.0, help="final time")
     p_sub.add_argument("--N", type=_positive_int, default=None,
                        help="space intervals (default: 3 T / tau, i.e. "
                             "h = pi tau / (3 T))")
-    p_sub.add_argument("--correct", type=_positive_int, nargs="?", const=0,
-                       default=None, metavar="M",
-                       help="apply the start-up correction of degree M "
-                            "(omit M to pick the smallest valid degree)")
-    p_sub.add_argument("--out", type=Path, default=None,
-                       help="output file (default: stdout)")
     p_sub.set_defaults(func=_cmd_subdiff)
 
-    p_conv = sub.add_parser("converge", formatter_class=fmt,
+    p_conv = sub.add_parser("converge", parents=[solver], formatter_class=fmt,
                             help="run a step-halving convergence study")
     p_conv.add_argument("--problem", choices=problems.PROBLEM_IDS, required=True,
                         help="built-in problem id")
@@ -128,20 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="derivative order (relax-mlexact only)")
     p_conv.add_argument("--B", type=_positive, default=None,
                         help="decay coefficient (relax-mlexact only)")
-    p_conv.add_argument("--scheme", choices=["l1", "ml1"], default="l1",
-                        help="time discretization")
     p_conv.add_argument("--h0", type=_positive, default=0.05,
                         help="base step of the halving ladder")
     p_conv.add_argument("--levels", type=_positive_int, default=5,
                         help="number of halvings (>= 2)")
-    p_conv.add_argument("--correct", type=_positive_int, nargs="?", const=0,
-                        default=None, metavar="M",
-                        help="study the corrected solver of degree M "
-                             "(omit M to pick the smallest valid degree)")
     p_conv.add_argument("--format", choices=["csv", "markdown", "jsonl"],
                         default="csv", help="report format")
-    p_conv.add_argument("--out", type=Path, default=None,
-                        help="output file (default: stdout)")
     p_conv.set_defaults(func=_cmd_converge)
 
     return parser

@@ -11,14 +11,14 @@ polynomial would cancel to roundoff at T is refused.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .caputo import Scheme, _check_alpha, _march
 from .specfun import (ConvergenceError, SeriesPolicy, _de_integrate, _ml_series,
-                      mittag_leffler, ml_relaxation_exact)
+                      _power_over_gamma, mittag_leffler, ml_relaxation_exact)
 
 __all__ = [
     "PowerSum",
@@ -128,11 +128,9 @@ def _forcing_samples(forcing, x: np.ndarray) -> np.ndarray:
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
     """Run the time-stepping recurrence; the march kernel evaluates the
     nonlocal history sum in O(N log^2 N) work for N steps."""
-    alpha, h = problem.alpha, problem.h
-    N = problem.n_steps
-    gha = math.gamma(2.0 - alpha) * h ** alpha
-    rhs = gha * _forcing_samples(problem.forcing, np.arange(N + 1) * h)
-    return _march(alpha, scheme, N, problem.y0, problem.B * gha, rhs)
+    F = _forcing_samples(problem.forcing,
+                         np.arange(problem.n_steps + 1) * problem.h)
+    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B, F)
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
@@ -151,8 +149,6 @@ def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
     The first step coincides with the L1 step (the modification needs three
     grid points), so at least two steps are required.
     """
-    if problem.n_steps < 2:
-        raise ValueError("the modified L1 scheme needs at least 2 steps")
     return TimeSeries(problem.h, _advance(problem, Scheme.MODIFIED_L1))
 
 
@@ -227,16 +223,25 @@ def corrected_problem(alpha: float, B: float, m: int, T: float,
     The polynomial and the remainder cancel where the polynomial's terms
     dwarf the solution.  ConvergenceError when roundoff in the polynomial's
     largest term at T alone exceeds 1% of the lower bound 1 / (1 +
-    Gamma(1 - alpha) B T^alpha) of the solution E_alpha(-B T^alpha).
+    Gamma(1 - alpha) B T^alpha) of the solution E_alpha(-B T^alpha), or when
+    the forcing's coefficient or x^(alpha m) overflows on [0, T].
     """
     _check_alpha(alpha)
     if m * alpha < 2.0:
         raise ValueError(
             f"m * alpha = {m * alpha} < 2; the remainder would not be C^2")
-    coeff = (-B) ** (m + 1) / math.gamma(alpha * m + 1.0)
-    problem = RelaxationProblem(alpha=alpha, B=B,
-                                forcing=PowerSum(((coeff, alpha * m),)),
-                                y0=0.0, T=T, h=h)
+    problem = RelaxationProblem(alpha=alpha, B=B, forcing=None, y0=0.0, T=T,
+                                h=h)
+    # in log space: B^(m+1) and Gamma(alpha m + 1) overflow long before
+    # their quotient does
+    coeff = _power_over_gamma(B, m + 1, alpha * m + 1.0)
+    with np.errstate(over="ignore"):
+        if not (coeff < math.inf and np.float64(T) ** (alpha * m) < math.inf):
+            raise ConvergenceError(
+                f"the degree-{m} remainder forcing B^(m+1) x^(alpha m) / "
+                f"Gamma(alpha m + 1) overflows on [0, {T}] for B = {B}")
+    problem = replace(problem, forcing=PowerSum(
+        (((-1.0) ** (m + 1) * coeff, alpha * m),)))
     s = B * T ** alpha
     peak = _ml_series(alpha, 1.0, np.array([-s]), degree=m)[1]
     if np.finfo(float).eps * peak * (1.0 + math.gamma(1.0 - alpha) * s) > 0.01:

@@ -106,6 +106,17 @@ def zeta_unit_strip(s: float) -> float:
     return 2.0 ** s * math.pi ** (s - 1.0) * ratio * math.gamma(1.0 - s) * _eta(1.0 - s)
 
 
+def _power_over_gamma(x: float, n: int, a: float) -> float:
+    """x^n / Gamma(a) for x > 0 and a > 0: directly where both factors are
+    representable, else through logarithms; inf where the quotient
+    overflows."""
+    log_x = math.log(x)
+    if 1e-300 < a < 171.0 and n * log_x < 700.0:
+        return x ** n / math.gamma(a)
+    log_c = n * log_x - math.lgamma(a)
+    return math.exp(log_c) if log_c < 709.0 else math.inf
+
+
 def _ml_series(alpha: float, beta: float, x: np.ndarray,
                policy: SeriesPolicy = _DEFAULT_POLICY, degree: int | None = None):
     """Power series sum x^n / Gamma(alpha n + beta) over an array x of one sign.
@@ -123,16 +134,10 @@ def _ml_series(alpha: float, beta: float, x: np.ndarray,
     # the floor keeps log(top) finite; an all-zero x gives x / top = 0 anyway
     top = max(float(np.max(np.abs(x), initial=0.0)), 1e-300)
     sign = -1.0 if np.any(x < 0.0) else 1.0
-    log_top = math.log(top)
     coeffs, total = [], 0.0
     last = policy.max_terms if degree is None else degree
     for n in range(last + 1):
-        a = alpha * n + beta
-        if 1e-300 < a < 171.0 and n * log_top < 700.0:
-            c = top ** n / math.gamma(a)
-        else:
-            log_c = n * log_top - math.lgamma(a)
-            c = math.exp(log_c) if log_c < 709.0 else math.inf
+        c = _power_over_gamma(top, n, alpha * n + beta)
         step = total + sign ** n * c
         if not abs(step) < math.inf:
             raise ConvergenceError(
@@ -293,8 +298,7 @@ def _ml_neg_spectral(alpha: float, s: np.ndarray) -> np.ndarray:
     return value / (alpha * math.pi)
 
 
-def ml_relaxation_exact(alpha: float, B: float, x,
-                        policy: SeriesPolicy | None = None):
+def ml_relaxation_exact(alpha: float, B: float, x):
     """Decay solution value E_alpha(-B x^alpha) of y^(alpha) + B y = 0, y(0)=1.
 
     Takes a scalar or an array of x and returns a float or an array.  With
@@ -319,7 +323,7 @@ def ml_relaxation_exact(alpha: float, B: float, x,
         raise ValueError(
             f"ml_relaxation_exact: B x^alpha overflows to inf for "
             f"alpha={alpha}, B={B}, x={xa.max()}")
-    out = _ml_neg(alpha, s.ravel(), policy or _DEFAULT_POLICY).reshape(s.shape)
+    out = _ml_neg(alpha, s.ravel(), _DEFAULT_POLICY).reshape(s.shape)
     return float(out) if np.isscalar(x) else out
 
 

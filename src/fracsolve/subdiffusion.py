@@ -219,15 +219,14 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
         u0 = np.sin(problem.initial.k * x_interior)
     else:
         u0 = problem.initial.values[1:-1]
-    scale = math.gamma(2.0 - alpha) * tau ** alpha
-    lam = scale * 4.0 / h ** 2 * np.sin(0.5 * h * np.arange(1, N)) ** 2
+    B = 4.0 / h ** 2 * np.sin(0.5 * h * np.arange(1, N)) ** 2
     forcing = problem.forcing
     if forcing is None:
-        g, f = np.zeros(M + 1), 0.0
+        F, f = np.zeros(M + 1), 0.0
     else:
-        g = scale * forcing.time_profile(np.arange(M + 1) * tau)
+        F = forcing.time_profile(np.arange(M + 1) * tau)
         f = _dst(np.sin(forcing.mode * x_interior))
-    u = _march(alpha, scheme, M, _dst(u0), lam, g, f)
+    u = _march(alpha, scheme, tau, _dst(u0), B, F, f)
     # back to grid values in place, a block of rows at a time: a second
     # array of all levels would raise peak memory
     for rows in range(0, M + 1, _DST_ROWS):
@@ -280,8 +279,6 @@ def solve_l1(problem: SubdiffusionProblem) -> SpaceTimeSolution:
 
 def solve_ml1(problem: SubdiffusionProblem) -> SpaceTimeSolution:
     """March the modified L1 scheme; levels 0 and 1 come from the L1 step."""
-    if problem.M < 2:
-        raise ValueError("the modified L1 scheme needs at least 2 time steps")
     return _assemble(problem, _advance(problem, Scheme.MODIFIED_L1))
 
 

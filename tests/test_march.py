@@ -211,3 +211,19 @@ def test_subdiffusion_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * values.nbytes
+
+
+def test_both_families_refuse_a_single_modified_l1_step_in_the_march():
+    problems = {
+        relaxation.solve_ml1: RelaxationProblem(0.5, 1.0, None, 1.0, T=0.1,
+                                                h=0.1),
+        subdiffusion.solve_ml1: SubdiffusionProblem(0.5, N=4, M=1, T=1.0,
+                                                    initial=SineMode(1)),
+    }
+    messages = set()
+    for solve, problem in problems.items():
+        with pytest.raises(ValueError) as info:
+            solve(problem)
+        assert info.traceback[-1].name == "_march"
+        messages.add(str(info.value))
+    assert messages == {"the modified L1 scheme needs at least 2 steps"}

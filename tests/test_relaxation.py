@@ -229,6 +229,35 @@ class TestCorrectedProblem:
                     "--correct"]) == 1
         assert "cancels" in capsys.readouterr().err
 
+    def test_coefficient_past_gamma_overflow(self):
+        # Gamma(201) overflows; B^401 / Gamma(201) = 2^401 / 200! does not
+        ((c, p),) = corrected_problem(0.5, 2.0, 400, 1.0, 0.05).forcing.terms
+        assert p == 200.0
+        assert c == pytest.approx(
+            -math.exp(401 * math.log(2.0) - math.lgamma(201.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [342, 1000, 10_000])
+    def test_large_degrees_solve(self, m, capsys):
+        # from m = 342 at alpha = 0.5, Gamma(alpha m + 1) overflows; the
+        # solve failed with "math range error" although taylor_poly works
+        series = solve_corrected(0.5, 1.0, m, 1.0, 0.05)
+        assert series.values[-1] == pytest.approx(
+            taylor_poly(0.5, 1.0, m, 1.0), rel=1e-14)
+        assert run(["relax", "--alpha", "0.5", "--h", "0.05",
+                    f"--correct={m}"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert float(last[1]) == pytest.approx(0.427583576155807, rel=1e-14)
+
+    @pytest.mark.parametrize("B,T,h", [(1e300, 1.0, 0.5),   # B^(m+1)
+                                       (1e-10, 1e20, 1e20)])  # T^(alpha m)
+    def test_overflowing_forcing_is_a_numerical_failure(self, B, T, h, capsys):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            corrected_problem(0.5, B, 400, T, h)
+        # printed "(34, 'Numerical result out of range')"
+        assert run(["relax", "--alpha", "0.5", f"--B={B!r}", f"--T={T!r}",
+                    f"--h={h!r}", "--correct=400"]) == 1
+        assert "remainder forcing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.999])
     def test_cancellation_check_bound_is_below_solution(self, alpha):
         # the check takes 1 / (1 + Gamma(1 - alpha) s) as a lower bound of
