@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .caputo import Scheme, _check_alpha, _march
-from .specfun import (ConvergenceError, SeriesPolicy, _de_integrate, _ml_series,
-                      _power_over_gamma, mittag_leffler, ml_relaxation_exact)
+from .specfun import (ConvergenceError, SeriesPolicy, _ml_neg, _ml_series,
+                      _power_over_gamma, ml_relaxation_exact)
 
 __all__ = [
     "PowerSum",
@@ -27,7 +27,6 @@ __all__ = [
     "solve",
     "solve_l1",
     "solve_ml1",
-    "miller_ross_at_zero",
     "taylor_poly",
     "choose_m",
     "corrected_problem",
@@ -117,20 +116,17 @@ class TimeSeries:
         return np.arange(self.values.size) * self.h
 
 
-def _forcing_samples(forcing, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(0.0 if forcing is None else forcing(x), dtype=float)
-    if out.shape not in ((), x.shape):
-        raise ValueError(
-            f"forcing returned shape {out.shape} for points of shape {x.shape}")
-    return np.broadcast_to(out, x.shape)
-
-
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
     """Run the time-stepping recurrence; the march kernel evaluates the
     nonlocal history sum in O(N log^2 N) work for N steps."""
-    F = _forcing_samples(problem.forcing,
-                         np.arange(problem.n_steps + 1) * problem.h)
-    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B, F)
+    shape = (problem.n_steps + 1,)
+    F = np.asarray(0.0 if problem.forcing is None else
+                   problem.forcing(np.arange(shape[0]) * problem.h), dtype=float)
+    if F.shape not in ((), shape):
+        raise ValueError(
+            f"forcing returned shape {F.shape} for points of shape {shape}")
+    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B,
+                  np.broadcast_to(F, shape))
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
@@ -155,19 +151,6 @@ def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
 def _check_B(B: float) -> None:
     if not 0.0 < B < math.inf:
         raise ValueError(f"B must be positive and finite, got {B}")
-
-
-def miller_ross_at_zero(alpha: float, B: float, n: int) -> float:
-    """n-fold sequential fractional derivative of the decay solution at 0.
-
-    Repeated differentiation of y^(alpha) = -B y gives (-B)^n regardless of
-    alpha; alpha is validated for interface consistency only.
-    """
-    _check_alpha(alpha)
-    _check_B(B)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return (-B) ** n
 
 
 # the polynomial is the first m + 1 terms of the E_alpha series, so a degree
@@ -264,36 +247,23 @@ def solve_corrected(alpha: float, B: float, m: int, T: float, h: float,
     return TimeSeries(h, values)
 
 
-def exact_convolution(alpha: float, B: float, forcing, x: float,
-                      y0: float = 1.0) -> float:
-    """Exact solution of y^(alpha) + B y = F, y(0) = y0, at the point x.
+def exact_convolution(alpha: float, B: float, forcing, x, y0: float = 1.0):
+    """Exact solution of y^(alpha) + B y = F, y(0) = y0, for F a PowerSum
+    sum_j c_j x^p_j or None.
 
-    Evaluates y0 E_alpha(-B x^alpha)
-    + int_0^x s^(alpha-1) E_{alpha,alpha}(-B s^alpha) F(x - s) ds.
-    The substitution s = u^(1/alpha) removes the endpoint singularity of the
-    kernel; the integral over u in [0, x^alpha] is taken on the nested
-    tanh-sinh levels of `specfun`, to 1e-12 of the integral of its absolute
-    value.
+    Takes a scalar or an array of x >= 0 and returns a float or an array of
+    the closed form y0 E_alpha(-s) + sum_j c_j Gamma(p_j + 1) x^(p_j + alpha)
+    E_{alpha,p_j+alpha+1}(-s) with s = B x^alpha.  A callable forcing
+    raises TypeError.
     """
     _check_alpha(alpha)
     _check_B(B)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return y0
-    homogeneous = y0 * ml_relaxation_exact(alpha, B, x) if y0 != 0.0 else 0.0
-    if forcing is None:
-        return homogeneous
-    inv_alpha = 1.0 / alpha
-    top = x ** alpha
-
-    def integrand(rule, _):
-        u = top * rule.y[0]
-        # rounding in u**(1/alpha) can overshoot x by one ulp near the
-        # upper limit; clamp so fractional-power forcings never see x < 0
-        xi = np.maximum(x - u ** inv_alpha, 0.0)
-        return (top * rule.jy * mittag_leffler(alpha, alpha, -B * u)
-                * _forcing_samples(forcing, xi))
-
-    value = _de_integrate(integrand, 1, "convolution integral")[0]
-    return homogeneous + inv_alpha * value
+    if not (forcing is None or isinstance(forcing, PowerSum)):
+        raise TypeError("exact_convolution takes a PowerSum forcing or None")
+    out = y0 * ml_relaxation_exact(alpha, B, x)
+    xa = np.asarray(x, dtype=float)
+    s = (B * xa ** alpha).ravel()
+    for c, p in forcing.terms if forcing else ():
+        kernel = _ml_neg(alpha, p + alpha + 1.0, s, SeriesPolicy())
+        out = out + c * math.gamma(p + 1.0) * xa ** (p + alpha) * kernel.reshape(xa.shape)
+    return float(out) if np.isscalar(x) else out

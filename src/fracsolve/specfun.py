@@ -1,11 +1,11 @@
 """Special functions behind the fractional solvers.
 
-Gamma, the Riemann zeta function on the strip (-1, 0], and the one- and
+The Riemann zeta function on the strip (-1, 0], and the one- and
 two-parameter Mittag-Leffler functions.  One power series, summed by
-Horner's rule in `_ml_series`, gives `mittag_leffler`, E_alpha(-s) for small
-s and the fractional Taylor polynomial of `relaxation`; a spectral integral
-gives E_alpha(-s) for larger s.  Everything here is a pure function of its
-arguments and safe to call concurrently.
+Horner's rule in `_ml_series`, gives `mittag_leffler`, E_{alpha,beta}(-s)
+for small s and the fractional Taylor polynomial of `relaxation`; a spectral
+integral gives E_{alpha,beta}(-s) for larger s.  Everything here is a pure
+function of its arguments and safe to call concurrently.
 """
 
 import functools
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "SeriesPolicy",
-    "gamma",
     "zeta_unit_strip",
     "mittag_leffler",
     "ml_relaxation_exact",
@@ -61,17 +60,6 @@ class SeriesPolicy:
 
 
 _DEFAULT_POLICY = SeriesPolicy()
-
-
-def gamma(x: float) -> float:
-    """Gamma function for x > 0.
-
-    Non-positive arguments are rejected: 0 is a pole and the analytic
-    continuation to x < 0 is never needed here.
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma requires x > 0 (pole at 0), got {x}")
-    return math.gamma(x)
 
 
 def _eta(t: float, terms: int = 30) -> float:
@@ -167,18 +155,15 @@ def mittag_leffler(alpha: float, beta: float, x,
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(x).
 
     Takes a scalar or an array of x and returns a float or an array.
-    Evaluates the defining power series sum_{n>=0} x^n / Gamma(alpha n + beta)
-    directly, truncating once a term drops below rel_tol times the partial
-    sum; the positive and the negative x are summed apart, each cut where
-    the rule stops its largest |x|.  E_{alpha,beta}(0) = 1/Gamma(beta) exactly.
-
-    Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For beta = 1 and
-    x < 0 the value is exp(x) at alpha = 1 and otherwise E_alpha(-s) with
-    s = -x by the same branch rule as `ml_relaxation_exact`.  Elsewhere a
-    strongly negative x makes the alternating terms grow huge before they
-    decay; when the largest term exceeds a result by more than
-    _CANCELLATION_GUARD, ConvergenceError is raised instead of a value
-    missing most of its digits.
+    Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For x >= 0 it
+    sums the power series sum_{n>=0} x^n / Gamma(alpha n + beta), truncated
+    once a term drops below rel_tol times the partial sum at the largest x;
+    E_{alpha,beta}(0) = 1/Gamma(beta) exactly.  For x < 0 it is `_ml_neg`
+    at s = -x for alpha < 1 and every beta, and exp(x) at alpha = beta = 1.
+    The series serves alpha = 1 with beta != 1 and a beta past `_ml_neg`'s
+    step budget: there the alternating terms of a strongly negative x grow
+    huge before they decay, and ConvergenceError is raised where the largest
+    exceeds the result by more than _CANCELLATION_GUARD.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
@@ -192,8 +177,10 @@ def mittag_leffler(alpha: float, beta: float, x,
     out = np.empty_like(xa)
     pos, neg = xa >= 0.0, xa < 0.0
     out[pos] = _ml_series(alpha, beta, xa[pos], policy)[0]
-    if beta == 1.0:
-        out[neg] = np.exp(xa[neg]) if alpha == 1.0 else _ml_neg(alpha, -xa[neg], policy)
+    if alpha < 1.0 and beta - 1.0 <= policy.max_terms * alpha:
+        out[neg] = _ml_neg(alpha, beta, -xa[neg], policy)
+    elif beta == 1.0:
+        out[neg] = np.exp(xa[neg])
     else:
         value, peak = _ml_series(alpha, beta, xa[neg], policy)
         worst = np.min(np.abs(value), initial=math.inf)
@@ -206,71 +193,103 @@ def mittag_leffler(alpha: float, beta: float, x,
     return float(out) if np.isscalar(x) else out
 
 
-def _ml_neg(alpha: float, s: np.ndarray, policy: SeriesPolicy) -> np.ndarray:
-    """E_alpha(-s) for an array of s >= 0 and 0 < alpha < 1.
+def _sin_cos_pi(a: float, b: float = 0.0) -> tuple[float, float]:
+    """sin and cos of pi (a - b), with a - b as the exact pair hi + lo of
+    Knuth's TwoSum less its nearest integer: the sine is 0 at integers."""
+    hi = a - b
+    bb = hi - a
+    n = round(hi)
+    r = math.pi * ((hi - n) + ((a - (hi - bb)) - (b + bb)))
+    sign = -1.0 if n % 2 else 1.0
+    return sign * math.sin(r), sign * math.cos(r)
 
-    The branch depends on alpha and s alone: the series for s <= 1, where no
-    term exceeds about 1 and nothing cancels, and the spectral integral
-    above.  For alpha <= 0.01 the series would need about 18 / alpha terms
-    near s = 1, so there it takes only s < 1e-8 (at most three terms).
+
+def _ml_neg(alpha: float, beta: float, s: np.ndarray,
+            policy: SeriesPolicy) -> np.ndarray:
+    """E_{alpha,beta}(-s) for an array of s >= 0, 0 < alpha < 1 and beta > 0.
+
+    The branch depends on alpha, beta and s alone.  The series takes
+    s <= max(1, beta^alpha), where its terms fall from about the first on.
+    For beta = 1 and alpha <= 0.01 it would need about 18 / alpha terms near
+    s = 1, so there it takes only s < 1e-8 (at most three terms).  The
+    spectral integral takes the rest, after a beta > 1 steps down into
+    (1 - alpha, 1], where the spectral density is bounded at 0, by
+    E_{alpha,beta}(-s) = (1/Gamma(beta - alpha) - E_{alpha,beta-alpha}(-s)) / s.
+    Above beta^alpha, s exceeds Gamma(b + alpha) / Gamma(b) <= b^alpha
+    (Wendel's inequality) at each b = beta - k alpha, so no step grows the
+    error much.  ConvergenceError past policy.max_terms steps.
     """
-    if alpha < 1e-17:
+    if alpha < 1e-17 and beta == 1.0:
         # the limit 1 / (1 + s) is off by less than alpha relative, below
         # roundoff; sin(alpha pi) in the spectral integral would be subnormal
         return 1.0 / (1.0 + s)
     out = np.empty_like(s)
-    low = s <= 1.0 if alpha > 0.01 else s < 1e-8
+    low = s <= max(1.0, beta ** alpha) if alpha > 0.01 or beta != 1.0 else s < 1e-8
     if low.any():
-        out[low] = _ml_series(alpha, 1.0, -s[low], policy)[0]
+        out[low] = _ml_series(alpha, beta, -s[low], policy)[0]
     if not low.all():
-        out[~low] = _ml_neg_spectral(alpha, s[~low])
+        steps = math.ceil((beta - 1.0) / alpha) if beta > 1.0 else 0
+        if steps > policy.max_terms:
+            raise ConvergenceError(f"E_{{{alpha},{beta}}}(-s) needs {steps} "
+                                   f"steps down, past {policy.max_terms}")
+        high = s[~low]
+        value = _ml_neg_spectral(alpha, beta - steps * alpha, high)
+        for k in range(steps, 0, -1):     # _power_over_gamma(1, 0, b) = 1/Gamma(b)
+            value = (_power_over_gamma(1.0, 0, beta - k * alpha) - value) / high
+        out[~low] = value
     return out
 
 
-def _ml_neg_spectral(alpha: float, s: np.ndarray) -> np.ndarray:
-    """E_alpha(-s) for an array of s > 0 and 0 < alpha < 1, from its
-    spectral representation.
+def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(-s) for an array of s > 0, 0 < alpha < 1 and
+    0 < beta <= 1, from the spectral representation of Gorenflo, Loutchko
+    and Luchko (Fract. Calc. Appl. Anal. 5, 2002).  With r^alpha = t / s,
 
-    E_alpha(-s) is completely monotone and equals the Laplace transform of a
-    positive spectral density.  After substituting r^alpha = t / s,
+        E_{alpha,beta}(-s) = 1/(alpha pi) int_0^inf g(t) w / ((t - p)^2 + w^2)
+                             t^((1-beta)/alpha) (a - b t / s) dt,
 
-        E_alpha(-s) = 1/(alpha pi) int_0^inf g(t) w / ((t - p)^2 + w^2) dt,
-
-    with g(t) = exp(-t^(1/alpha)), p = -s cos(alpha pi) and
-    w = s sin(alpha pi).  Nothing cancels, and g confines the integrand to
-    t ~ 1 for every s; in the unscaled variable u = t / s it would sit at
-    u ~ 1/s, where a quadrature misses it for large s.  The integral is split
-    at the knee t = 1 of g, which is sharp for small alpha.
+    g(t) = exp(-t^(1/alpha)), p = -s cos(alpha pi), w = s sin(alpha pi),
+    a = sin(pi (beta - alpha)) / sin(alpha pi) and b = sin(pi (beta - 1)) /
+    sin(alpha pi).  The sines are reduced exactly, so a = 1 and b = 0 at
+    beta = 1, where E_alpha(-s) is completely monotone and nothing cancels,
+    and a = 0 at beta = alpha.  g confines the integrand to t ~ 1 for every
+    s; in u = t / s it would sit at u ~ 1/s, where a quadrature misses it
+    for large s.  The integral is split at the knee t = 1 of g, which is
+    sharp for small alpha.
 
     For alpha > 3/4 the kernel peaks at p with a half-width w < p, and it
     tends to a point mass as alpha -> 1.  Where g has not vanished at p, the
     integral from p/2 on is taken in v, t = p + w sinh(v), in which the
-    kernel is 1/cosh(v).  The sine and cosine come from 1 - alpha, exact for
-    alpha >= 1/2, because near alpha = 1 the value depends on w to first
-    order.
+    kernel is 1/cosh(v).  The sine and cosine of alpha pi come from alpha - 1
+    for alpha > 1/2, exact there, because near alpha = 1 the value depends
+    on w to first order.
     """
-    if alpha > 0.5:
-        d = math.pi * (1.0 - alpha)
-        sin_t, cos_t = math.sin(d), -math.cos(d)
-    else:
-        sin_t, cos_t = math.sin(math.pi * alpha), math.cos(math.pi * alpha)
+    sin_t, cos_t = _sin_cos_pi(alpha)
+    a = _sin_cos_pi(beta, alpha)[0] / sin_t
+    b = _sin_cos_pi(beta, 1.0)[0] / sin_t
+    expo = (1.0 - beta) / alpha
 
-    def g(t):
+    def weight(t, s):
+        # g(t) t^expo (a - b t / s), which is g(t) at beta = 1
+        log_t = np.log(t)
         with np.errstate(over="ignore"):     # log(t) / alpha for tiny alpha
-            return np.exp(-np.exp(np.minimum(np.log(t) / alpha, 700.0)))
+            log_g = -np.exp(np.minimum(log_t / alpha, 700.0))
+        if beta == 1.0:
+            return np.exp(log_g)
+        return np.exp(log_g + expo * log_t) * (a - b / s * t)
 
     def integrand(near_peak, s, p, w, rule, idx):
         s, p, w = s[idx, None], p[idx, None], w[idx, None]
 
         def in_t(t):
-            # g w / ((t - p)^2 + w^2) with both parts divided by s: w^2
+            # weight w / ((t - p)^2 + w^2) with both parts divided by s: w^2
             # would overflow for s > 1e154
             d = t - p
-            return sin_t * g(t) / (d * (d / s) + w * sin_t)
+            return sin_t * weight(t, s) / (d * (d / s) + w * sin_t)
 
         def in_v(v):
             v = np.minimum(v, 700.0)
-            return g(p + w * np.sinh(v)) / np.cosh(v)
+            return weight(p + w * np.sinh(v), s) / np.cosh(v)
 
         if not near_peak:
             return rule.jy * in_t(rule.y) + rule.je * in_t(1.0 + rule.e)
@@ -286,7 +305,7 @@ def _ml_neg_spectral(alpha: float, s: np.ndarray) -> np.ndarray:
 
     peak, width = -cos_t * s, sin_t * s
     split = width < peak
-    split[split] = g(peak[split]) > 0.0
+    split[split] = weight(peak[split], s[split]) != 0.0
     value = np.empty_like(s)
     for near_peak in (False, True):
         cols = split == near_peak
@@ -294,20 +313,17 @@ def _ml_neg_spectral(alpha: float, s: np.ndarray) -> np.ndarray:
             value[cols] = _de_integrate(
                 functools.partial(integrand, near_peak, s[cols], peak[cols],
                                   width[cols]),
-                int(cols.sum()), f"spectral integral of E_{alpha}(-s)")
+                int(cols.sum()),
+                f"spectral integral of E_{{{alpha},{beta}}}(-s)")
     return value / (alpha * math.pi)
 
 
 def ml_relaxation_exact(alpha: float, B: float, x):
     """Decay solution value E_alpha(-B x^alpha) of y^(alpha) + B y = 0, y(0)=1.
 
-    Takes a scalar or an array of x and returns a float or an array.  With
-    s = B x^alpha, the series gives the value for s <= 1 (s < 1e-8 when
-    alpha <= 0.01) and the completely monotone spectral integral above, where
-    the alternating series would lose digits to cancellation or need too many
-    terms.  The value is accurate on the whole
-    domain and strictly decreasing in x.  An s that overflows to inf raises
-    ValueError.
+    Takes a scalar or an array of x and returns a float or an array: `_ml_neg`
+    at beta = 1 and s = B x^alpha, accurate on the whole domain and strictly
+    decreasing in x.  An s that overflows to inf raises ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"ml_relaxation_exact requires 0 < alpha < 1, got {alpha}")
@@ -323,7 +339,7 @@ def ml_relaxation_exact(alpha: float, B: float, x):
         raise ValueError(
             f"ml_relaxation_exact: B x^alpha overflows to inf for "
             f"alpha={alpha}, B={B}, x={xa.max()}")
-    out = _ml_neg(alpha, s.ravel(), _DEFAULT_POLICY).reshape(s.shape)
+    out = _ml_neg(alpha, 1.0, s.ravel(), _DEFAULT_POLICY).reshape(s.shape)
     return float(out) if np.isscalar(x) else out
 
 

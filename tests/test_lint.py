@@ -1,7 +1,8 @@
 """Static checks over the package source, in place of a linter.
 
-Every imported name is used, or re-exported through `__all__`, and every
-`__all__` entry names something the module defines or imports.
+Every imported name is used, or re-exported through `__all__`, every
+`__all__` entry names something the module defines or imports, and every
+module-level private name is referenced somewhere in the package.
 """
 
 import ast
@@ -50,3 +51,50 @@ def test_checks_catch_an_unused_import_and_a_stale_export():
     imported, defined, used, exported = module_names(ast.parse(source))
     assert [name for name in imported if name not in used] == ["math"]
     assert [name for name in exported if name not in defined] == ["g"]
+
+
+def private_definitions(tree):
+    """Module-level private functions, classes and constants of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree):
+    """Names a module loads, reads as attributes or imports from another."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unreferenced_private_names(trees):
+    defined = set().union(*map(private_definitions, trees))
+    return sorted(defined - set().union(*map(references, trees)))
+
+
+def test_private_names_are_referenced():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    unused = unreferenced_private_names(trees)
+    assert not unused, f"private names that no module references: {unused}"
+
+
+def test_check_catches_an_unreferenced_private_name():
+    source = ("import numpy as np\n_GUARD = 1e5\n_USED = 2\n_TOLD: float = 3\n"
+              "def _orphan():\n    return _USED\n"
+              "class _Rule:\n    pass\n"
+              "def f():\n    return np._helper\n")
+    other = "from m import _TOLD\n"
+    trees = [ast.parse(source), ast.parse(other)]
+    assert unreferenced_private_names(trees) == ["_GUARD", "_Rule", "_orphan"]

@@ -9,8 +9,9 @@ from fracsolve.caputo import Scheme, caputo_apply, caputo_power_rule
 from fracsolve.cli import run
 from fracsolve.relaxation import (PowerSum, RelaxationProblem, choose_m,
                                   corrected_problem, exact_convolution,
-                                  miller_ross_at_zero, solve, solve_corrected,
+                                  solve, solve_corrected,
                                   solve_l1, solve_ml1, taylor_poly)
+from fracsolve.problems import relaxation_family
 from fracsolve.specfun import ConvergenceError, ml_relaxation_exact
 from fracsolve.subdiffusion import exact_single_mode
 
@@ -135,21 +136,6 @@ class TestML1Solver:
         err_l1 = np.max(np.abs(solve_l1(problem).values[1:] - exact[1:]))
         err_ml1 = np.max(np.abs(solve_ml1(problem).values[1:] - exact[1:]))
         assert abs(err_l1 - err_ml1) <= 1e-12
-
-
-class TestMillerRoss:
-    def test_order_zero(self):
-        assert miller_ross_at_zero(0.5, 1.0, 0) == 1.0
-
-    def test_order_one(self):
-        assert miller_ross_at_zero(0.5, 1.0, 1) == -1.0
-
-    def test_order_two(self):
-        assert miller_ross_at_zero(0.5, 4.0, 2) == 16.0
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            miller_ross_at_zero(0.5, 1.0, -1)
 
 
 class TestTaylorPoly:
@@ -316,9 +302,49 @@ class TestExactConvolution:
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_forcing_raises(self):
-        # the adaptive quadrature returned nan with a warning
-        with pytest.raises(ConvergenceError, match="nan"):
+        # the adaptive quadrature returned nan with a warning, then raised
+        # ConvergenceError; the closed form takes no callable forcing
+        with pytest.raises(TypeError, match="PowerSum"):
             exact_convolution(0.5, 1.0, lambda s: math.nan, 1.0)
+
+
+class TestClosedFormReference:
+    """exact_convolution is the closed form y0 E_alpha(-s) + sum_j c_j
+    Gamma(p_j + 1) x^(p_j + alpha) E_{alpha,p_j+alpha+1}(-s), s = B x^alpha."""
+
+    @pytest.mark.parametrize("pid,power", [("r11", 2.0), ("r12", 1.25)])
+    def test_manufactured_solutions_to_roundoff(self, pid, power):
+        # the quadrature was good to about 1e-12
+        family = relaxation_family(pid)
+        x = np.array([0.25, 0.5, 1.0, 3.0])
+        got = exact_convolution(0.5, 1.0, family.forcing, x, y0=0.0)
+        np.testing.assert_allclose(got, x ** power, rtol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_unit_forcing_far_past_the_quadrature(self, alpha):
+        # y = (1 - E_alpha(-B x^alpha)) / B for F = 1, y0 = 0
+        B = np.logspace(0.0, 8.0, 17)
+        got = np.array([exact_convolution(alpha, b, PowerSum(((1.0, 0.0),)),
+                                          1.0, y0=0.0) for b in B])
+        want = (1.0 - np.array([ml_relaxation_exact(alpha, b, 1.0)
+                                for b in B])) / B
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("alpha,B", [(0.5, 100.0), (0.3, 10.0), (0.9, 40.0)])
+    def test_kernel_past_its_series(self, alpha, B):
+        # the quadrature's E_{alpha,alpha}(-B u) kernel raised ValueError
+        # (|x| > 50), overflowed and cancelled at these points
+        got = exact_convolution(alpha, B, PowerSum(((1.0, 0.0),)), 1.0, y0=0.0)
+        want = (1.0 - ml_relaxation_exact(alpha, B, 1.0)) / B
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_array_matches_scalar_calls(self):
+        forcing = relaxation_family("r12").forcing
+        x = np.linspace(0.0, 4.0, 9)
+        got = exact_convolution(0.3, 5.0, forcing, x, y0=2.0)
+        want = [exact_convolution(0.3, 5.0, forcing, float(v), y0=2.0) for v in x]
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
 def test_first_step_error_constant():
@@ -336,7 +362,6 @@ def test_first_step_error_constant():
     pytest.param(caputo_apply, ([0.0, 1.0, 4.0], 0.5, math.inf), "h", id="caputo_apply-h-inf"),
     pytest.param(caputo_power_rule, (2.0, 0.5, math.nan), "x", id="caputo_power_rule-x-nan"),
     pytest.param(taylor_poly, (0.5, math.nan, 3, 0.5), "B", id="taylor_poly-B-nan"),
-    pytest.param(miller_ross_at_zero, (0.5, math.nan, 2), "B", id="miller_ross_at_zero-B-nan"),
     pytest.param(exact_single_mode, (0.5, 1, math.nan, 1.0), "x", id="exact_single_mode-x-nan"),
     pytest.param(ml_relaxation_exact, (0.5, math.inf, 1.0), "B", id="ml_relaxation_exact-B-inf"),
     pytest.param(ml_relaxation_exact, (0.5, math.nan, 1.0), "B", id="ml_relaxation_exact-B-nan"),

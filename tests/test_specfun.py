@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsolve.cli import run
-from fracsolve.specfun import (ConvergenceError, SeriesPolicy, gamma,
+from fracsolve.specfun import (ConvergenceError, SeriesPolicy, _ml_neg,
                                mittag_leffler, ml_relaxation_exact,
                                zeta_unit_strip)
-
-SQRT_PI = 1.7724538509055160273
 
 # mpmath references
 ZETA_STRIP = {
@@ -37,32 +35,7 @@ E_HALF_AT_MINUS_30 = 0.01879588886141675150     # = e^900 erfc(30)
 E_1_172_AT_1 = 8.105021019003019e-310           # sum_n 1/Gamma(n + 172)
 E_07_25_AT_30 = 9.118616099121992e52
 E_0001_AT_MINUS_1 = 0.49985569607852429795
-
-
-class TestGamma:
-    def test_half(self):
-        assert gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-14)
-
-    def test_one(self):
-        assert gamma(1.0) == 1.0
-
-    def test_recurrence_at_3_1(self):
-        assert gamma(3.1) == pytest.approx(2.1 * gamma(2.1), rel=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_rejects_pole_and_negative(self, bad):
-        with pytest.raises(ValueError):
-            gamma(bad)
-
-    def test_recurrence_identity(self):
-        for x in np.arange(0.1, 10.05, 0.1):
-            lhs = gamma(1.0 + x)
-            assert abs(lhs - x * gamma(x)) <= 1e-12 * lhs
-
-    def test_reflection_identity(self):
-        for x in np.linspace(0.01, 0.99, 99):
-            value = gamma(x) * gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
-            assert value == pytest.approx(1.0, abs=1e-11)
+E_HALF_HALF_AT_MINUS_5 = 0.010666394882413155097
 
 
 class TestZetaUnitStrip:
@@ -86,7 +59,7 @@ class TestMittagLeffler:
 
     def test_zero_argument_is_exact(self):
         assert mittag_leffler(0.3, 1.0, 0.0) == 1.0
-        assert mittag_leffler(0.5, 2.5, 0.0) == 1.0 / gamma(2.5)
+        assert mittag_leffler(0.5, 2.5, 0.0) == 1.0 / math.gamma(2.5)
 
     def test_two_parameter_point(self):
         assert mittag_leffler(0.5, 0.5, -1.0) == pytest.approx(
@@ -157,7 +130,7 @@ class TestRelaxationExact:
         for alpha in (0.3, 0.5, 0.7):
             for h in (0.1, 0.01):
                 yh = ml_relaxation_exact(alpha, 1.0, h)
-                ratio = (yh - 1.0) * gamma(alpha + 1.0) / h ** alpha
+                ratio = (yh - 1.0) * math.gamma(alpha + 1.0) / h ** alpha
                 assert -1.0 - 1e-12 <= ratio <= -yh + 1e-12
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -244,9 +217,10 @@ class TestNegativeAxisBranchRule:
         assert mittag_leffler(1.0, 1.0, -50.0) == math.exp(-50.0)
 
     def test_cancelling_two_parameter_series_raises(self):
-        # the series returned 0.010694 (true 0.010666): peak/value 2.7e12
-        with pytest.raises(ConvergenceError, match="cancels"):
-            mittag_leffler(0.5, 0.5, -5.0)
+        # the series returned 0.010694 (true 0.010666): peak/value 2.7e12;
+        # then it raised, and now the spectral integral gives the value
+        assert mittag_leffler(0.5, 0.5, -5.0) == pytest.approx(
+            E_HALF_HALF_AT_MINUS_5, rel=1e-13)
 
     @pytest.mark.parametrize("alpha,B,x", [
         (0.3, 10.0, 0.00547),   # s = 2.096: the series kept ~10 digits here
@@ -297,8 +271,9 @@ class TestArrayArguments:
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_mittag_leffler_array_raises_when_an_element_would(self):
-        with pytest.raises(ConvergenceError, match="cancels"):
-            mittag_leffler(0.5, 0.5, np.array([1.0, -0.5, -5.0]))
+        # E_{0.5,0.5}(-5) raised "cancels"; now no element of this array does
+        got = mittag_leffler(0.5, 0.5, np.array([1.0, -0.5, -5.0]))
+        assert got[2] == pytest.approx(E_HALF_HALF_AT_MINUS_5, rel=1e-13)
         with pytest.raises(ValueError, match="50"):
             mittag_leffler(0.5, 1.0, np.array([1.0, -51.0]))
 
@@ -354,3 +329,87 @@ class TestFoundRegressions:
         assert run(["ml", "--alpha", "1", "--beta", "172", "--x", "1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(
             E_1_172_AT_1, rel=1e-12)
+
+
+def ml_mpmath(alpha, beta, s):
+    """E_{alpha,beta}(-s) in mpmath: the Talbot inversion of its Laplace
+    transform p^(alpha-beta) / (p^alpha + s), or for s >= 1e3 the first 12
+    terms of the asymptotic series -sum_k (-s)^-k / Gamma(beta - alpha k)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, s = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(s)
+        if s >= 1e3:
+            return float(-mpmath.fsum((-s) ** -k * mpmath.rgamma(b - a * k)
+                                      for k in range(1, 13)))
+        return float(mpmath.invertlaplace(
+            lambda p: p ** (a - b) / (p ** a + s), 1, method="talbot"))
+
+
+def e_neg(alpha, beta, s):
+    return float(_ml_neg(alpha, beta, np.array([s], dtype=float), SeriesPolicy())[0])
+
+
+class TestTwoParameterNegativeAxis:
+    """E_{alpha,beta}(-s) for alpha < 1 takes one path for every beta: the
+    series up to s = max(1, beta^alpha), then the spectral integral, after
+    stepping a beta > 1 down into (1 - alpha, 1]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.05, 0.99),
+           beta=st.floats(0.0, 3.0, exclude_min=True),
+           log_s=st.floats(-3.0, 8.0), log_far=st.floats(0.0, 2.0))
+    def test_matches_mpmath(self, alpha, beta, log_s, log_far):
+        s = 10.0 ** log_s
+        got, want = e_neg(alpha, beta, s), ml_mpmath(alpha, beta, s)
+        if beta < alpha:
+            assert abs(got - want) <= 1e-14
+            return
+        # completely monotone for beta >= alpha (Schneider, Expo. Math. 14,
+        # 1996): positive and non-increasing in s
+        assert got == pytest.approx(want, rel=1e-13)
+        assert got > 0.0
+        assert e_neg(alpha, beta, s * 10.0 ** log_far) <= got * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("alpha,beta,x,want", [
+        ("0.5", "0.5", "-5", 0.010666394882413155097),
+        ("0.9", "0.9", "-30", 0.00011825044794307206789),
+        ("0.5", "1.2", "-5", 0.14386372261681706642),
+        ("0.7", "2", "-10", 0.10463763325108232624),
+    ])
+    def test_refused_commands_give_the_mpmath_value(self, alpha, beta, x,
+                                                    want, capsys):
+        # each exited 1: its series cancelled past the guard
+        assert run(["ml", "--alpha", alpha, "--beta", beta, "--x", x]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-13)
+
+    def test_beta_between_one_and_one_plus_alpha(self):
+        # the kernel's factor t^((1-beta)/alpha) is singular at 0 for
+        # beta > 1, so beta = 1.45 takes one step down first
+        assert mittag_leffler(0.5, 1.45, -3.0) == pytest.approx(
+            0.26807046835088013958, rel=1e-13)
+
+    def test_beta_equal_to_alpha_far_out(self):
+        # 1/Gamma(beta - alpha) = 0 leaves 2.8e-17; a = sin(pi (beta -
+        # alpha)) / sin(alpha pi) must be exactly 0, not 1e-16
+        assert e_neg(0.5, 0.5, 1e8) == pytest.approx(
+            2.8209479177387810116e-17, rel=1e-13)
+
+    def test_no_step_down_below_s_one(self):
+        # each step divides by s; at alpha = 0.005 the 200 steps blew up
+        assert mittag_leffler(0.005, 2.0, -1e-4) == pytest.approx(
+            0.99990022192901166544, rel=1e-14)
+
+    @pytest.mark.parametrize("beta", ["1e300", "1e12"])
+    def test_huge_beta_is_bounded(self, beta, capsys):
+        # past the step budget the guarded series gives 1/Gamma(beta) ~ 0;
+        # 2e12 steps would hang and beta = 1e300 reached math.gamma(0)
+        assert run(["ml", "--alpha", "0.5", "--beta", beta, "--x", "-2"]) == 0
+        assert float(capsys.readouterr().out) == 0.0
+
+    def test_large_beta_keeps_the_series_up_to_beta_to_the_alpha(self):
+        # stepping down from beta = 20 at s = 1.01 multiplied the error of
+        # the spectral value by ~1e17 and returned a wrong sign
+        assert e_neg(0.5, 20.0, 1.01) == pytest.approx(
+            ml_mpmath(0.5, 20.0, 1.01), rel=1e-13)
+        assert e_neg(0.7, 50.0, 20.0) == pytest.approx(
+            ml_mpmath(0.7, 50.0, 20.0), rel=1e-13)
