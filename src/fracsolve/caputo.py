@@ -159,17 +159,16 @@ _LEAF_VALUES = 1024
 _COLUMNS = 64
 
 
-def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
-           f=1.0) -> np.ndarray:
-    """March v^(alpha) + B v = F(x) f from v0 with the L1 or modified-L1
+def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
+    """March v^(alpha) + B v = F(x) from v0 with the L1 or modified-L1
     scheme on the grid x_n = n h, n = 0..N.
 
-    The state v0 may be a scalar or an array; B and f are scalars or arrays
-    of its shape, and F holds one forcing sample per level, N + 1 in all.
-    The modified scheme needs N >= 2.  With gha = Gamma(2 - alpha) h^alpha,
-    level n solves (c_0 + B gha) v_n = F_n gha f - sum_{k=1..n} c_k v_{n-k}
-    over the level-n weight row.  Returns the levels 0..N stacked along a
-    new first axis.
+    The state v0 may be a scalar or an array; B is a scalar or an array of
+    its shape, and F holds one forcing sample per level, N + 1 in all, the
+    same for every entry of the state.  The modified scheme needs N >= 2.
+    With gha = Gamma(2 - alpha) h^alpha, level n solves
+    (c_0 + B gha) v_n = F_n gha - sum_{k=1..n} c_k v_{n-k} over the level-n
+    weight row.  Returns the levels 0..N stacked along a new first axis.
 
     Level 1 is solved in closed form.  From level 2 on, every row has the
     same c_0 and interior weights once the modified shifts are part of them,
@@ -190,18 +189,17 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
         raise ValueError("the modified L1 scheme needs at least 2 steps")
     gha = math.gamma(2.0 - alpha) * h ** alpha
-    # the scaling goes into the rates and the spatial factor, not F: a
-    # scaled copy of F would be a second array of all levels
-    lam, f = B * gha, gha * f
+    # F is scaled as each chunk is filled, not up front: a scaled copy of F
+    # would be a second array of all levels
+    lam = B * gha
     c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
     v0 = np.asarray(v0, dtype=float)
     v = np.empty((n_steps + 1,) + v0.shape)
     v[0] = v0
-    v[1] = (F[1] * f - tail[0] * v0) / (1.0 + lam)
+    v[1] = (F[1] * gha - tail[0] * v0) / (1.0 + lam)
     if n_steps < 2:
         return v
     v = v.reshape(n_steps + 1, -1)
-    f = np.broadcast_to(f, v0.shape).reshape(-1)
     diagonal = (c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
     longest = max(_LEAF, _LEAF_VALUES // min(_COLUMNS, v.shape[1]))
     leaf = min(1 << (longest.bit_length() - 1), n_steps - 1)
@@ -211,7 +209,7 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     # of all levels
     for c in range(0, v.shape[1], _COLUMNS):
         x = v[:, c:c + _COLUMNS]
-        np.multiply.outer(F[2:], f[c:c + _COLUMNS], out=x[2:])
+        np.multiply(F[2:, None], gha, out=x[2:])
         x[2:] -= np.multiply.outer(tail[1:], x[0])
         x[2:] -= np.multiply.outer(interior, x[1])
         s = _inverse_spectrum(inverse[:, c:c + _COLUMNS])

@@ -158,22 +158,20 @@ def render_report(report: ConvergenceReport, fmt: str = "csv") -> str:
     """
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    if fmt == "csv":
-        lines = ["step,max_error,order"]
-        for row in report.rows:
-            order = "" if row.order is None else _fmt(row.order)
-            lines.append(f"{_fmt(row.step)},{_fmt(row.max_error)},{order}")
+    if fmt == "jsonl":
+        lines = [json.dumps({"step": row.step, "max_error": row.max_error,
+                             "order": row.order}) for row in report.rows]
         return "\n".join(lines) + "\n"
+    table = [("step", "max_error", "order")]
     if fmt == "markdown":
-        lines = ["| step | max_error | order |", "| --- | --- | --- |"]
-        for row in report.rows:
-            order = "" if row.order is None else _fmt(row.order)
-            lines.append(f"| {_fmt(row.step)} | {_fmt(row.max_error)} | {order} |")
-        return "\n".join(lines) + "\n"
-    lines = []
-    for row in report.rows:
-        lines.append(json.dumps(
-            {"step": row.step, "max_error": row.max_error, "order": row.order}))
+        table.append(("---",) * 3)
+    table += [(_fmt(row.step), _fmt(row.max_error),
+               "" if row.order is None else _fmt(row.order))
+              for row in report.rows]
+    if fmt == "csv":
+        lines = [",".join(cells) for cells in table]
+    else:
+        lines = ["| " + " | ".join(cells) + " |" for cells in table]
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,6 @@ polynomial would cancel to roundoff at T is refused.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -66,14 +65,13 @@ class PowerSum:
 class RelaxationProblem:
     """Complete statement of a fractional relaxation problem.
 
-    The forcing may be a PowerSum, a callable of an array of x that returns
-    an array of the same shape or a scalar, or None for zero.  T/h must be a
-    whole number of steps.
+    The forcing is a PowerSum, or None for zero.  T/h must be a whole number
+    of steps.
     """
 
     alpha: float
     B: float
-    forcing: PowerSum | Callable | None
+    forcing: PowerSum | None
     y0: float
     T: float
     h: float
@@ -90,8 +88,8 @@ class RelaxationProblem:
             raise ValueError(f"T must be positive, got {self.T}")
         if not 0.0 < self.h <= self.T:
             raise ValueError(f"h must lie in (0, T], got {self.h}")
-        if self.forcing is not None and not callable(self.forcing):
-            raise TypeError("forcing must be a PowerSum, a callable, or None")
+        if self.forcing is not None and not isinstance(self.forcing, PowerSum):
+            raise TypeError("forcing must be a PowerSum or None")
         steps = self.T / self.h
         if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
             raise ValueError(f"T/h = {steps} is not a whole number of steps")
@@ -119,14 +117,10 @@ class TimeSeries:
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
     """Run the time-stepping recurrence; the march kernel evaluates the
     nonlocal history sum in O(N log^2 N) work for N steps."""
-    shape = (problem.n_steps + 1,)
-    F = np.asarray(0.0 if problem.forcing is None else
-                   problem.forcing(np.arange(shape[0]) * problem.h), dtype=float)
-    if F.shape not in ((), shape):
-        raise ValueError(
-            f"forcing returned shape {F.shape} for points of shape {shape}")
-    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B,
-                  np.broadcast_to(F, shape))
+    levels = problem.n_steps + 1
+    F = (np.broadcast_to(0.0, (levels,)) if problem.forcing is None else
+         problem.forcing(np.arange(levels) * problem.h))
+    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B, F)
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:

@@ -269,9 +269,12 @@ def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
     b = _sin_cos_pi(beta, 1.0)[0] / sin_t
     expo = (1.0 - beta) / alpha
 
-    def weight(t, s):
-        # g(t) t^expo (a - b t / s), which is g(t) at beta = 1
-        log_t = np.log(t)
+    def weight(t, s, log_t=None):
+        # g(t) t^expo (a - b t / s), which is g(t) at beta = 1.  expo
+        # magnifies an error in log t, so for beta != 1 it comes from the
+        # node itself, not from the rounded t
+        if beta == 1.0 or log_t is None:
+            log_t = np.log(t)
         with np.errstate(over="ignore"):     # log(t) / alpha for tiny alpha
             log_g = -np.exp(np.minimum(log_t / alpha, 700.0))
         if beta == 1.0:
@@ -281,25 +284,28 @@ def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
     def integrand(near_peak, s, p, w, rule, idx):
         s, p, w = s[idx, None], p[idx, None], w[idx, None]
 
-        def in_t(t):
+        def in_t(t, log_t):
             # weight w / ((t - p)^2 + w^2) with both parts divided by s: w^2
             # would overflow for s > 1e154
             d = t - p
-            return sin_t * weight(t, s) / (d * (d / s) + w * sin_t)
+            return sin_t * weight(t, s, log_t) / (d * (d / s) + w * sin_t)
 
         def in_v(v):
             v = np.minimum(v, 700.0)
             return weight(p + w * np.sinh(v), s) / np.cosh(v)
 
         if not near_peak:
-            return rule.jy * in_t(rule.y) + rule.je * in_t(1.0 + rule.e)
+            return (rule.jy * in_t(rule.y, rule.log_y)
+                    + rule.je * in_t(1.0 + rule.e, np.log1p(rule.e)))
         # t in [0, knee] and [knee, p/2], then v in [-asinh(p/2w), 0] and
         # [0, inf)
         half = 0.5 * p
         knee = np.minimum(half, 1.0)
+        log_knee, grow = np.log(knee), (half / knee - 1.0) * rule.y
         v_low = np.arcsinh(half / w)
-        return rule.jy * (knee * in_t(knee * rule.y)
-                          + (half - knee) * in_t(knee + (half - knee) * rule.y)
+        return rule.jy * (knee * in_t(knee * rule.y, log_knee + rule.log_y)
+                          + (half - knee) * in_t(knee + (half - knee) * rule.y,
+                                                 log_knee + np.log1p(grow))
                           + v_low * in_v(v_low * (rule.y - 1.0))) \
             + rule.je * in_v(rule.e)
 
@@ -347,13 +353,15 @@ class _DERule(NamedTuple):
     """One level of the nested double-exponential rules, as (1, n) rows:
     the step h, the tanh-sinh nodes y on (0, 1) with their weights jy, and
     the exp-sinh nodes e on (0, inf) with their weights je.  Weights exclude
-    the step."""
+    the step.  log_y is log y to full relative accuracy, also where y
+    rounds to 1."""
 
     h: float
     y: np.ndarray
     jy: np.ndarray
     e: np.ndarray
     je: np.ndarray
+    log_y: np.ndarray
 
 
 # Double-exponential quadrature (Takahasi and Mori, Publ. RIMS 9, 1974): with
@@ -381,7 +389,8 @@ def _de_rule(level: int) -> _DERule:
     z = np.exp(-math.pi * sh)
     y = 1.0 / (1.0 + z)
     e = np.exp(0.5 * math.pi * sh)
-    rows = [y, math.pi * ch * z * y * y, e, 0.5 * math.pi * ch * e]
+    rows = [y, math.pi * ch * z * y * y, e, 0.5 * math.pi * ch * e,
+            -np.log1p(z)]
     for r in rows:
         r.setflags(write=False)
     return _DERule(h, *(r[None, :] for r in rows))

@@ -1,6 +1,6 @@
 """Finite-difference solvers for the time-fractional subdiffusion equation.
 
-Solves d^alpha u / dt^alpha = d^2 u / dx^2 + F(x, t) on [0, pi] x [0, T] with
+Solves d^alpha u / dt^alpha = d^2 u / dx^2 on [0, pi] x [0, T] with
 homogeneous Dirichlet boundaries.  Space uses the second-order central
 difference; time uses the L1 or modified-L1 Caputo discretization.  On the
 grid x_j = j pi/N every sin(k x_j) is an eigenvector of the second difference,
@@ -9,7 +9,8 @@ independent relaxation marches, one per mode, which `caputo._march` advances
 together as one vector state.  As in the scalar case, the single-mode
 solution sin(x) E_alpha(-t^alpha) is singular at t = 0 and the plain schemes
 drop to first order in time; subtracting the fractional Taylor expansion of
-the time factor restores them.
+the time factor restores them.  That correction leaves sin(x_j) times one
+scalar relaxation march, which `solve_corrected` runs alone.
 """
 
 import math
@@ -19,13 +20,12 @@ import numpy as np
 
 from . import relaxation
 from .caputo import Scheme, _check_alpha, _march, _scheme_weights
-from .relaxation import PowerSum, taylor_poly
+from .relaxation import taylor_poly
 from .specfun import ml_relaxation_exact
 
 __all__ = [
     "SineMode",
     "Sampled",
-    "SeparableForcing",
     "SubdiffusionProblem",
     "TridiagonalSystem",
     "SpaceTimeSolution",
@@ -64,18 +64,6 @@ class Sampled:
             raise ValueError("sampled profile values must be finite")
 
 
-@dataclass(frozen=True)
-class SeparableForcing:
-    """Forcing sin(mode * x) * time_profile(t)."""
-
-    mode: int
-    time_profile: PowerSum
-
-    def __post_init__(self):
-        if self.mode < 1:
-            raise ValueError(f"mode number must be >= 1, got {self.mode}")
-
-
 def space_nodes(N: int) -> np.ndarray:
     """The space grid x_j = j pi/N, j = 0..N; the last node is exactly pi."""
     return np.linspace(0.0, math.pi, N + 1)
@@ -90,7 +78,6 @@ class SubdiffusionProblem:
     M: int
     T: float
     initial: SineMode | Sampled
-    forcing: SeparableForcing | None = None
 
     def __post_init__(self):
         _check_alpha(self.alpha)
@@ -109,8 +96,6 @@ class SubdiffusionProblem:
                 raise ValueError("sampled profile must vanish on the boundary")
         elif not isinstance(self.initial, SineMode):
             raise TypeError("initial must be a SineMode or Sampled profile")
-        if self.forcing is not None and not isinstance(self.forcing, SeparableForcing):
-            raise TypeError("forcing must be a SeparableForcing or None")
 
     @property
     def h(self) -> float:
@@ -209,24 +194,24 @@ def _dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
 
 
+def _mode_rates(N: int) -> np.ndarray:
+    """Eigenvalues B_k = (4/h^2) sin^2(k h/2), k = 1..N-1, of the negated
+    second difference on the grid of N intervals, h = pi/N: the decay rate
+    of mode k."""
+    h = math.pi / N
+    return 4.0 / h ** 2 * np.sin(0.5 * h * np.arange(1, N)) ** 2
+
+
 def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
     """Time-step the interior values; returns an (M+1) x (N-1) matrix.  In
-    orthonormal DST-I coordinates mode k has B_k = (4/h^2) sin^2(k h/2)."""
-    alpha, N, M = problem.alpha, problem.N, problem.M
-    h, tau = problem.h, problem.tau
-    x_interior = space_nodes(N)[1:-1]
+    orthonormal DST-I coordinates mode k decays at the rate `_mode_rates`."""
+    N, M = problem.N, problem.M
     if isinstance(problem.initial, SineMode):
-        u0 = np.sin(problem.initial.k * x_interior)
+        u0 = np.sin(problem.initial.k * space_nodes(N)[1:-1])
     else:
         u0 = problem.initial.values[1:-1]
-    B = 4.0 / h ** 2 * np.sin(0.5 * h * np.arange(1, N)) ** 2
-    forcing = problem.forcing
-    if forcing is None:
-        F, f = np.zeros(M + 1), 0.0
-    else:
-        F = forcing.time_profile(np.arange(M + 1) * tau)
-        f = _dst(np.sin(forcing.mode * x_interior))
-    u = _march(alpha, scheme, tau, _dst(u0), B, F, f)
+    u = _march(problem.alpha, scheme, problem.tau, _dst(u0), _mode_rates(N),
+               np.broadcast_to(0.0, (M + 1,)))
     # back to grid values in place, a block of rows at a time: a second
     # array of all levels would raise peak memory
     for rows in range(0, M + 1, _DST_ROWS):
@@ -304,19 +289,19 @@ def solve_corrected(alpha: float, m: int, T: float, N: int, M: int,
     (-1)^n sin x, so the remainder v = u - sin(x) * (Taylor polynomial in t)
     solves the same equation with zero initial data and the forcing sin(x)
     times the relaxation remainder forcing with B = 1,
-    (-1)^(m+1) t^(alpha m) / Gamma(alpha m + 1).  Solves that smooth
-    problem, then adds sin(x_n) times the fractional Taylor polynomial of the
-    time factor back on every level.  Level 0 reproduces sin(x_n) exactly and
-    the boundary stays exactly zero.
+    (-1)^(m+1) t^(alpha m) / Gamma(alpha m + 1).  On the grid sin(x_n) is
+    the first eigenvector of the second difference, so v = sin(x_n) z(t)
+    with z the scalar relaxation remainder march at the mode-1 rate B_1 =
+    (4/h^2) sin^2(h/2), from z = 0.  Returns sin(x_n) times z plus the
+    fractional Taylor polynomial of the time factor.  Level 0 reproduces
+    sin(x_n) exactly and the boundary stays exactly zero.
     """
     problem = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=T,
-                                  initial=Sampled(np.zeros(N + 1)))
+                                  initial=SineMode(1))
     remainder = relaxation.corrected_problem(alpha, 1.0, m, T, problem.tau)
-    forcing = SeparableForcing(1, remainder.forcing)
-    vsol = solve(replace(problem, forcing=forcing), scheme)
-    sine = np.sin(vsol.x)
+    z = relaxation.solve(replace(remainder, B=_mode_rates(N)[0]), scheme)
+    sine = np.sin(space_nodes(N))
     sine[0] = 0.0
     sine[-1] = 0.0
-    poly = taylor_poly(alpha, 1.0, m, vsol.t)
-    values = vsol.values + np.outer(poly, sine)
-    return SpaceTimeSolution(vsol.h, vsol.tau, values)
+    values = np.outer(z.values + taylor_poly(alpha, 1.0, m, z.x), sine)
+    return SpaceTimeSolution(problem.h, problem.tau, values)

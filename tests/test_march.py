@@ -17,9 +17,8 @@ import pytest
 from fracsolve import relaxation, subdiffusion
 from fracsolve.caputo import (Scheme, _leaf_inverse, _scheme_weights,
                               l1_weights, ml1_weights)
-from fracsolve.relaxation import PowerSum, RelaxationProblem
-from fracsolve.subdiffusion import (Sampled, SeparableForcing, SineMode,
-                                    SubdiffusionProblem)
+from fracsolve.relaxation import PowerSum, RelaxationProblem, taylor_poly
+from fracsolve.subdiffusion import Sampled, SineMode, SubdiffusionProblem
 
 RTOL = 1e-12
 SOLVERS = {
@@ -49,15 +48,15 @@ def direct_relaxation(problem, scheme):
     return v
 
 
-def direct_subdiffusion(problem, scheme):
-    """Interior values of every level, each level solved densely."""
+def direct_subdiffusion(problem, scheme, source=None):
+    """Interior values of every level, each level solved densely.  `source`
+    holds the interior forcing samples of levels 0..M, zero if None."""
     alpha, N, M, tau = problem.alpha, problem.N, problem.M, problem.tau
     x = np.arange(1, N) * problem.h
     scale = math.gamma(2.0 - alpha) * tau ** alpha
     eta = scale / problem.h ** 2
     laplacian = (2.0 * np.eye(N - 1) - np.eye(N - 1, k=1)
                  - np.eye(N - 1, k=-1))
-    forcing = problem.forcing
     V = np.empty((M + 1, N - 1))
     if isinstance(problem.initial, SineMode):
         V[0] = np.sin(problem.initial.k * x)
@@ -66,8 +65,8 @@ def direct_subdiffusion(problem, scheme):
     for m in range(1, M + 1):
         w = weight_row(alpha, scheme, m)
         rhs = -(w[1:] @ V[m - 1::-1])
-        if forcing is not None:
-            rhs += scale * forcing.time_profile(m * tau) * np.sin(forcing.mode * x)
+        if source is not None:
+            rhs += scale * source[m]
         V[m] = np.linalg.solve(w[0] * np.eye(N - 1) + eta * laplacian, rhs)
     return V
 
@@ -86,9 +85,8 @@ def relaxation_problem(alpha, n_steps, B=1.3):
 def sampled_problem(alpha, N, M):
     profile = np.zeros(N + 1)
     profile[1:-1] = np.random.default_rng(7).standard_normal(N - 1)
-    forcing = SeparableForcing(3, PowerSum(((1.0, 1.0), (0.5, 0.25))))
     return SubdiffusionProblem(alpha=alpha, N=N, M=M, T=1.0,
-                               initial=Sampled(profile), forcing=forcing)
+                               initial=Sampled(profile))
 
 
 PDE_CASES = {
@@ -97,9 +95,6 @@ PDE_CASES = {
     # on the grid sin((N+1) x) equals -sin((N-1) x)
     "aliased": lambda alpha, M: SubdiffusionProblem(
         alpha=alpha, N=70, M=M, T=1.0, initial=SineMode(71)),
-    "mode1-forced2": lambda alpha, M: SubdiffusionProblem(
-        alpha=alpha, N=70, M=M, T=1.0, initial=SineMode(1),
-        forcing=SeparableForcing(2, PowerSum(((1.0, 1.0), (0.5, 0.25))))),
 }
 
 
@@ -158,6 +153,28 @@ def check_subdiffusion(problem, scheme):
     assert_close(got[:, 1:-1], direct_subdiffusion(problem, scheme))
 
 
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("M", [2, 65, 200])
+@pytest.mark.parametrize("N", [2, 3, 70])
+def test_corrected_subdiffusion_matches_direct_march(N, M, alpha, scheme):
+    """The corrected solve marches one scalar state at the mode-1 rate; the
+    oracle marches the whole grid from zero under the forcing sin(x) G(t),
+    G the relaxation remainder forcing with B = 1, and adds sin(x) times
+    the Taylor polynomial back."""
+    m = relaxation.choose_m(alpha)
+    got = subdiffusion.solve_corrected(alpha, m, 1.0, N, M, scheme).values
+    problem = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=1.0,
+                                  initial=Sampled(np.zeros(N + 1)))
+    G = relaxation.corrected_problem(alpha, 1.0, m, 1.0, problem.tau).forcing
+    t = np.arange(M + 1) * problem.tau
+    sine = np.sin(np.arange(1, N) * problem.h)
+    want = (direct_subdiffusion(problem, scheme, np.outer(G(t), sine))
+            + np.outer(taylor_poly(alpha, 1.0, m, t), sine))
+    assert np.all(got[:, [0, -1]] == 0.0)
+    assert_close(got[:, 1:-1], want)
+
+
 @pytest.mark.parametrize("alpha, lam", [(0.95, 1e-6), (0.05, 1e4)],
                          ids=["soft", "stiff"])
 @pytest.mark.parametrize("columns", [1, 3])
@@ -211,6 +228,20 @@ def test_subdiffusion_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * values.nbytes
+
+
+def test_corrected_subdiffusion_peak_memory():
+    """The corrected solve marches one scalar state and spreads it over the
+    grid once, so its traced peak is the result and little more."""
+    args = (0.3, 7, 1.0, 960, 320, Scheme.MODIFIED_L1)
+    subdiffusion.solve_corrected(*args)     # first calls may set up caches
+    tracemalloc.start()
+    try:
+        values = subdiffusion.solve_corrected(*args).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * values.nbytes
 
 
 def test_both_families_refuse_a_single_modified_l1_step_in_the_march():

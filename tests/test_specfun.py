@@ -413,3 +413,13 @@ class TestTwoParameterNegativeAxis:
             ml_mpmath(0.5, 20.0, 1.01), rel=1e-13)
         assert e_neg(0.7, 50.0, 20.0) == pytest.approx(
             ml_mpmath(0.7, 50.0, 20.0), rel=1e-13)
+
+    @pytest.mark.parametrize("s", [2.0, 40.0])
+    @pytest.mark.parametrize("alpha,beta,rel", [
+        (1e-4, 0.01, 1e-15), (1e-6, 0.5, 1e-15), (1e-10, 0.5, 1e-13)])
+    def test_small_alpha_below_beta_one(self, alpha, beta, rel, s):
+        # the factor t^((1-beta)/alpha) magnifies an error in log t by
+        # (1-beta)/alpha; log t from the rounded node was 1.7e-12 off at
+        # alpha = 1e-6 and failed to converge at alpha = 1e-10
+        want = ml_mpmath(alpha, beta, s)
+        assert abs(e_neg(alpha, beta, s) - want) <= rel * want

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from fracsolve.caputo import Scheme
-from fracsolve.relaxation import PowerSum
 from fracsolve.specfun import ml_relaxation_exact, zeta_unit_strip
-from fracsolve.subdiffusion import (_dst, Sampled, SeparableForcing, SineMode,
+from fracsolve.subdiffusion import (_dst, Sampled, SineMode,
                                     SubdiffusionProblem, TridiagonalSystem,
                                     build_system, exact_single_mode, solve,
                                     solve_corrected, solve_l1, solve_ml1,
@@ -243,8 +242,3 @@ class TestCorrected:
         err_plain = np.max(np.abs(plain.final[1:-1] - exact))
         err_corrected = np.max(np.abs(corrected.final[1:-1] - exact))
         assert err_corrected < err_plain / 10.0
-
-
-def test_separable_forcing_validation():
-    with pytest.raises(ValueError):
-        SeparableForcing(0, PowerSum(((1.0, 2.0),)))
