@@ -153,7 +153,8 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
 # same width by one FFT convolution.  A leaf holds at least _LEAF levels and,
 # for narrow states, up to _LEAF_VALUES values: each FFT call then does enough
 # arithmetic to outweigh its fixed cost.  Matrix states are marched _COLUMNS
-# columns at a time to bound the transforms' working memory.
+# columns at a time, each chunk with its own leaf inverse, to bound the
+# transforms' working memory.
 _LEAF = 128
 _LEAF_VALUES = 1024
 _COLUMNS = 64
@@ -204,15 +205,15 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     longest = max(_LEAF, _LEAF_VALUES // min(_COLUMNS, v.shape[1]))
     leaf = min(1 << (longest.bit_length() - 1), n_steps - 1)
     spectra = {}    # FFT of the interior weights, by block width
-    inverse = _leaf_inverse(interior, diagonal, leaf, spectra)
-    # one chunk at a time: full-width temporaries would be a second array
-    # of all levels
+    # one chunk at a time, leaf inverse included: full-width temporaries
+    # would be a second array of all levels
     for c in range(0, v.shape[1], _COLUMNS):
         x = v[:, c:c + _COLUMNS]
         np.multiply(F[2:, None], gha, out=x[2:])
         x[2:] -= np.multiply.outer(tail[1:], x[0])
         x[2:] -= np.multiply.outer(interior, x[1])
-        s = _inverse_spectrum(inverse[:, c:c + _COLUMNS])
+        s = _inverse_spectrum(_leaf_inverse(
+            interior, diagonal[c:c + _COLUMNS], leaf, spectra))
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
             _solve_leaf(x[lo:lo + leaf], s)
             mid, width = lo + leaf, leaf * (k & -k)
@@ -229,24 +230,18 @@ def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray, leaf: int,
     one column of s per diagonal entry.  The inverse is lower-triangular
     Toeplitz too, so s defines it; s solves the matrix against e_0.
 
-    The first _LEAF entries come from the recurrence, one matrix-vector call
-    per entry.  Beyond them s doubles by Newton's step s <- s (2 - a s) for
-    power series (Kung, Numer. Math. 22, 1974), a the matrix's first
-    column: with s exact to k entries, a s = 1 + r with r zero below k, and
-    entries k..2k-1 of s are those of -r convolved with s.  In march terms,
-    -r is the history that levels 0..k-1 of s hand to the next k levels,
-    and the convolution solves those k levels as a leaf with s[:k].  The
-    weight spectra by width are `spectra`, shared with the march.
+    s starts at its one entry 1/diagonal and doubles by Newton's step
+    s <- s (2 - a s) for power series (Kung, Numer. Math. 22, 1974), a the
+    matrix's first column: with s exact to k entries, a s = 1 + r with r
+    zero below k, and entries k..2k-1 of s are those of -r convolved with s.
+    In march terms, -r is the history that levels 0..k-1 of s hand to the
+    next k levels, and the convolution solves those k levels as a leaf with
+    s[:k].  The weight spectra by width are `spectra`, shared with the
+    march.
     """
     s = np.empty((leaf, diagonal.size))
     s[0] = 1.0 / diagonal
-    head = min(leaf, _LEAF)
-    # c_{head-1}..c_1, contiguous: against the leading rows of s the product
-    # runs as one matrix-vector call
-    reversed_weights = interior[:head - 1][::-1].copy()
-    for m in range(1, head):
-        s[m] = -(reversed_weights[head - 1 - m:] @ s[:m]) / diagonal
-    k = head
+    k = 1
     while k < leaf:
         grown = s[k:2 * k]
         grown[...] = 0.0

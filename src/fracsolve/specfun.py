@@ -258,23 +258,22 @@ def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
     sharp for small alpha.
 
     For alpha > 3/4 the kernel peaks at p with a half-width w < p, and it
-    tends to a point mass as alpha -> 1.  Where g has not vanished at p, the
-    integral from p/2 on is taken in v, t = p + w sinh(v), in which the
-    kernel is 1/cosh(v).  The sine and cosine of alpha pi come from alpha - 1
-    for alpha > 1/2, exact there, because near alpha = 1 the value depends
-    on w to first order.
+    tends to a point mass as alpha -> 1.  Where g(p) has not vanished, the
+    integral is instead one piece in t up to p/2, then taken in v,
+    t = p + w sinh(v), in which the kernel is 1/cosh(v), split at the peak.
+    The sine and cosine of alpha pi come from alpha - 1 for alpha > 1/2,
+    exact there, because near alpha = 1 the value depends on w to first
+    order.
     """
     sin_t, cos_t = _sin_cos_pi(alpha)
     a = _sin_cos_pi(beta, alpha)[0] / sin_t
     b = _sin_cos_pi(beta, 1.0)[0] / sin_t
     expo = (1.0 - beta) / alpha
 
-    def weight(t, s, log_t=None):
-        # g(t) t^expo (a - b t / s), which is g(t) at beta = 1.  expo
-        # magnifies an error in log t, so for beta != 1 it comes from the
-        # node itself, not from the rounded t
-        if beta == 1.0 or log_t is None:
-            log_t = np.log(t)
+    def weight(t, s, log_t):
+        # g(t) t^expo (a - b t / s), which is g(t) at beta = 1.  expo and
+        # 1/alpha magnify an error in log t, so the t pieces take it from
+        # the node itself, not from the rounded t
         with np.errstate(over="ignore"):     # log(t) / alpha for tiny alpha
             log_g = -np.exp(np.minimum(log_t / alpha, 700.0))
         if beta == 1.0:
@@ -292,26 +291,23 @@ def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
 
         def in_v(v):
             v = np.minimum(v, 700.0)
-            return weight(p + w * np.sinh(v), s) / np.cosh(v)
+            t = p + w * np.sinh(v)
+            return weight(t, s, np.log(t)) / np.cosh(v)
 
         if not near_peak:
             return (rule.jy * in_t(rule.y, rule.log_y)
                     + rule.je * in_t(1.0 + rule.e, np.log1p(rule.e)))
-        # t in [0, knee] and [knee, p/2], then v in [-asinh(p/2w), 0] and
-        # [0, inf)
+        # t in [0, p/2], then v in [-asinh(p/2w), 0] and [0, inf)
         half = 0.5 * p
-        knee = np.minimum(half, 1.0)
-        log_knee, grow = np.log(knee), (half / knee - 1.0) * rule.y
         v_low = np.arcsinh(half / w)
-        return rule.jy * (knee * in_t(knee * rule.y, log_knee + rule.log_y)
-                          + (half - knee) * in_t(knee + (half - knee) * rule.y,
-                                                 log_knee + np.log1p(grow))
+        return rule.jy * (half * in_t(half * rule.y, np.log(half) + rule.log_y)
                           + v_low * in_v(v_low * (rule.y - 1.0))) \
             + rule.je * in_v(rule.e)
 
     peak, width = -cos_t * s, sin_t * s
     split = width < peak
-    split[split] = weight(peak[split], s[split]) != 0.0
+    with np.errstate(over="ignore"):     # p^(1/alpha) for large s
+        split[split] = np.exp(-peak[split] ** (1.0 / alpha)) != 0.0
     value = np.empty_like(s)
     for near_peak in (False, True):
         cols = split == near_peak

@@ -22,7 +22,7 @@ class TestL1Weights:
 
     def test_first_interior_weight(self):
         assert l1_weights(0.5, 3).weights[1] == pytest.approx(
-            SQRT2_MINUS_2, rel=1e-13)
+            SQRT2_MINUS_2, rel=1e-13, abs=0)
 
     def test_row_sums_to_zero(self):
         assert abs(l1_weights(0.3, 100).weights.sum()) <= 1e-10
@@ -92,7 +92,7 @@ class TestML1Weights:
 
     def test_leading_weight(self):
         assert ml1_weights(0.5, 10).weights[0] == pytest.approx(
-            ONE_MINUS_ZETA_HALF, rel=1e-12)
+            ONE_MINUS_ZETA_HALF, rel=1e-12, abs=0)
 
     def test_unmodified_indices_match_l1(self):
         l1 = l1_weights(0.5, 10).weights
@@ -103,7 +103,7 @@ class TestML1Weights:
         z = zeta_unit_strip(-0.5)
         l1 = l1_weights(0.5, 2).weights
         ml1 = ml1_weights(0.5, 2).weights
-        assert ml1[2] == pytest.approx(l1[2] - z, rel=1e-14)
+        assert ml1[2] == pytest.approx(l1[2] - z, rel=1e-14, abs=0)
 
     def test_rejects_level_below_two(self):
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ class TestCaputoApply:
     def test_linear_ramp_reference_point(self):
         y = np.arange(11) * 0.1
         got = caputo_apply(y, 0.5, 0.1, Scheme.L1)
-        assert got == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-11)
+        assert got == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-11, abs=0)
 
     def test_exact_on_linear_functions(self):
         rng = np.random.default_rng(20240811)
@@ -140,7 +140,7 @@ class TestCaputoApply:
             x = np.arange(n + 1) * h
             got = caputo_apply(a + b * x, alpha, h, Scheme.L1)
             expected = b * caputo_power_rule(1.0, alpha, x[-1])
-            assert got == pytest.approx(expected, rel=1e-11)
+            assert got == pytest.approx(expected, rel=1e-11, abs=0)
 
     def test_quadratic_converges_at_two_minus_alpha(self):
         alpha = 0.5
@@ -182,11 +182,11 @@ class TestCaputoPowerRule:
         expected = math.gamma(1.5)
         for x in (0.25, 0.5, 1.0, 2.0):
             assert caputo_power_rule(0.5, 0.5, x) == pytest.approx(
-                expected, rel=1e-14)
+                expected, rel=1e-14, abs=0)
 
     def test_square_at_one(self):
         assert caputo_power_rule(2.0, 0.5, 1.0) == pytest.approx(
-            GAMMA_3_OVER_2_5, rel=1e-13)
+            GAMMA_3_OVER_2_5, rel=1e-13, abs=0)
 
     def test_at_origin(self):
         assert caputo_power_rule(2.0, 0.5, 0.0) == 0.0

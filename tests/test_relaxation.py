@@ -79,7 +79,7 @@ class TestL1Solver:
     def test_first_step_closed_form(self, h):
         series = solve_l1(homogeneous(0.5, 1.0, h, T=max(h, 0.1)))
         expected = 1.0 / (1.0 + math.gamma(1.5) * math.sqrt(h))
-        assert series.values[1] == pytest.approx(expected, rel=1e-14)
+        assert series.values[1] == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_constant_solution_is_fixed_point(self):
         problem = RelaxationProblem(0.5, 2.0, PowerSum(((2.0, 0.0),)),
@@ -137,11 +137,13 @@ class TestTaylorPoly:
         for x in (0.1, 0.5, 1.0):
             expected = (1.0 - 4.0 * x ** 0.7 / g(1.7) + 16.0 * x ** 1.4 / g(2.4)
                         - 64.0 * x ** 2.1 / g(3.1))
-            assert taylor_poly(0.7, 4.0, 3, x) == pytest.approx(expected, rel=1e-14)
+            assert taylor_poly(0.7, 4.0, 3, x) == pytest.approx(
+                expected, rel=1e-14, abs=0)
 
     def test_converges_to_exact_solution(self):
         exact = ml_relaxation_exact(0.5, 1.0, 0.5)
-        assert taylor_poly(0.5, 1.0, 60, 0.5) == pytest.approx(exact, rel=1e-12)
+        assert taylor_poly(0.5, 1.0, 60, 0.5) == pytest.approx(
+            exact, rel=1e-12, abs=0)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
@@ -178,13 +180,13 @@ class TestCorrectedProblem:
         assert problem.y0 == 0.0
         ((c, p),) = problem.forcing.terms
         assert p == pytest.approx(2.1)
-        assert c == pytest.approx(1.0 / math.gamma(3.1), rel=1e-14)
+        assert c == pytest.approx(1.0 / math.gamma(3.1), rel=1e-14, abs=0)
 
     def test_alpha_07_forcing(self):
         problem = corrected_problem(0.7, 4.0, 3, T=1.0, h=0.1)
         ((c, p),) = problem.forcing.terms
         assert p == pytest.approx(2.1)
-        assert c == pytest.approx(256.0 / math.gamma(3.1), rel=1e-14)
+        assert c == pytest.approx(256.0 / math.gamma(3.1), rel=1e-14, abs=0)
 
     def test_minimal_degree_exponent_window(self):
         for alpha in (0.3, 0.5, 0.7, 0.9):
@@ -210,7 +212,8 @@ class TestCorrectedProblem:
         ((c, p),) = corrected_problem(0.5, 2.0, 400, 1.0, 0.05).forcing.terms
         assert p == 200.0
         assert c == pytest.approx(
-            -math.exp(401 * math.log(2.0) - math.lgamma(201.0)), rel=1e-12)
+            -math.exp(401 * math.log(2.0) - math.lgamma(201.0)),
+            rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [342, 1000, 10_000])
     def test_large_degrees_solve(self, m, capsys):
@@ -218,11 +221,12 @@ class TestCorrectedProblem:
         # solve failed with "math range error" although taylor_poly works
         series = solve_corrected(0.5, 1.0, m, 1.0, 0.05)
         assert series.values[-1] == pytest.approx(
-            taylor_poly(0.5, 1.0, m, 1.0), rel=1e-14)
+            taylor_poly(0.5, 1.0, m, 1.0), rel=1e-14, abs=0)
         assert run(["relax", "--alpha", "0.5", "--h", "0.05",
                     f"--correct={m}"]) == 0
         last = capsys.readouterr().out.splitlines()[-1].split(",")
-        assert float(last[1]) == pytest.approx(0.427583576155807, rel=1e-14)
+        assert float(last[1]) == pytest.approx(
+            0.427583576155807, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("B,T,h", [(1e300, 1.0, 0.5),   # B^(m+1)
                                        (1e-10, 1e20, 1e20)])  # T^(alpha m)
@@ -270,7 +274,8 @@ class TestSolveCorrected:
 class TestExactConvolution:
     def test_homogeneous_case(self):
         got = exact_convolution(0.5, 1.0, None, 1.0)
-        assert got == pytest.approx(ml_relaxation_exact(0.5, 1.0, 1.0), rel=1e-13)
+        assert got == pytest.approx(
+            ml_relaxation_exact(0.5, 1.0, 1.0), rel=1e-13, abs=0)
 
     def test_at_origin(self):
         assert exact_convolution(0.5, 1.0, None, 0.0, y0=0.25) == 0.25
@@ -326,7 +331,7 @@ class TestClosedFormReference:
         # (|x| > 50), overflowed and cancelled at these points
         got = exact_convolution(alpha, B, PowerSum(((1.0, 0.0),)), 1.0, y0=0.0)
         want = (1.0 - ml_relaxation_exact(alpha, B, 1.0)) / B
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_array_matches_scalar_calls(self):
         forcing = relaxation_family("r12").forcing
@@ -342,7 +347,7 @@ def test_first_step_error_constant():
     v1 = solve_l1(homogeneous(0.5, 1.0, h, T=h)).values[1]
     y1 = ml_relaxation_exact(0.5, 1.0, h)
     ratio = abs(y1 - v1) / math.sqrt(h)
-    assert ratio == pytest.approx(FIRST_STEP_CONSTANT, rel=0.01)
+    assert ratio == pytest.approx(FIRST_STEP_CONSTANT, rel=0.01, abs=0)
 
 
 # each returned nan, inf or 0.0, or raised ConvergenceError, before it

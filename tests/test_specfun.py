@@ -41,7 +41,7 @@ E_HALF_HALF_AT_MINUS_5 = 0.010666394882413155097
 class TestZetaUnitStrip:
     @pytest.mark.parametrize("s,expected", sorted(ZETA_STRIP.items()))
     def test_reference_values(self, s, expected):
-        assert zeta_unit_strip(s) == pytest.approx(expected, rel=1e-12)
+        assert zeta_unit_strip(s) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("bad", [-1.0, -1.5, 0.1, 1.0])
     def test_domain(self, bad):
@@ -51,11 +51,12 @@ class TestZetaUnitStrip:
 
 class TestMittagLeffler:
     def test_exponential_point(self):
-        assert mittag_leffler(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
+        assert mittag_leffler(1.0, 1.0, 1.0) == pytest.approx(
+            math.e, rel=1e-14, abs=0)
 
     def test_half_at_minus_one(self):
         assert mittag_leffler(0.5, 1.0, -1.0) == pytest.approx(
-            E_HALF_AT_MINUS_1, rel=1e-13)
+            E_HALF_AT_MINUS_1, rel=1e-13, abs=0)
 
     def test_zero_argument_is_exact(self):
         assert mittag_leffler(0.3, 1.0, 0.0) == 1.0
@@ -63,17 +64,18 @@ class TestMittagLeffler:
 
     def test_two_parameter_point(self):
         assert mittag_leffler(0.5, 0.5, -1.0) == pytest.approx(
-            E_HALF_HALF_AT_MINUS_1, rel=1e-12)
+            E_HALF_HALF_AT_MINUS_1, rel=1e-12, abs=0)
 
     def test_exponential_collapse(self):
         for x in np.arange(-5.0, 5.25, 0.25):
             got = mittag_leffler(1.0, 1.0, float(x))
-            assert got == pytest.approx(math.exp(x), rel=1e-12)
+            assert got == pytest.approx(math.exp(x), rel=1e-12, abs=0)
 
     def test_two_parameter_exponential_identity(self):
         for x in np.arange(0.1, 5.01, 0.1):
             got = mittag_leffler(1.0, 2.0, float(x))
-            assert got == pytest.approx((math.exp(x) - 1.0) / x, rel=1e-10)
+            assert got == pytest.approx(
+                (math.exp(x) - 1.0) / x, rel=1e-10, abs=0)
 
     def test_convergence_failure_carries_partial_sum(self):
         with pytest.raises(ConvergenceError) as info:
@@ -107,22 +109,22 @@ class TestRelaxationExact:
 
     def test_alpha_half(self):
         assert ml_relaxation_exact(0.5, 1.0, 1.0) == pytest.approx(
-            E_HALF_AT_MINUS_1, rel=1e-13)
+            E_HALF_AT_MINUS_1, rel=1e-13, abs=0)
 
     def test_alpha_03(self):
         assert ml_relaxation_exact(0.3, 1.0, 1.0) == pytest.approx(
-            E_03_AT_MINUS_1, rel=1e-13)
+            E_03_AT_MINUS_1, rel=1e-13, abs=0)
 
     def test_alpha_07_strong_decay(self):
         # the alternating series loses ~3 digits here; still far inside 1e-10
         assert ml_relaxation_exact(0.7, 4.0, 1.0) == pytest.approx(
-            E_07_AT_MINUS_4, rel=1e-10)
+            E_07_AT_MINUS_4, rel=1e-10, abs=0)
 
     def test_spectral_regime(self):
         # series cancellation is hopeless at this argument; the spectral
         # integral must deliver full accuracy
         assert ml_relaxation_exact(0.3, 4.0, 2.0) == pytest.approx(
-            E_03_DEEP, rel=1e-11)
+            E_03_DEEP, rel=1e-11, abs=0)
 
     def test_generalized_mean_value_sandwich(self):
         # (y(h) - 1) Gamma(alpha+1) / h^alpha equals -y(xi) for some
@@ -172,7 +174,7 @@ class TestRelaxationExactLargeArgument:
             series = sum((-1) ** (k + 1) * s ** -k * rgamma(1.0 - alpha * k)
                          for k in (1, 2, 3))
             assert ml_relaxation_exact(alpha, s, 1.0) == pytest.approx(
-                series, rel=1e-10)
+                series, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999,
                                        1.0 - 1e-6])
@@ -193,7 +195,7 @@ class TestRelaxationExactLargeArgument:
                 want = mpmath.sin(theta) / theta * mpmath.quad(
                     integrand, sorted(points) + [mpmath.inf])
                 assert ml_relaxation_exact(alpha, s, 1.0) == pytest.approx(
-                    float(want), rel=1e-12)
+                    float(want), rel=1e-12, abs=0)
 
 
 class TestNegativeAxisBranchRule:
@@ -205,12 +207,12 @@ class TestNegativeAxisBranchRule:
     def test_inside_documented_domain(self):
         # the series overflowed a term at n = 773 and raised
         assert mittag_leffler(0.5, 1.0, -30.0) == pytest.approx(
-            E_HALF_AT_MINUS_30, rel=1e-15)
+            E_HALF_AT_MINUS_30, rel=1e-15, abs=0)
 
     def test_no_cancelled_series_value(self):
         # the series returned 1.146e27
         assert mittag_leffler(0.5, 1.0, -10.0) == pytest.approx(
-            E_HALF_AT_MINUS_10, rel=1e-14)
+            E_HALF_AT_MINUS_10, rel=1e-14, abs=0)
 
     def test_exponential_at_alpha_one(self):
         # the series returned -51133
@@ -220,7 +222,7 @@ class TestNegativeAxisBranchRule:
         # the series returned 0.010694 (true 0.010666): peak/value 2.7e12;
         # then it raised, and now the spectral integral gives the value
         assert mittag_leffler(0.5, 0.5, -5.0) == pytest.approx(
-            E_HALF_HALF_AT_MINUS_5, rel=1e-13)
+            E_HALF_HALF_AT_MINUS_5, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha,B,x", [
         (0.3, 10.0, 0.00547),   # s = 2.096: the series kept ~10 digits here
@@ -239,7 +241,7 @@ class TestNegativeAxisBranchRule:
                 / (t * t + 2 * mpmath.cos(a * mpmath.pi) * s * t + s * s),
                 sorted({0, max(0, 1 - 40 * a), 1, 1 + 40 * a}))
         assert ml_relaxation_exact(alpha, B, x) == pytest.approx(
-            float(want), rel=1e-13)
+            float(want), rel=1e-13, abs=0)
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(0.05, 1.0),
@@ -255,7 +257,7 @@ class TestNegativeAxisBranchRule:
         if alpha < 1.0:
             assert e_near == pytest.approx(
                 ml_relaxation_exact(alpha, 1.0, (-near) ** (1.0 / alpha)),
-                rel=1e-13)
+                rel=1e-13, abs=0)
 
 
 class TestArrayArguments:
@@ -273,14 +275,15 @@ class TestArrayArguments:
     def test_mittag_leffler_array_raises_when_an_element_would(self):
         # E_{0.5,0.5}(-5) raised "cancels"; now no element of this array does
         got = mittag_leffler(0.5, 0.5, np.array([1.0, -0.5, -5.0]))
-        assert got[2] == pytest.approx(E_HALF_HALF_AT_MINUS_5, rel=1e-13)
+        assert got[2] == pytest.approx(
+            E_HALF_HALF_AT_MINUS_5, rel=1e-13, abs=0)
         with pytest.raises(ValueError, match="50"):
             mittag_leffler(0.5, 1.0, np.array([1.0, -51.0]))
 
     def test_large_argument_coefficients_do_not_go_subnormal(self):
         # Horner on 1/Gamma(alpha n + beta) alone was 2.4e-5 off here
         assert mittag_leffler(0.7, 2.5, 30.0) == pytest.approx(
-            E_07_25_AT_30, rel=1e-13)
+            E_07_25_AT_30, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.9, 0.999])
     @pytest.mark.parametrize("B", [0.5, 3.0])
@@ -314,9 +317,9 @@ class TestFoundRegressions:
     def test_large_beta_starts_from_log_gamma(self):
         # 1/Gamma(172) overflowed in math.gamma: "math range error"
         assert mittag_leffler(1.0, 172.0, 1.0) == pytest.approx(
-            E_1_172_AT_1, rel=1e-12)
+            E_1_172_AT_1, rel=1e-12, abs=0)
         assert mittag_leffler(0.5, 200.0, 0.0) == pytest.approx(
-            math.exp(-math.lgamma(200.0)), rel=1e-12)
+            math.exp(-math.lgamma(200.0)), rel=1e-12, abs=0)
 
     def test_small_alpha_at_s_one(self, capsys):
         # E_0.001(-1) needed 31 722 series terms; it exited 1, and so did
@@ -328,7 +331,7 @@ class TestFoundRegressions:
     def test_large_beta_on_the_command_line(self, capsys):
         assert run(["ml", "--alpha", "1", "--beta", "172", "--x", "1"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(
-            E_1_172_AT_1, rel=1e-12)
+            E_1_172_AT_1, rel=1e-12, abs=0)
 
 
 def ml_mpmath(alpha, beta, s):
@@ -366,7 +369,7 @@ class TestTwoParameterNegativeAxis:
             return
         # completely monotone for beta >= alpha (Schneider, Expo. Math. 14,
         # 1996): positive and non-increasing in s
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
         assert got > 0.0
         assert e_neg(alpha, beta, s * 10.0 ** log_far) <= got * (1.0 + 1e-13)
 
@@ -380,24 +383,34 @@ class TestTwoParameterNegativeAxis:
                                                     want, capsys):
         # each exited 1: its series cancelled past the guard
         assert run(["ml", "--alpha", alpha, "--beta", beta, "--x", x]) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-13)
+        assert float(capsys.readouterr().out) == pytest.approx(
+            want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("x", ["-5", "-10", "-20"])
+    def test_beta_one_half_resolves_the_peak(self, x, capsys):
+        # each exited 1: the layout was picked from the weight at the
+        # peak, whose factor a - b p / s = -cos(pi beta) vanishes at
+        # beta = 1/2, and the far layout cannot resolve the peak
+        assert run(["ml", "--alpha", "0.999", "--beta", "0.5", "--x", x]) == 0
+        got = float(capsys.readouterr().out)
+        assert abs(got - ml_mpmath(0.999, 0.5, -float(x))) <= 1e-14
 
     def test_beta_between_one_and_one_plus_alpha(self):
         # the kernel's factor t^((1-beta)/alpha) is singular at 0 for
         # beta > 1, so beta = 1.45 takes one step down first
         assert mittag_leffler(0.5, 1.45, -3.0) == pytest.approx(
-            0.26807046835088013958, rel=1e-13)
+            0.26807046835088013958, rel=1e-13, abs=0)
 
     def test_beta_equal_to_alpha_far_out(self):
         # 1/Gamma(beta - alpha) = 0 leaves 2.8e-17; a = sin(pi (beta -
         # alpha)) / sin(alpha pi) must be exactly 0, not 1e-16
         assert e_neg(0.5, 0.5, 1e8) == pytest.approx(
-            2.8209479177387810116e-17, rel=1e-13)
+            2.8209479177387810116e-17, rel=1e-13, abs=0)
 
     def test_no_step_down_below_s_one(self):
         # each step divides by s; at alpha = 0.005 the 200 steps blew up
         assert mittag_leffler(0.005, 2.0, -1e-4) == pytest.approx(
-            0.99990022192901166544, rel=1e-14)
+            0.99990022192901166544, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("beta", ["1e300", "1e12"])
     def test_huge_beta_is_bounded(self, beta, capsys):
@@ -410,9 +423,9 @@ class TestTwoParameterNegativeAxis:
         # stepping down from beta = 20 at s = 1.01 multiplied the error of
         # the spectral value by ~1e17 and returned a wrong sign
         assert e_neg(0.5, 20.0, 1.01) == pytest.approx(
-            ml_mpmath(0.5, 20.0, 1.01), rel=1e-13)
+            ml_mpmath(0.5, 20.0, 1.01), rel=1e-13, abs=0)
         assert e_neg(0.7, 50.0, 20.0) == pytest.approx(
-            ml_mpmath(0.7, 50.0, 20.0), rel=1e-13)
+            ml_mpmath(0.7, 50.0, 20.0), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("s", [2.0, 40.0])
     @pytest.mark.parametrize("alpha,beta,rel", [

@@ -22,8 +22,9 @@ class TestBuildSystem:
         h = math.pi * 0.05 / 3.0
         system = build_system(0.5, 0.05, h, 60, Scheme.L1)
         eta = -system.upper[0]
-        assert eta == pytest.approx(ETA_REFERENCE, rel=1e-13)
-        assert system.main[0] == pytest.approx(1.0 + 2.0 * eta, rel=1e-14)
+        assert eta == pytest.approx(ETA_REFERENCE, rel=1e-13, abs=0)
+        assert system.main[0] == pytest.approx(
+            1.0 + 2.0 * eta, rel=1e-14, abs=0)
 
     def test_l1_dominance_margin_is_one(self):
         system = build_system(0.5, 0.1, 0.2, 10, Scheme.L1)
@@ -34,7 +35,7 @@ class TestBuildSystem:
         l1 = build_system(0.5, 0.1, 0.2, 10, Scheme.L1)
         ml1 = build_system(0.5, 0.1, 0.2, 10, Scheme.MODIFIED_L1)
         shift = ml1.main[0] - l1.main[0]
-        assert shift == pytest.approx(-zeta_unit_strip(-0.5), rel=1e-13)
+        assert shift == pytest.approx(-zeta_unit_strip(-0.5), rel=1e-13, abs=0)
         assert shift > 0.0
 
     def test_dimension(self):
@@ -185,7 +186,7 @@ class TestExactSingleMode:
 
     def test_reference_point(self):
         got = exact_single_mode(0.5, 1, math.pi / 2.0, 1.0)
-        assert got == pytest.approx(E_HALF_AT_MINUS_1, rel=1e-13)
+        assert got == pytest.approx(E_HALF_AT_MINUS_1, rel=1e-13, abs=0)
 
     def test_boundary_values(self):
         assert exact_single_mode(0.5, 1, 0.0, 0.5) == 0.0
