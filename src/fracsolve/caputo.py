@@ -17,9 +17,12 @@ the weights, levels 2..N solve one lower-triangular Toeplitz system, which
 `_march` solves exactly, up to roundoff, in O(N log^2 N): the blocked scheme
 of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) with its
 recursion unrolled, over leaves solved by FFT convolution with the first
-column of their matrix's inverse.
+column of their matrix's inverse.  One helper, `_convolve`, does every FFT
+convolution: the leaf solves, the history hand-offs between blocks and both
+halves of each Newton step that builds the leaf inverse.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -176,12 +179,14 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     so with the terms in v_0 and v_1 moved to the right-hand side, levels
     2..N solve one lower-triangular Toeplitz system.  It is solved leaf by
     leaf, L levels each: a leaf's solution is the convolution of its
-    right-hand sides with s, the first column of the leaf matrix's inverse.
+    right-hand sides with s, the first column of the leaf matrix's inverse,
+    whose FFT `_leaf_inverse` returns.
     L is the power of two at or below max(_LEAF, _LEAF_VALUES / columns),
     columns being the width of one chunk, so a scalar state takes leaves of
     1024 levels and a state of 8 or more columns leaves of 128.  After
     leaf k (counted from 1) the block of width W = L (k & -k) that ends
-    there subtracts its history from the next W levels.  This is the
+    there subtracts its history from the next W levels, by convolution with
+    c_1..c_{2W-1}, whose FFT is computed once per width.  This is the
     Hairer-Lubich-Schlichte recursion over power-of-two blocks, unrolled:
     every level receives the history of every earlier block exactly once
     before its leaf is solved.
@@ -204,7 +209,13 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     diagonal = (c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
     longest = max(_LEAF, _LEAF_VALUES // min(_COLUMNS, v.shape[1]))
     leaf = min(1 << (longest.bit_length() - 1), n_steps - 1)
-    spectra = {}    # FFT of the interior weights, by block width
+
+    # the FFT of length 2 W of c_1..c_{2W-1}, the history operand of blocks
+    # of width W, once per width for every chunk and its leaf inverse
+    @functools.cache
+    def weights(width):
+        return np.fft.rfft(interior[:2 * width - 1], 2 * width)[:, None]
+
     # one chunk at a time, leaf inverse included: full-width temporaries
     # would be a second array of all levels
     for c in range(0, v.shape[1], _COLUMNS):
@@ -212,23 +223,24 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
         np.multiply(F[2:, None], gha, out=x[2:])
         x[2:] -= np.multiply.outer(tail[1:], x[0])
         x[2:] -= np.multiply.outer(interior, x[1])
-        s = _inverse_spectrum(_leaf_inverse(
-            interior, diagonal[c:c + _COLUMNS], leaf, spectra))
+        s = _leaf_inverse(weights, diagonal[c:c + _COLUMNS], leaf)
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
-            _solve_leaf(x[lo:lo + leaf], s)
+            x[lo:lo + leaf] = _convolve(x[lo:lo + leaf], s, 0)
             mid, width = lo + leaf, leaf * (k & -k)
             if mid <= n_steps:
-                _add_history(x[mid - width:mid], x[mid:mid + width],
-                             _weight_spectrum(spectra, interior, width))
+                future = x[mid:mid + width]
+                future -= _convolve(x[mid - width:mid], weights(width),
+                                    width - 1)[:len(future)]
     return v.reshape((n_steps + 1,) + v0.shape)
 
 
-def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray, leaf: int,
-                  spectra: dict) -> np.ndarray:
-    """First column s of the inverse of the leaf x leaf lower-triangular
-    Toeplitz matrix with the given diagonal and subdiagonals c_1..c_{leaf-1},
-    one column of s per diagonal entry.  The inverse is lower-triangular
-    Toeplitz too, so s defines it; s solves the matrix against e_0.
+def _leaf_inverse(weights, diagonal: np.ndarray, leaf: int) -> np.ndarray:
+    """FFT of length 2 leaf of the first column s of the inverse of the
+    leaf x leaf lower-triangular Toeplitz matrix with the given diagonal and
+    subdiagonals c_1..c_{leaf-1}, one column of s per diagonal entry.  The
+    inverse is lower-triangular Toeplitz too, so s defines it; s solves the
+    matrix against e_0.  weights(W) is the FFT of length 2 W of
+    c_1..c_{2W-1}.
 
     s starts at its one entry 1/diagonal and doubles by Newton's step
     s <- s (2 - a s) for power series (Kung, Numer. Math. 22, 1974), a the
@@ -236,64 +248,37 @@ def _leaf_inverse(interior: np.ndarray, diagonal: np.ndarray, leaf: int,
     zero below k, and entries k..2k-1 of s are those of -r convolved with s.
     In march terms, -r is the history that levels 0..k-1 of s hand to the
     next k levels, and the convolution solves those k levels as a leaf with
-    s[:k].  The weight spectra by width are `spectra`, shared with the
-    march.
+    s[:k]; both take the one FFT of s[:k].
     """
     s = np.empty((leaf, diagonal.size))
     s[0] = 1.0 / diagonal
     k = 1
     while k < leaf:
+        spectrum = np.fft.rfft(s[:k], 2 * k, axis=0)
         grown = s[k:2 * k]
-        grown[...] = 0.0
-        _add_history(s[:k], grown, _weight_spectrum(spectra, interior, k))
-        _solve_leaf(grown, _inverse_spectrum(s[:k]))
+        np.negative(_convolve(s[:k], weights(k), k - 1, spectrum)[:len(grown)],
+                    out=grown)
+        grown[...] = _convolve(grown, spectrum, 0)
         k *= 2
-    return s
+    return np.fft.rfft(s, 2 * leaf, axis=0)
 
 
-def _inverse_spectrum(s: np.ndarray) -> np.ndarray:
-    """FFT of the first column s of a leaf inverse, padded to twice its
-    length: the operand of `_solve_leaf` for leaves of up to len(s) levels."""
-    return np.fft.rfft(s, 2 * len(s), axis=0)
-
-
-def _solve_leaf(rhs: np.ndarray, spectrum: np.ndarray) -> None:
-    """Overwrite the right-hand sides of a leaf's levels with their
-    solution: the first len(rhs) entries of their convolution with the leaf
-    inverse's first column, whose `_inverse_spectrum` is `spectrum`.  Both
-    factors have at most half the transform length of entries, so the
-    circular convolution is free of wrap-around."""
+def _convolve(x: np.ndarray, spectrum: np.ndarray, start: int,
+              x_spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Entries start..start+len(x)-1 of the linear convolution, along the
+    first axis, of x with the sequence c whose rfft of length
+    n = 2 (len(spectrum) - 1) is spectrum; x_spectrum is the rfft of x of
+    length n where it is known already.  The product of the transforms is
+    the circular convolution of length n, which wraps the linear entries
+    past n - 1 onto the indices below len(x) + len(c) - 1 - n; every call
+    asks for entries in between."""
     size = 2 * (len(spectrum) - 1)
-    rhs[...] = np.fft.irfft(np.fft.rfft(rhs, size, axis=0) * spectrum, size,
-                            axis=0)[:len(rhs)]
-
-
-def _weight_spectrum(spectra: dict, interior: np.ndarray,
-                     width: int) -> np.ndarray:
-    """FFT of length 2 width of c_1..c_{2 width - 1}, the operand of
-    `_add_history` for blocks of that width; computed once per width and
-    kept in `spectra`."""
-    if width not in spectra:
-        spectra[width] = np.fft.rfft(interior[:2 * width - 1], 2 * width)
-    return spectra[width]
-
-
-def _add_history(past: np.ndarray, future: np.ndarray,
-                 spectrum: np.ndarray) -> None:
-    """Subtract from the right-hand sides in `future` the history of the W
-    levels in `past` that precede them: sum_j c_{n-j} v_j for level n.
-
-    With c_1..c_{2W-1}, whose FFT of length 2W is `spectrum`, the sum for
-    the i-th level of `future` is entry W - 1 + i of the linear convolution
-    of `past` with c.  The circular convolution of length 2W wraps only
-    entries past 2W - 1 onto indices below W - 1, so the entries needed are
-    free of wrap-around.
-    """
-    size = 2 * len(past)
-    start = len(past) - 1
-    f = np.fft.rfft(past, size, axis=0)
-    f *= spectrum[:, None]
-    future -= np.fft.irfft(f, size, axis=0)[start:start + len(future)]
+    if x_spectrum is None:
+        f = np.fft.rfft(x, size, axis=0)
+        f *= spectrum
+    else:
+        f = x_spectrum * spectrum
+    return np.fft.irfft(f, size, axis=0)[start:start + len(x)]
 
 
 def caputo_apply(samples, alpha: float, h: float,

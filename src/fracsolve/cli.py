@@ -152,10 +152,10 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _series_table(x: np.ndarray, values: np.ndarray, exact: np.ndarray) -> str:
-    lines = ["x,value,exact,error"]
-    for xi, vi, ei in zip(x, values, exact):
-        lines.append(f"{xi:.17g},{vi:.17g},{ei:.17g},{abs(vi - ei):.17g}")
-    return "\n".join(lines) + "\n"
+    row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
+    return "x,value,exact,error\n" + "".join(map(
+        row, x.tolist(), values.tolist(), exact.tolist(),
+        np.abs(values - exact).tolist()))
 
 
 def _cmd_ml(args) -> int:

@@ -218,16 +218,26 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
     Above beta^alpha, s exceeds Gamma(b + alpha) / Gamma(b) <= b^alpha
     (Wendel's inequality) at each b = beta - k alpha, so no step grows the
     error much.  ConvergenceError past policy.max_terms steps.
+
+    For alpha < 1e-17 min(1, beta) the value is the limit
+    1 / (Gamma(beta) (1 + s)), off by about alpha |psi(beta)| relative,
+    below roundoff (psi(beta) ~ -1/beta for small beta).  Any other alpha < 1e-17 keeps
+    the series and raises ConvergenceError past its cut: there the factor
+    t^((1-beta)/alpha) of the spectral integral is a step at t = 1 that no
+    node resolves, and sin(alpha pi) may be subnormal.
     """
-    if alpha < 1e-17 and beta == 1.0:
-        # the limit 1 / (1 + s) is off by less than alpha relative, below
-        # roundoff; sin(alpha pi) in the spectral integral would be subnormal
-        return 1.0 / (1.0 + s)
+    if alpha < 1e-17 * min(1.0, beta):
+        return 1.0 / (math.gamma(beta) * (1.0 + s))
     out = np.empty_like(s)
     low = s <= max(1.0, beta ** alpha) if alpha > 0.01 or beta != 1.0 else s < 1e-8
     if low.any():
         out[low] = _ml_series(alpha, beta, -s[low], policy)[0]
     if not low.all():
+        if alpha < 1e-17:
+            raise ConvergenceError(
+                f"E_{{{alpha},{beta}}}(-s) for s > {max(1.0, beta ** alpha)}: "
+                f"alpha below 1e-17 has no spectral integral in double "
+                f"precision")
         steps = math.ceil((beta - 1.0) / alpha) if beta > 1.0 else 0
         if steps > policy.max_terms:
             raise ConvergenceError(f"E_{{{alpha},{beta}}}(-s) needs {steps} "

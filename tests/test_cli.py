@@ -9,13 +9,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracsolve
 from fracsolve.caputo import Scheme
-from fracsolve.cli import run
+from fracsolve.cli import _series_table, run
 from fracsolve.harness import (Coupling, Ladder, render_report,
                                run_relaxation_study, run_subdiffusion_study)
 from fracsolve.problems import relaxation_family, subdiffusion_family
@@ -90,6 +91,17 @@ class TestRelax:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 1.0
         assert float(first[3]) == 0.0
+
+    def test_series_table_matches_row_by_row_formatting(self):
+        # the table maps one str.format over the columns; the reference
+        # formats each row on its own, as the renderer did before
+        x = np.array([0.0, 0.25, 1e-320, 3.0])
+        values = np.array([1.0, -0.0, np.nan, 1e300])
+        exact = np.array([1.0, 2.5e-17, 0.5, -np.inf])
+        want = "x,value,exact,error\n" + "".join(
+            f"{a:.17g},{b:.17g},{c:.17g},{abs(b - c):.17g}\n"
+            for a, b, c in zip(x, values, exact))
+        assert _series_table(x, values, exact) == want
 
     def test_corrected_series_written_to_file(self, tmp_path):
         target = tmp_path / "series.csv"

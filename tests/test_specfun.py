@@ -5,6 +5,7 @@ significant digits.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -436,3 +437,37 @@ class TestTwoParameterNegativeAxis:
         # alpha = 1e-6 and failed to converge at alpha = 1e-10
         want = ml_mpmath(alpha, beta, s)
         assert abs(e_neg(alpha, beta, s) - want) <= rel * want
+
+    @pytest.mark.parametrize("x", [-2.0, -40.0])
+    @pytest.mark.parametrize("beta", [1e-3, 0.5])
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-100])
+    def test_tiny_alpha_takes_the_limit(self, alpha, beta, x):
+        # all but (1e-300, 0.5) returned 0.0 with no error: the factor
+        # t^((1-beta)/alpha) of the spectral integral is a step at t = 1
+        # that no node resolves
+        want = 1.0 / (math.gamma(beta) * (1.0 - x))
+        assert mittag_leffler(alpha, beta, x) == pytest.approx(
+            want, rel=1e-15, abs=0)
+
+    def test_tiny_alpha_on_the_command_line(self, capsys):
+        # printed 0.0 with exit 0; 1 / (Gamma(1/2) 3) in mpmath Talbot
+        assert run(["ml", "--alpha", "1e-100", "--beta", "0.5",
+                    "--x", "-2"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(
+            0.18806319451591876, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-100, 2.2250738585e-313])
+    def test_tiny_alpha_past_the_series_refuses(self, alpha):
+        # at beta = alpha the limit is off by O(1) relative: the spectral
+        # integral returned 0.0, and at a subnormal alpha NaN after numpy
+        # RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                mittag_leffler(alpha, alpha, -2.0)
+
+    def test_tiny_alpha_keeps_the_series(self):
+        # sum_n (-s)^n / Gamma(alpha (n + 1)) = alpha / (1 + s)^2 to first
+        # order; 1 / Gamma(1e-300) = exp(-lgamma(1e-300)) rounds to ~1e-13
+        assert mittag_leffler(1e-300, 1e-300, -0.5) == pytest.approx(
+            1e-300 / 2.25, rel=1e-13, abs=0)
