@@ -10,6 +10,7 @@ function of its arguments and safe to call concurrently.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -99,7 +100,7 @@ def _power_over_gamma(x: float, n: int, a: float) -> float:
     representable, else through logarithms; inf where the quotient
     overflows."""
     log_x = math.log(x)
-    if 1e-300 < a < 171.0 and n * log_x < 700.0:
+    if 1.0 / sys.float_info.max < a < 171.0 and n * log_x < 700.0:
         return x ** n / math.gamma(a)
     log_c = n * log_x - math.lgamma(a)
     return math.exp(log_c) if log_c < 709.0 else math.inf

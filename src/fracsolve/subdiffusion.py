@@ -4,13 +4,13 @@ Solves d^alpha u / dt^alpha = d^2 u / dx^2 on [0, pi] x [0, T] with
 homogeneous Dirichlet boundaries.  Space uses the second-order central
 difference; time uses the L1 or modified-L1 Caputo discretization.  On the
 grid x_j = j pi/N every sin(k x_j) is an eigenvector of the second difference,
-so an orthonormal discrete sine transform (DST-I) splits the scheme into N-1
-independent relaxation marches, one per mode, which `caputo._march` advances
-together as one vector state.  As in the scalar case, the single-mode
-solution sin(x) E_alpha(-t^alpha) is singular at t = 0 and the plain schemes
-drop to first order in time; subtracting the fractional Taylor expansion of
-the time factor restores them.  That correction leaves sin(x_j) times one
-scalar relaxation march, which `solve_corrected` runs alone.
+so each kind of initial profile takes one path: a `SineMode(k)` solution is
+sin(k x_j) times one scalar relaxation march, and a `Sampled` profile is split
+by an orthonormal discrete sine transform (DST-I) into N-1 such marches, which
+`caputo._march` advances together as one vector state.  As in the scalar
+case, the single-mode solution sin(x) E_alpha(-t^alpha) is singular at t = 0
+and the plain schemes drop to first order in time; subtracting the fractional
+Taylor expansion of the time factor from the scalar march restores them.
 """
 
 import math
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import relaxation
 from .caputo import Scheme, _check_alpha, _march, _scheme_weights
-from .relaxation import taylor_poly
 from .specfun import ml_relaxation_exact
 
 __all__ = [
@@ -194,31 +193,13 @@ def _dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
 
 
-def _mode_rates(N: int) -> np.ndarray:
-    """Eigenvalues B_k = (4/h^2) sin^2(k h/2), k = 1..N-1, of the negated
-    second difference on the grid of N intervals, h = pi/N: the decay rate
-    of mode k."""
+def _mode_rates(N: int, k):
+    """Eigenvalues B_k = (4/h^2) sin^2(k h/2) of the negated second
+    difference on the grid of N intervals, h = pi/N: the decay rate of mode
+    k, for one int k or an array of them."""
     h = math.pi / N
-    return 4.0 / h ** 2 * np.sin(0.5 * h * np.arange(1, N)) ** 2
-
-
-def _advance(problem: SubdiffusionProblem, scheme: Scheme) -> np.ndarray:
-    """Time-step the interior values; returns an (M+1) x (N-1) matrix.  In
-    orthonormal DST-I coordinates mode k decays at the rate `_mode_rates`."""
-    N, M = problem.N, problem.M
-    if isinstance(problem.initial, SineMode):
-        u0 = np.sin(problem.initial.k * space_nodes(N)[1:-1])
-    else:
-        u0 = problem.initial.values[1:-1]
-    u = _march(problem.alpha, scheme, problem.tau, _dst(u0), _mode_rates(N),
-               np.broadcast_to(0.0, (M + 1,)))
-    # back to grid values in place, a block of rows at a time: a second
-    # array of all levels would raise peak memory
-    for rows in range(0, M + 1, _DST_ROWS):
-        u[rows:rows + _DST_ROWS] = _dst(u[rows:rows + _DST_ROWS])
-    # the transform round trip is not exact; level 0 is the given data
-    u[0] = u0
-    return u
+    # np.square, not ** 2: a float64 scalar's power can round the other way
+    return 4.0 / h ** 2 * np.square(np.sin(0.5 * h * k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,10 +227,36 @@ class SpaceTimeSolution:
         return self.values[-1]
 
 
-def _assemble(problem: SubdiffusionProblem, interior: np.ndarray) -> SpaceTimeSolution:
-    full = np.zeros((problem.M + 1, problem.N + 1))
-    full[:, 1:-1] = interior
-    return SpaceTimeSolution(problem.h, problem.tau, full)
+def _advance(problem: SubdiffusionProblem, scheme: Scheme,
+             m: int | None = None) -> SpaceTimeSolution:
+    """Time-step the problem by the one path for its initial profile: a
+    `SineMode(k)` is sin(k x_j) times one scalar relaxation march at rate B_k
+    (with a degree m, the corrected march of `solve_corrected`), and a
+    `Sampled` profile marches its DST-I modes together as one vector state."""
+    N, M, tau = problem.N, problem.M, problem.tau
+    if isinstance(problem.initial, Sampled):
+        u0 = problem.initial.values[1:-1]
+        u = _march(problem.alpha, scheme, tau, _dst(u0),
+                   _mode_rates(N, np.arange(1, N)),
+                   np.broadcast_to(0.0, (M + 1,)))
+        # back to grid values in place, a block of rows at a time: a second
+        # array of all levels would raise peak memory
+        for rows in range(0, M + 1, _DST_ROWS):
+            u[rows:rows + _DST_ROWS] = _dst(u[rows:rows + _DST_ROWS])
+        # the transform round trip is not exact; level 0 is the given data
+        u[0] = u0
+        values = np.zeros((M + 1, N + 1))
+        values[:, 1:-1] = u
+        return SpaceTimeSolution(problem.h, tau, values)
+    k, alpha, T = problem.initial.k, problem.alpha, problem.T
+    march = (relaxation.RelaxationProblem(alpha, 1.0, None, 1.0, T, tau)
+             if m is None else relaxation.corrected_problem(alpha, 1.0, m, T, tau))
+    z = relaxation.solve(replace(march, B=_mode_rates(N, k)), scheme)
+    series = (z.values if m is None else
+              z.values + relaxation.taylor_poly(alpha, 1.0, m, z.x))
+    values = np.zeros((M + 1, N + 1))
+    np.multiply.outer(series, np.sin(k * space_nodes(N)[1:-1]), out=values[:, 1:-1])
+    return SpaceTimeSolution(problem.h, tau, values)
 
 
 def solve(problem: SubdiffusionProblem, scheme: Scheme) -> SpaceTimeSolution:
@@ -259,12 +266,12 @@ def solve(problem: SubdiffusionProblem, scheme: Scheme) -> SpaceTimeSolution:
 
 def solve_l1(problem: SubdiffusionProblem) -> SpaceTimeSolution:
     """March the L1 scheme."""
-    return _assemble(problem, _advance(problem, Scheme.L1))
+    return _advance(problem, Scheme.L1)
 
 
 def solve_ml1(problem: SubdiffusionProblem) -> SpaceTimeSolution:
     """March the modified L1 scheme; levels 0 and 1 come from the L1 step."""
-    return _assemble(problem, _advance(problem, Scheme.MODIFIED_L1))
+    return _advance(problem, Scheme.MODIFIED_L1)
 
 
 def exact_single_mode(alpha: float, k: int, x, t: float):
@@ -296,12 +303,4 @@ def solve_corrected(alpha: float, m: int, T: float, N: int, M: int,
     fractional Taylor polynomial of the time factor.  Level 0 reproduces
     sin(x_n) exactly and the boundary stays exactly zero.
     """
-    problem = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=T,
-                                  initial=SineMode(1))
-    remainder = relaxation.corrected_problem(alpha, 1.0, m, T, problem.tau)
-    z = relaxation.solve(replace(remainder, B=_mode_rates(N)[0]), scheme)
-    sine = np.sin(space_nodes(N))
-    sine[0] = 0.0
-    sine[-1] = 0.0
-    values = np.outer(z.values + taylor_poly(alpha, 1.0, m, z.x), sine)
-    return SpaceTimeSolution(problem.h, problem.tau, values)
+    return _advance(SubdiffusionProblem(alpha, N, M, T, SineMode(1)), scheme, m)

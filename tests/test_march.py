@@ -235,14 +235,22 @@ def test_subdiffusion_peak_memory():
     assert peak <= 2.3 * values.nbytes
 
 
-def test_corrected_subdiffusion_peak_memory():
-    """The corrected solve marches one scalar state and spreads it over the
-    grid once, so its traced peak is the result and little more."""
-    args = (0.3, 7, 1.0, 960, 320, Scheme.MODIFIED_L1)
-    subdiffusion.solve_corrected(*args)     # first calls may set up caches
+@pytest.mark.parametrize("solve", [
+    lambda: subdiffusion.solve_corrected(0.3, 7, 1.0, 960, 320,
+                                         Scheme.MODIFIED_L1),
+    lambda: subdiffusion.solve_l1(SubdiffusionProblem(
+        0.3, N=960, M=320, T=1.0, initial=SineMode(1))),
+    lambda: subdiffusion.solve_ml1(SubdiffusionProblem(
+        0.3, N=960, M=320, T=1.0, initial=SineMode(1))),
+], ids=["corrected", "l1", "ml1"])
+def test_corrected_subdiffusion_peak_memory(solve):
+    """A sine-mode solve, plain or corrected, marches one scalar state and
+    spreads it over the grid once, so its traced peak is the result and
+    little more.  A march of every mode reads about 2 of the result."""
+    solve()     # first calls may set up caches
     tracemalloc.start()
     try:
-        values = subdiffusion.solve_corrected(*args).values
+        values = solve().values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from fracsolve import subdiffusion
 from fracsolve.caputo import Scheme
 from fracsolve.specfun import ml_relaxation_exact, zeta_unit_strip
 from fracsolve.subdiffusion import (_dst, Sampled, SineMode,
                                     SubdiffusionProblem, TridiagonalSystem,
                                     build_system, exact_single_mode, solve,
                                     solve_corrected, solve_l1, solve_ml1,
-                                    thomas_solve)
+                                    space_nodes, thomas_solve)
 
 ETA_REFERENCE = 72.28242233197722   # Gamma(1.5) * 0.05^0.5 / (pi * 0.05 / 3)^2
 E_HALF_AT_MINUS_1 = 0.4275835761558070
@@ -178,6 +179,40 @@ class TestSolvers:
         for T in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 SubdiffusionProblem(alpha=0.5, N=8, M=4, T=T, initial=SineMode(1))
+
+
+class TestOnePathPerProfile:
+    """A sine mode is one scalar march spread over the grid; only a sampled
+    profile goes through the sine transform."""
+
+    def test_sine_mode_makes_no_transform(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("a sine-mode solve took a sine transform")
+
+        monkeypatch.setattr(subdiffusion, "_dst", refuse)
+        problem = single_mode_problem(0.5, 12, 8, k=3)
+        solve_l1(problem)
+        solve_ml1(problem)
+        solve_corrected(0.5, 4, T=1.0, N=12, M=8)
+        sampled = SubdiffusionProblem(alpha=0.5, N=12, M=8, T=1.0,
+                                      initial=Sampled(np.zeros(13)))
+        with pytest.raises(AssertionError, match="sine transform"):
+            solve_l1(sampled)
+
+    @pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("k", [1, 3, 69, 71, 139])
+    def test_sampled_sine_matches_sine_mode(self, k, alpha, scheme):
+        # on this grid sin((N + 1) x) = -sin((N - 1) x) and sin((2N - 1) x)
+        # = -sin(x): an aliased mode must decay at the rate of its alias
+        N, M = 70, 50
+        profile = np.sin(k * space_nodes(N))
+        profile[[0, -1]] = 0.0
+        sampled = SubdiffusionProblem(alpha=alpha, N=N, M=M, T=1.0,
+                                      initial=Sampled(profile))
+        want = solve(single_mode_problem(alpha, N, M, k=k), scheme).values
+        got = solve(sampled, scheme).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestExactSingleMode:
