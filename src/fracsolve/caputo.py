@@ -20,6 +20,16 @@ recursion unrolled, over leaves solved by FFT convolution with the first
 column of their matrix's inverse.  One helper, `_convolve`, does every FFT
 convolution: the leaf solves, the history hand-offs between blocks and both
 halves of each Newton step that builds the leaf inverse.
+
+Every weight and every history operand depends on alpha and the scheme
+alone, so they are computed once per process, not once per solve: a
+`_WeightTable` per (alpha, scheme), of which the two most recent are kept,
+holds c_0, the interior and tail rows with the modified shifts applied, and
+the FFT of c_1..c_{2W-1} for every block width W whose weights a solve has
+had in full.  The rows grow by the levels they lack; past 2^16 levels a
+solve computes the rest for itself, so the tables hold at most 2.1 MiB each
+once a solve returns.  `l1_weights`, `ml1_weights`, `_march` and the
+subdiffusion main diagonal all read from them.
 """
 
 import functools
@@ -67,10 +77,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _interior_weights(alpha: float, kmax: int) -> np.ndarray:
+def _interior_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
     """Level-independent weights c_k = (k+1)^(1-a) - 2 k^(1-a) + (k-1)^(1-a)
-    for k = 1..kmax.  Valid as long as k < n; the level's own index takes the
-    tail formula instead.
+    for k = lo..hi-1, lo >= 2.  Valid as long as k < n; the level's own index
+    takes the tail formula instead.  Each entry depends on its k alone, so
+    any range gives the same bits as the same k in a longer one.
 
     The three powers cancel to a value of order k^(-1-a), so they are not
     evaluated as written.  With e = 1-a, x = 1/k and t = e atanh(x),
@@ -79,49 +90,113 @@ def _interior_weights(alpha: float, kmax: int) -> np.ndarray:
             = 2 (expm1(e/2 log1p(-x^2)) cosh(t) + 2 sinh(t/2)^2),
 
     whose two terms cancel only by a factor (2-a)/a, independent of k.  At
-    k = 1, log1p(-1) diverges, so c_1 = 2^e - 2 is set directly.
+    k = 1, log1p(-1) diverges, so `_WeightTable` sets c_1 = 2^e - 2 itself.
     """
     e = 1.0 - alpha
-    w = np.empty(kmax)
-    w[:1] = 2.0 ** e - 2.0
-    k = np.arange(2, kmax + 1, dtype=float)
+    k = np.arange(lo, hi, dtype=float)
     t = e * np.arctanh(1.0 / k)
-    w[1:] = 2.0 * k ** e * (np.expm1(0.5 * e * np.log1p(-1.0 / k ** 2)) * np.cosh(t)
-                            + 2.0 * np.sinh(0.5 * t) ** 2)
-    return w
+    return 2.0 * k ** e * (np.expm1(0.5 * e * np.log1p(-1.0 / k ** 2)) * np.cosh(t)
+                           + 2.0 * np.sinh(0.5 * t) ** 2)
 
 
-def _tail_weights(alpha: float, nmax: int) -> np.ndarray:
-    """Final weight (n-1)^e - n^e, e = 1-a, for levels n = 1..nmax, as
-    n^e expm1(e log1p(-1/n)) so that the powers do not cancel; at n = 1,
-    log1p(-1) diverges and the weight -1 is set directly."""
+def _tail_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
+    """Final weight (n-1)^e - n^e, e = 1-a, for levels n = lo..hi-1, lo >= 2,
+    as n^e expm1(e log1p(-1/n)) so that the powers do not cancel; at n = 1,
+    log1p(-1) diverges and `_WeightTable` sets the weight -1 itself."""
     e = 1.0 - alpha
-    w = np.empty(nmax)
-    w[0] = -1.0
-    n = np.arange(2, nmax + 1, dtype=float)
-    w[1:] = n ** e * np.expm1(e * np.log1p(-1.0 / n))
-    return w
+    n = np.arange(lo, hi, dtype=float)
+    return n ** e * np.expm1(e * np.log1p(-1.0 / n))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+# Rows and transforms of more levels than this are computed for the call that
+# needs them and are not kept.
+_CACHED_LEVELS = 1 << 16
+
+
+class _WeightTable:
+    """The weights of one scheme at one alpha, shared by every solve.
+
+    c0 is c_0, and `rows(n)` returns the interior weights c_1..c_{n-1},
+    shared by every level that reaches them, and the tails: tail[m-1] is the
+    final weight (m-1)^e - m^e of level m, e = 1-alpha.  The modified scheme
+    shifts indices 0, 1, 2 of every row from level 2 on by -z, +2z, -z with
+    z = zeta(alpha - 1), so its c_0 is 1 - z; index 2 is an interior weight
+    from level 3 on and the tail at level 2, so both take the -z.  Level 1
+    has no index 2 and is the L1 row 1, tail[0] in both schemes.  The plain
+    scheme takes z = 0, which leaves every weight's bits as they are.
+
+    The rows start at 3 levels, shifts applied, and grow by computing only
+    the levels they lack.  `spectrum` keeps the history operand of each
+    block width the rows fill.  Once a call returns, the table holds at most
+    _CACHED_LEVELS = 2^16 levels, 1 MiB of rows, and the transforms of the
+    widths up to 2^15, 1 MiB.  Every array it hands out is read-only, and a
+    grown row is published in one assignment, so a thread sees either the
+    old rows or the new ones whole.
+    """
+
+    def __init__(self, alpha: float, scheme: Scheme):
+        e = 1.0 - alpha
+        z = 0.0 if scheme is Scheme.L1 else zeta_unit_strip(alpha - 1.0)
+        self.alpha = alpha
+        self.c0 = 1.0 - z
+        interior = np.concatenate(([2.0 ** e - 2.0 + 2.0 * z],
+                                   _interior_weights(alpha, 2, 3) - z))
+        tail = np.concatenate(([-1.0], _tail_weights(alpha, 2, 4)))
+        tail[1] -= z
+        self._rows = (_frozen(interior), _frozen(tail))
+        self._spectra = {}
+
+    def rows(self, n: int):
+        """(c_1..c_{n-1}, the tails of levels 1..n) for n >= 1."""
+        interior, tail = self._rows
+        levels = len(tail)
+        if levels < n:
+            interior = _frozen(np.concatenate(
+                (interior, _interior_weights(self.alpha, levels, n))))
+            tail = _frozen(np.concatenate(
+                (tail, _tail_weights(self.alpha, levels + 1, n + 1))))
+            self._rows = (_head(interior, _CACHED_LEVELS - 1),
+                          _head(tail, _CACHED_LEVELS))
+        return interior[:n - 1], tail[:n]
+
+    def spectrum(self, interior: np.ndarray, width: int) -> np.ndarray:
+        """The FFT of length 2 W of c_1..c_{2W-1}, W = width, from the
+        calling solve's row c_1..c_{N-1} as a column; zero past c_{N-1}
+        where 2W - 1 > N - 1.  Only full widths are kept: a partial
+        transform depends on N."""
+        full = 2 * width <= min(len(interior) + 1, _CACHED_LEVELS)
+        spectrum = self._spectra.get(width) if full else None
+        if spectrum is None:
+            spectrum = _frozen(np.fft.rfft(interior[:2 * width - 1],
+                                           2 * width)[:, None])
+            if full:
+                self._spectra[width] = spectrum
+        return spectrum
+
+
+def _head(row: np.ndarray, size: int) -> np.ndarray:
+    """row if it has at most size entries, else a copy of its first size:
+    a view would hold all of row."""
+    return row if len(row) <= size else _frozen(row[:size].copy())
+
+
+@functools.lru_cache(maxsize=2)
+def _table(alpha: float, scheme: Scheme) -> _WeightTable:
+    """The weight table of one (alpha, scheme); the two most recent stay,
+    so both schemes of a ladder at one alpha are computed once."""
+    return _WeightTable(alpha, scheme)
 
 
 def _scheme_weights(alpha: float, scheme: Scheme, n: int):
-    """The weights of levels 1..n as (c_0, interior, tail).
-
-    interior holds c_1..c_{n-1}, shared by every level that reaches them, and
-    tail[m-1] is the final weight (m-1)^e - m^e of level m, e = 1-alpha.  The
-    modified scheme shifts indices 0, 1, 2 of every row from level 2 on by
-    -z, +2z, -z with z = zeta(alpha - 1), so its c_0 is 1 - z; index 2 is an
-    interior weight from level 3 on and the tail at level 2, so both take the
-    -z.  Level 1 has no index 2 and is the L1 row 1, tail[0] in both schemes.
-    """
-    interior = _interior_weights(alpha, n - 1)
-    tail = _tail_weights(alpha, n)
-    if scheme is Scheme.L1:
-        return 1.0, interior, tail
-    z = zeta_unit_strip(alpha - 1.0)
-    interior[:1] += 2.0 * z
-    interior[1:2] -= z
-    tail[1:2] -= z
-    return 1.0 - z, interior, tail
+    """The weights of levels 1..n as (c_0, interior, tail); see
+    `_WeightTable`."""
+    table = _table(alpha, scheme)
+    return (table.c0, *table.rows(n))
 
 
 def _row(alpha: float, scheme: Scheme, n: int) -> CoefficientRow:
@@ -186,7 +261,8 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     1024 levels and a state of 8 or more columns leaves of 128.  After
     leaf k (counted from 1) the block of width W = L (k & -k) that ends
     there subtracts its history from the next W levels, by convolution with
-    c_1..c_{2W-1}, whose FFT is computed once per width.  This is the
+    c_1..c_{2W-1}, whose FFT the (alpha, scheme) weight table keeps
+    across solves where the row holds all of it.  This is the
     Hairer-Lubich-Schlichte recursion over power-of-two blocks, unrolled:
     every level receives the history of every earlier block exactly once
     before its leaf is solved.
@@ -198,7 +274,8 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     # F is scaled as each chunk is filled, not up front: a scaled copy of F
     # would be a second array of all levels
     lam = B * gha
-    c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
+    table = _table(alpha, scheme)
+    interior, tail = table.rows(n_steps)
     v0 = np.asarray(v0, dtype=float)
     v = np.empty((n_steps + 1,) + v0.shape)
     v[0] = v0
@@ -206,15 +283,14 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     if n_steps < 2:
         return v
     v = v.reshape(n_steps + 1, -1)
-    diagonal = (c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
+    diagonal = (table.c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
     longest = max(_LEAF, _LEAF_VALUES // min(_COLUMNS, v.shape[1]))
     leaf = min(1 << (longest.bit_length() - 1), n_steps - 1)
 
     # the FFT of length 2 W of c_1..c_{2W-1}, the history operand of blocks
-    # of width W, once per width for every chunk and its leaf inverse
-    @functools.cache
-    def weights(width):
-        return np.fft.rfft(interior[:2 * width - 1], 2 * width)[:, None]
+    # of width W, once per width for every chunk and its leaf inverse: the
+    # table keeps the full widths, this call the partial ones
+    weights = functools.cache(functools.partial(table.spectrum, interior))
 
     # one chunk at a time, leaf inverse included: full-width temporaries
     # would be a second array of all levels

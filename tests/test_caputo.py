@@ -1,12 +1,16 @@
 """Weight rows and point evaluation of the discretized Caputo derivative."""
 
+import gc
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracsolve.caputo import (Scheme, caputo_apply, caputo_power_rule,
-                              l1_weights, ml1_weights)
+from fracsolve.caputo import (_CACHED_LEVELS, Scheme, _march, _scheme_weights,
+                              _table, _WeightTable, caputo_apply,
+                              caputo_power_rule, l1_weights, ml1_weights)
 from fracsolve.specfun import zeta_unit_strip
 
 SQRT2_MINUS_2 = -0.5857864376269049
@@ -108,6 +112,110 @@ class TestML1Weights:
     def test_rejects_level_below_two(self):
         with pytest.raises(ValueError):
             ml1_weights(0.5, 1)
+
+
+def march(alpha, scheme, n):
+    return _march(alpha, scheme, 1.0 / n, 0.7, 1.3, np.linspace(0.0, 1.0, n + 1))
+
+
+class TestWeightTable:
+    """Every solve at one (alpha, scheme) reads one table of weights and
+    history-weight transforms, which grows by the levels it lacks.  What it
+    hands out must not depend on which solves grew it, or in what order."""
+
+    SIZES = [2, 3, 5, 64, 1000, 1025, 4097]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("order", ["rising", "falling", "random"])
+    def test_rows_match_a_fresh_table(self, order, alpha, scheme):
+        sizes = {"rising": self.SIZES, "falling": self.SIZES[::-1],
+                 "random": np.random.default_rng(5).permutation(self.SIZES)}
+        _table.cache_clear()
+        for n in sizes[order]:
+            got = _scheme_weights(alpha, scheme, int(n))
+            fresh = _WeightTable(alpha, scheme)
+            want = (fresh.c0, *fresh.rows(int(n)))
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_march_bits_do_not_depend_on_earlier_solves(self, scheme):
+        """Each solve in turn against the same solve from an empty table.
+        The longest runs past the table's cap, which trims it, and 3000
+        levels fill no block width of 2048: that transform is the call's
+        own."""
+        sizes = (3000, _CACHED_LEVELS + 1000, 5000, 3000)
+        want = {}
+        for n in sizes:
+            _table.cache_clear()
+            want[n] = march(0.3, scheme, n)
+        _table.cache_clear()
+        for n in sizes:
+            assert np.array_equal(march(0.3, scheme, n), want[n])
+
+    def test_handed_out_arrays_are_read_only(self):
+        _, interior, tail = _scheme_weights(0.5, Scheme.MODIFIED_L1, 100)
+        spectrum = _table(0.5, Scheme.MODIFIED_L1).spectrum(interior, 8)
+        for array in (interior, tail, spectrum,
+                      ml1_weights(0.5, 100).weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_retained_memory_is_bounded(self):
+        """Past 2^16 levels the table keeps the first 2^16: its rows and the
+        transforms of widths up to 2^15 take 2.0 MiB, under 2.1 MiB with
+        their headers, and the cache holds two tables.  Without the trim, a
+        solve of 2^17 + 4096 levels would leave about 4 MiB per table."""
+        n = 2 * _CACHED_LEVELS + 4096
+        F = np.zeros(n + 1)
+        march(0.3, Scheme.L1, 300)      # first calls may set up caches
+        _table.cache_clear()
+        tracemalloc.start()
+        try:
+            for scheme in Scheme:
+                _march(0.5, scheme, 1.0 / n, 1.0, 1.0, F)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 * 2.1 * 2 ** 20
+
+    def test_tables_hold_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            _table.cache_clear()
+            for scheme in Scheme:
+                march(0.5, scheme, 3000)
+            _table.cache_clear()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_threads_growing_one_table_match_serial_solves(self, scheme):
+        sizes = [(700, 20000, 3000), (5000, 129, 40000)]
+        _table.cache_clear()
+        want = {n: march(0.4, scheme, n) for part in sizes for n in part}
+        _table.cache_clear()
+        got = {}
+        start = threading.Barrier(len(sizes))
+
+        def solve(part):
+            start.wait()
+            for n in part:
+                got[n] = march(0.4, scheme, n)
+
+        threads = [threading.Thread(target=solve, args=(part,))
+                   for part in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got.keys() == want.keys()
+        for n in want:
+            assert np.array_equal(got[n], want[n])
 
 
 @pytest.mark.parametrize("alpha", np.arange(0.1, 0.95, 0.1))
