@@ -17,7 +17,11 @@ the weights, levels 2..N solve one lower-triangular Toeplitz system, which
 `_march` solves exactly, up to roundoff, in O(N log^2 N): the blocked scheme
 of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) with its
 recursion unrolled, over leaves solved by FFT convolution with the first
-column of their matrix's inverse.  One helper, `_convolve`, does every FFT
+column of their matrix's inverse.  `_leaf` sizes the leaves to the grid:
+their size is 5-smooth, so no FFT length has a prime factor above 5, and
+they number a power of two wherever rounding the size up allows, as on the
+ladders' grids, so each history hand-off feeds a whole block but for the
+short end of the last leaf.  One helper, `_convolve`, does every FFT
 convolution: the leaf solves, the history hand-offs between blocks and both
 halves of each Newton step that builds the leaf inverse.
 
@@ -25,11 +29,13 @@ Every weight and every history operand depends on alpha and the scheme
 alone, so they are computed once per process, not once per solve: a
 `_WeightTable` per (alpha, scheme), of which the two most recent are kept,
 holds c_0, the interior and tail rows with the modified shifts applied, and
-the FFT of c_1..c_{2W-1} for every block width W whose weights a solve has
-had in full.  The rows grow by the levels they lack; past 2^16 levels a
-solve computes the rest for itself, so the tables hold at most 2.1 MiB each
-once a solve returns.  `l1_weights`, `ml1_weights`, `_march` and the
-subdiffusion main diagonal all read from them.
+the FFT of c_1..c_{2W-1} for the block widths W of Newton's steps and of
+one leaf size's hand-offs.  A hand-off's operand always holds all 2W - 1
+weights, past c_{N-1} where the march is shorter.  The rows grow by the
+levels they lack; past 2^16 levels a solve computes the rest for itself, so
+the tables hold at most 2.1 MiB each once a solve returns.  `l1_weights`,
+`ml1_weights`, `_march` and the subdiffusion main diagonal all read from
+them.
 """
 
 import functools
@@ -131,12 +137,17 @@ class _WeightTable:
     scheme takes z = 0, which leaves every weight's bits as they are.
 
     The rows start at 3 levels, shifts applied, and grow by computing only
-    the levels they lack.  `spectrum` keeps the history operand of each
-    block width the rows fill.  Once a call returns, the table holds at most
-    _CACHED_LEVELS = 2^16 levels, 1 MiB of rows, and the transforms of the
-    widths up to 2^15, 1 MiB.  Every array it hands out is read-only, and a
-    grown row is published in one assignment, so a thread sees either the
-    old rows or the new ones whole.
+    the levels they lack.  `spectrum(W)` is the history operand of block
+    width W.  The table keeps those of Newton's widths, the powers of two
+    up to _LEAF_VALUES, and of the hand-off widths L 2^j of one leaf size
+    L, set by `hand_offs` from the most recent march with more than one
+    leaf; a march of one leaf hands off nothing and keeps them.  Once a
+    call returns, the table holds at most _CACHED_LEVELS = 2^16 levels,
+    1 MiB of rows, and the transforms of widths up to 2^15: about 1 MiB
+    for the hand-off widths and 32 KiB for Newton's, under 2.1 MiB in all.
+    Every array it hands out is read-only, and a grown row is published in
+    one assignment, so a thread sees either the old rows or the new ones
+    whole.
     """
 
     def __init__(self, alpha: float, scheme: Scheme):
@@ -150,6 +161,7 @@ class _WeightTable:
         tail[1] -= z
         self._rows = (_frozen(interior), _frozen(tail))
         self._spectra = {}
+        self._leaf = 1
 
     def rows(self, n: int):
         """(c_1..c_{n-1}, the tails of levels 1..n) for n >= 1."""
@@ -164,19 +176,34 @@ class _WeightTable:
                           _head(tail, _CACHED_LEVELS))
         return interior[:n - 1], tail[:n]
 
-    def spectrum(self, interior: np.ndarray, width: int) -> np.ndarray:
-        """The FFT of length 2 W of c_1..c_{2W-1}, W = width, from the
-        calling solve's row c_1..c_{N-1} as a column; zero past c_{N-1}
-        where 2W - 1 > N - 1.  Only full widths are kept: a partial
-        transform depends on N."""
-        full = 2 * width <= min(len(interior) + 1, _CACHED_LEVELS)
-        spectrum = self._spectra.get(width) if full else None
+    def spectrum(self, width: int) -> np.ndarray:
+        """The FFT of length 2 W of c_1..c_{2W-1}, W = width, as a column.
+        The weights depend on alpha alone, so a march of N levels takes them
+        past c_{N-1} where 2W - 1 > N - 1: they reach only entries past the
+        levels it keeps, which it drops."""
+        spectrum = self._spectra.get(width)
         if spectrum is None:
-            spectrum = _frozen(np.fft.rfft(interior[:2 * width - 1],
+            spectrum = _frozen(np.fft.rfft(self.rows(2 * width)[0],
                                            2 * width)[:, None])
-            if full:
+            if 2 * width <= _CACHED_LEVELS and self._keeps(width):
                 self._spectra[width] = spectrum
         return spectrum
+
+    def hand_offs(self, leaf: int) -> None:
+        """Keep the hand-off widths leaf 2^j from now on, and drop those of
+        the leaf size before."""
+        if leaf != self._leaf:
+            self._leaf = leaf
+            # filter a copy, made in one call: other threads may add to the
+            # dict meanwhile, and what they add to it is then only lost
+            kept = self._spectra.copy()
+            self._spectra = {width: spectrum for width, spectrum
+                             in kept.items() if self._keeps(width)}
+
+    def _keeps(self, width: int) -> bool:
+        blocks, rest = divmod(width, self._leaf)
+        newton = width <= _LEAF_VALUES and width & (width - 1) == 0
+        return newton or rest == 0 and blocks & (blocks - 1) == 0
 
 
 def _head(row: np.ndarray, size: int) -> np.ndarray:
@@ -228,14 +255,43 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
 
 # Leaves are solved at once with the inverse of their triangular Toeplitz
 # matrix, and each block of leaves hands its history to the next block of the
-# same width by one FFT convolution.  A leaf holds at least _LEAF levels and,
-# for narrow states, up to _LEAF_VALUES values: each FFT call then does enough
-# arithmetic to outweigh its fixed cost.  Matrix states are marched _COLUMNS
-# columns at a time, each chunk with its own leaf inverse, to bound the
-# transforms' working memory.
+# same width by one FFT convolution.  Where the march is long enough, a leaf
+# holds at least _LEAF levels and, for narrow states, _LEAF_VALUES values, and
+# about twice that at most: each FFT call then does enough arithmetic to
+# outweigh its fixed cost.  Matrix states are marched _COLUMNS columns at a
+# time, each chunk with its own leaf inverse, to bound the transforms' working
+# memory.
 _LEAF = 128
 _LEAF_VALUES = 1024
 _COLUMNS = 64
+
+
+def _leaf(unknowns: int, columns: int) -> int:
+    """The leaf size L of a march of `unknowns` levels, `columns` columns
+    in a chunk.  With longest = max(_LEAF, _LEAF_VALUES // columns), count
+    is the largest power of two whose leaves would hold at least longest
+    levels each, or 1, and L is the smallest 2^a 3^b 5^c at or above
+    unknowns / count, at most 11% above it (7% from 1024 on).  So
+    count L >= unknowns, every FFT length 2 L 2^j has no prime factor above
+    5, and where the rounding adds fewer than L / count levels per leaf,
+    as for every scalar march of N <= 32769 and the ladders' N = 20 2^k,
+    the march has count leaves, of which only the last falls short."""
+    longest = max(_LEAF, _LEAF_VALUES // columns)
+    count = 1
+    while unknowns // (2 * count) >= longest:
+        count *= 2
+    least = -(-unknowns // count)
+    # for each odd part 3^b 5^c, the least power of two that lifts it to
+    # least or above; the smallest of these is the least 5-smooth number
+    leaf = 1 << (least - 1).bit_length()
+    fives = 1
+    while fives < leaf:
+        odd = fives
+        while odd < leaf:
+            leaf = min(leaf, odd << (-(-least // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return leaf
 
 
 def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
@@ -255,17 +311,22 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     2..N solve one lower-triangular Toeplitz system.  It is solved leaf by
     leaf, L levels each: a leaf's solution is the convolution of its
     right-hand sides with s, the first column of the leaf matrix's inverse,
-    whose FFT `_leaf_inverse` returns.
-    L is the power of two at or below max(_LEAF, _LEAF_VALUES / columns),
-    columns being the width of one chunk, so a scalar state takes leaves of
-    1024 levels and a state of 8 or more columns leaves of 128.  After
-    leaf k (counted from 1) the block of width W = L (k & -k) that ends
-    there subtracts its history from the next W levels, by convolution with
-    c_1..c_{2W-1}, whose FFT the (alpha, scheme) weight table keeps
-    across solves where the row holds all of it.  This is the
-    Hairer-Lubich-Schlichte recursion over power-of-two blocks, unrolled:
-    every level receives the history of every earlier block exactly once
-    before its leaf is solved.
+    whose FFT `_leaf_inverse` returns.  `_leaf` sizes the leaves to the
+    N - 1 unknowns, columns being the width of one chunk: count leaves, a
+    power of two, of L levels, L the least 5-smooth number at or above
+    (N - 1) / count, so that every FFT length is 5-smooth, and from
+    max(_LEAF, _LEAF_VALUES / columns) to about twice that where N allows.
+    A scalar march of N = 40960 levels takes 32 leaves of 1280, one of
+    N = 20000 16 leaves of 1250.  After leaf k (counted from 1) the block
+    of width W = L (k & -k) that ends there subtracts its history from the
+    next W levels, by convolution with c_1..c_{2W-1}, whose FFT the
+    (alpha, scheme) weight table keeps across solves.  Each such block
+    lies within the count leaves, so every hand-off feeds W levels, or all
+    of them but the short part of the last leaf; only where rounding L up
+    leaves the last leaves empty does the end of the march cut a block
+    shorter.  This is the Hairer-Lubich-Schlichte recursion over
+    power-of-two blocks, unrolled: every level receives the history of
+    every earlier block exactly once before its leaf is solved.
     """
     n_steps = len(F) - 1
     if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
@@ -284,13 +345,9 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
         return v
     v = v.reshape(n_steps + 1, -1)
     diagonal = (table.c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
-    longest = max(_LEAF, _LEAF_VALUES // min(_COLUMNS, v.shape[1]))
-    leaf = min(1 << (longest.bit_length() - 1), n_steps - 1)
-
-    # the FFT of length 2 W of c_1..c_{2W-1}, the history operand of blocks
-    # of width W, once per width for every chunk and its leaf inverse: the
-    # table keeps the full widths, this call the partial ones
-    weights = functools.cache(functools.partial(table.spectrum, interior))
+    leaf = _leaf(n_steps - 1, min(_COLUMNS, v.shape[1]))
+    if leaf < n_steps - 1:
+        table.hand_offs(leaf)
 
     # one chunk at a time, leaf inverse included: full-width temporaries
     # would be a second array of all levels
@@ -299,13 +356,13 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
         np.multiply(F[2:, None], gha, out=x[2:])
         x[2:] -= np.multiply.outer(tail[1:], x[0])
         x[2:] -= np.multiply.outer(interior, x[1])
-        s = _leaf_inverse(weights, diagonal[c:c + _COLUMNS], leaf)
+        s = _leaf_inverse(table.spectrum, diagonal[c:c + _COLUMNS], leaf)
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
             x[lo:lo + leaf] = _convolve(x[lo:lo + leaf], s, 0)
             mid, width = lo + leaf, leaf * (k & -k)
             if mid <= n_steps:
                 future = x[mid:mid + width]
-                future -= _convolve(x[mid - width:mid], weights(width),
+                future -= _convolve(x[mid - width:mid], table.spectrum(width),
                                     width - 1)[:len(future)]
     return v.reshape((n_steps + 1,) + v0.shape)
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -143,9 +144,9 @@ class TestWeightTable:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_march_bits_do_not_depend_on_earlier_solves(self, scheme):
         """Each solve in turn against the same solve from an empty table.
-        The longest runs past the table's cap, which trims it, and 3000
-        levels fill no block width of 2048: that transform is the call's
-        own."""
+        The longest runs past the table's cap, which trims it, and each
+        takes another leaf size (1500, 1080, 1250 levels), so each switches
+        the hand-off widths the table keeps."""
         sizes = (3000, _CACHED_LEVELS + 1000, 5000, 3000)
         want = {}
         for n in sizes:
@@ -157,29 +158,36 @@ class TestWeightTable:
 
     def test_handed_out_arrays_are_read_only(self):
         _, interior, tail = _scheme_weights(0.5, Scheme.MODIFIED_L1, 100)
-        spectrum = _table(0.5, Scheme.MODIFIED_L1).spectrum(interior, 8)
+        spectrum = _table(0.5, Scheme.MODIFIED_L1).spectrum(8)
         for array in (interior, tail, spectrum,
                       ml1_weights(0.5, 100).weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
     def test_retained_memory_is_bounded(self):
-        """Past 2^16 levels the table keeps the first 2^16: its rows and the
-        transforms of widths up to 2^15 take 2.0 MiB, under 2.1 MiB with
-        their headers, and the cache holds two tables.  Without the trim, a
-        solve of 2^17 + 4096 levels would leave about 4 MiB per table."""
-        n = 2 * _CACHED_LEVELS + 4096
-        F = np.zeros(n + 1)
+        """Past 2^16 levels the table keeps the first 2^16, 1 MiB of rows.
+        Of the transforms it keeps Newton's widths, the powers of two up to
+        1024, and the hand-off widths of one leaf size, L 2^j up to 2^15:
+        at most 1 MiB more, under 2.1 MiB per table with their headers, and
+        the cache holds two tables.  A sweep of solves whose leaf sizes
+        differ must not pile up transforms: kept for every leaf size, the
+        sweep below leaves about 11 MiB per table.  65537 levels take 64
+        leaves of 1024, whose hand-off widths reach the bound, 2.0 MiB per
+        table.  Without the trim, a solve of 2^17 + 4096 levels would leave
+        about 4 MiB per table."""
         march(0.3, Scheme.L1, 300)      # first calls may set up caches
         _table.cache_clear()
+        sizes = [*range(1000, 60001, 997), 65537, 2 * _CACHED_LEVELS + 4096]
+        retained = []
         tracemalloc.start()
         try:
-            for scheme in Scheme:
-                _march(0.5, scheme, 1.0 / n, 1.0, 1.0, F)
-            retained, _ = tracemalloc.get_traced_memory()
+            for n in sizes:
+                for scheme in Scheme:
+                    _march(0.5, scheme, 1.0 / n, 1.0, 1.0, np.zeros(n + 1))
+                    retained.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert retained <= 2 * 2.1 * 2 ** 20
+        assert max(retained) <= 2 * 2.1 * 2 ** 20
 
     def test_tables_hold_no_reference_cycle(self):
         gc.collect()
@@ -216,6 +224,45 @@ class TestWeightTable:
         assert got.keys() == want.keys()
         for n in want:
             assert np.array_equal(got[n], want[n])
+
+    def test_threads_switching_leaf_sizes_get_every_transform(self):
+        """Four threads on one table, each switching it between two leaf
+        sizes and asking for their hand-off widths, with the interpreter
+        switching threads as often as it can: every transform must match a
+        fresh table's, and none may raise while another thread filters the
+        kept transforms."""
+        table = _WeightTable(0.4, Scheme.L1)
+        pairs = [(3, 5), (5, 7), (9, 3), (7, 9)]
+        widths = {w * 2 ** j for pair in pairs for w in pair for j in range(3)}
+        fresh = _WeightTable(0.4, Scheme.L1)
+        want = {width: fresh.spectrum(width) for width in widths}
+        failures = []
+
+        def solve(pair):
+            try:
+                for _ in range(300):
+                    for leaf in pair:
+                        table.hand_offs(leaf)
+                        for width in (leaf, 2 * leaf, 4 * leaf):
+                            if not np.array_equal(table.spectrum(width),
+                                                  want[width]):
+                                failures.append(width)
+            except Exception as error:      # reported below, not by the thread
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(pair,))
+                       for pair in pairs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 @pytest.mark.parametrize("alpha", np.arange(0.1, 0.95, 0.1))

@@ -14,9 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracsolve import problems, relaxation, subdiffusion
-from fracsolve.caputo import (Scheme, _leaf_inverse, _scheme_weights,
-                              _table, l1_weights, ml1_weights)
+from fracsolve import caputo, problems, relaxation, subdiffusion
+from fracsolve.caputo import (Scheme, _leaf_inverse, _march, _scheme_weights,
+                              _table, _WeightTable, l1_weights, ml1_weights)
 from fracsolve.relaxation import PowerSum, RelaxationProblem, taylor_poly
 from fracsolve.subdiffusion import Sampled, SineMode, SubdiffusionProblem
 
@@ -113,7 +113,7 @@ def test_relaxation_matches_direct_march(n_steps, alpha, scheme):
 @pytest.mark.parametrize("B", [1e-4, 1e4])
 def test_stiff_and_soft_relaxation_match_direct_march(B, alpha, scheme):
     # a leaf inverse that decays at once (stiff) or barely at all (soft),
-    # in leaves of 128 levels (300) and of 1024 (3000)
+    # in one leaf of 300 levels (300) and in two of 1500 (3000)
     for n_steps in (300, 3000):
         check_relaxation(relaxation_problem(alpha, n_steps, B), scheme)
 
@@ -143,8 +143,8 @@ def test_subdiffusion_edge_cases_match_direct_march(case, M, alpha, scheme):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("N", [2, 4])
 def test_narrow_subdiffusion_matches_direct_march(N, alpha, scheme):
-    # one or three columns: leaves of 1024 or 256 levels, more than one each
-    check_subdiffusion(sampled_problem(alpha, N, 1100), scheme)
+    # one or three columns: two leaves of 1080 levels or four of 540
+    check_subdiffusion(sampled_problem(alpha, N, 2100), scheme)
 
 
 def check_subdiffusion(problem, scheme):
@@ -178,17 +178,18 @@ def test_corrected_subdiffusion_matches_direct_march(N, M, alpha, scheme):
 @pytest.mark.parametrize("alpha, lam", [(0.95, 1e-6), (0.05, 1e4)],
                          ids=["soft", "stiff"])
 @pytest.mark.parametrize("columns", [1, 3])
-@pytest.mark.parametrize("leaf", [1, 2, 127, 128, 129, 1000, 1024])
+@pytest.mark.parametrize("leaf", [1, 2, 127, 128, 129, 160, 1000, 1024, 1250,
+                                  1280])
 def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
     """The inverse grows by Newton doubling through the history hand-off
     and comes back as its FFT of length 2 leaf; each column must still solve
     its triangular Toeplitz matrix against e_0, and the padding must stay
-    zero."""
+    zero.  160, 1250 and 1280 are leaf sizes the march takes, 5-smooth but
+    no power of two."""
     c0, interior, _ = _scheme_weights(alpha, Scheme.MODIFIED_L1, leaf + 1)
     diagonal = c0 + lam * np.arange(1.0, columns + 1)
-    spectrum = _leaf_inverse(
-        lambda width: np.fft.rfft(interior[:2 * width - 1], 2 * width)[:, None],
-        diagonal, leaf)
+    spectrum = _leaf_inverse(_table(alpha, Scheme.MODIFIED_L1).spectrum,
+                             diagonal, leaf)
     assert spectrum.shape == (leaf + 1, columns)
     got = np.fft.irfft(spectrum, 2 * leaf, axis=0)
     c = np.concatenate(([0.0], interior[:leaf - 1]))
@@ -198,6 +199,128 @@ def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
     for j, d in enumerate(diagonal):
         want = np.linalg.solve(lower + d * np.eye(leaf), e0)
         assert_close(got[:, j], np.concatenate((want, np.zeros(leaf))))
+
+
+def long_double_march(alpha, scheme, h, v0, B, F):
+    """The equations `_march` solves, level by level in long double with
+    its own weights and step scaling, for a state of columns v0 with rates
+    B: what is left is the roundoff of the march's arithmetic."""
+    ld = np.longdouble
+    n_steps = len(F) - 1
+    c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
+    c, tail = interior.astype(ld), tail.astype(ld)
+    gha = ld(math.gamma(2.0 - alpha) * h ** alpha)
+    lam = np.asarray(B, dtype=ld) * gha
+    F = np.asarray(F, dtype=ld) * gha
+    v = np.empty((n_steps + 1, len(v0)), dtype=ld)
+    v[0] = v0
+    v[1] = (F[1] - tail[0] * v[0]) / (1 + lam)
+    for n in range(2, n_steps + 1):
+        history = tail[n - 1] * v[0] + c[:n - 1] @ v[n - 1:0:-1]
+        v[n] = (F[n] - history) / (ld(c0) + lam)
+    return v
+
+
+# about three times the worst error on this sweep of power-of-two leaves
+# (1024 levels for a scalar, 128 to 256 for states of columns), 5.8e-13 at
+# alpha = 0.95, modified L1, N = 5120
+LONG_DOUBLE_RTOL = 1.7e-12
+
+
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("n_steps", [2, 3, 7, 20, 129, 1000, 1281, 5120])
+def test_march_matches_long_double_substitution(n_steps, alpha, scheme):
+    """A scalar state, one of 3 columns and one of 70, whose two chunks
+    are checked at five columns, each within LONG_DOUBLE_RTOL of its
+    largest value.  The worst seen is 6.2e-13, at alpha = 0.95, modified
+    L1, N = 5120."""
+    h = 1.0 / n_steps
+    F = 1.0 + np.sqrt(np.arange(n_steps + 1) * h)
+    rng = np.random.default_rng(11)
+    wide = (rng.uniform(-1.0, 1.0, 70), np.geomspace(1e-3, 1e3, 70))
+    picked = [0, 31, 63, 64, 69]
+    states = [(np.array([0.7]), np.array([1.3])),
+              (np.array([1.0, -0.4, 0.3]), np.array([1e-3, 1.3, 40.0])),
+              (wide[0][picked], wide[1][picked])]
+    want = long_double_march(alpha, scheme, h,
+                             np.concatenate([v0 for v0, _ in states]),
+                             np.concatenate([B for _, B in states]), F)
+    got = [_march(alpha, scheme, h, 0.7, 1.3, F)[:, None],
+           _march(alpha, scheme, h, *states[1], F),
+           _march(alpha, scheme, h, *wide, F)[:, picked]]
+    columns = np.cumsum([0] + [len(v0) for v0, _ in states])
+    for march, lo, hi in zip(got, columns, columns[1:]):
+        exact = want[:, lo:hi]
+        error = np.max(np.abs(march - exact)) / np.max(np.abs(exact))
+        assert error <= LONG_DOUBLE_RTOL
+
+
+def is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("n_steps", [20 * 2 ** k for k in range(6, 12)]
+                         + [20000])
+def test_leaves_fit_the_grid(n_steps, monkeypatch):
+    """On the step-halving ladders' grids, and at N = 20000, a scalar march
+    takes every FFT at a 5-smooth length and a power-of-two count of
+    leaves, all of L levels but the last.  The block of width L (k & -k)
+    that ends at leaf k then lies within the leaves, so every hand-off
+    feeds all of its W levels, or all but the short part of the last
+    leaf."""
+    lengths, leaves, hand_offs = [], [], []
+    for name in ("rfft", "irfft"):
+        def transform(a, n, *args, real=getattr(np.fft, name), **kwargs):
+            lengths.append(n)
+            return real(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, transform)
+
+    def convolve(x, spectrum, start, x_spectrum=None, real=caputo._convolve):
+        if start == 0:
+            leaves.append((len(spectrum) - 1, len(x)))
+        elif x_spectrum is None:    # Newton's steps pass the one they share
+            hand_offs.append(len(x))
+        return real(x, spectrum, start, x_spectrum)
+    monkeypatch.setattr(caputo, "_convolve", convolve)
+    _table.cache_clear()    # so the weights' transforms are taken here
+    _march(0.5, Scheme.L1, 1.0 / n_steps, 1.0, 1.0, np.ones(n_steps + 1))
+    assert all(is_5_smooth(n) for n in lengths)
+    # Newton's leaf steps convolve with inverses shorter than the leaf
+    leaf = max(size for size, _ in leaves)
+    sizes = [levels for size, levels in leaves if size == leaf]
+    count = len(sizes)
+    assert count & (count - 1) == 0
+    assert sizes[:-1] == [leaf] * (count - 1) and sizes[-1] <= leaf
+    assert sum(sizes) == n_steps - 1
+    assert hand_offs == [leaf * (k & -k) for k in range(1, count)]
+    assert all(k + (k & -k) <= count for k in range(1, count))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+def test_repeated_solves_compute_no_weight_transform(scheme, monkeypatch):
+    """Each weight transform a march takes is the table's to keep: the
+    same solve again, or a step-halving ladder again, finds every one."""
+    misses = []
+
+    def spectrum(self, width, real=_WeightTable.spectrum):
+        if width not in self._spectra:
+            misses.append(width)
+        return real(self, width)
+    monkeypatch.setattr(_WeightTable, "spectrum", spectrum)
+    ladder = [20 * 2 ** k for k in range(12)]
+    for solves in ([40960], ladder):
+        _table.cache_clear()
+        for n_steps in solves:
+            SOLVERS["relaxation"][scheme](relaxation_problem(0.5, n_steps))
+        assert misses
+        misses.clear()
+        for n_steps in solves:
+            SOLVERS["relaxation"][scheme](relaxation_problem(0.5, n_steps))
+        assert misses == []
 
 
 def test_solves_create_no_reference_cycles():
@@ -279,19 +402,20 @@ def test_scalar_march_peak_memory():
     """A scalar march holds the levels, the forcing and the transforms of
     one history hand-off at a time; the weights and their spectra by block
     width are in the (alpha, scheme) table from the first call.  At
-    N = 40960 the traced peak is about 6.9 times the result, and one more
-    array of all levels would push it past 7.5."""
-    assert scalar_march_peak(cold=False) <= 7.5
+    N = 40960, 32 leaves of 1280 levels, the widest hand-off transforms
+    40960 points and the traced peak is about 4.1 times the result; one
+    more array of all levels would push it past 4.5."""
+    assert scalar_march_peak(cold=False) <= 4.5
 
 
 def test_scalar_march_peak_memory_from_an_empty_table():
     """The first solve at an (alpha, scheme) in a process builds its
-    weights, their spectra by block width and its partial-width transforms:
-    at N = 40960 a traced peak about 10.5 times the result, as when every
-    solve built its own.  One more array of all levels held by the rows or
-    the transforms would push it past 11.0.  A rung that grows a table of
-    half its levels reads about 9.7."""
-    assert scalar_march_peak(cold=True) <= 11.0
+    weights and their spectra by block width, all of them full-width and
+    kept: at N = 40960 a traced peak about 8.1 times the result.  One more
+    array of all levels held by the rows or the transforms would push it
+    past 8.6.  A rung that grows a table of half its levels reads about
+    7.1."""
+    assert scalar_march_peak(cold=True) <= 8.6
 
 
 def test_both_families_refuse_a_single_modified_l1_step_in_the_march():
