@@ -29,15 +29,18 @@ Every weight and every history operand depends on alpha and the scheme
 alone, so they are computed once per process, not once per solve: a
 `_WeightTable` per (alpha, scheme), of which the two most recent are kept,
 holds c_0, the interior and tail rows with the modified shifts applied, and
-the FFT of c_1..c_{2W-1} for the block widths W of Newton's steps and of
-one leaf size's hand-offs.  A hand-off's operand always holds all 2W - 1
-weights, past c_{N-1} where the march is shorter.  The rows grow by the
-levels they lack; past 2^16 levels a solve computes the rest for itself, so
-the tables hold at most 2.1 MiB each once a solve returns.  `l1_weights`,
+the FFT of c_1..c_{2W-1} by block width W, whatever step asks for it.  A
+hand-off's operand always holds all 2W - 1 weights, past c_{N-1} where the
+march is shorter.  The rows grow by the levels they lack and keep at most
+2^16; the transforms of 2W <= 2^16 are kept while they take at most
+1.0625 MiB, which those of any one march of up to 2^16 levels fit.  So a
+table holds at most 2.1 MiB once a solve returns, and 1.98 MiB was the
+most in a sweep of solves from 1000 to 2^17 + 4096 levels.  `l1_weights`,
 `ml1_weights`, `_march` and the subdiffusion main diagonal all read from
 them.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -122,6 +125,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 # Rows and transforms of more levels than this are computed for the call that
 # needs them and are not kept.
 _CACHED_LEVELS = 1 << 16
+# The kept transforms take at most this many bytes.  Those of one march of up
+# to 2^16 levels take at most 1048816: N = 65537 takes 64 leaves of 1024.
+_SPECTRUM_BYTES = (1 << 20) + (1 << 16)
 
 
 class _WeightTable:
@@ -137,17 +143,17 @@ class _WeightTable:
     scheme takes z = 0, which leaves every weight's bits as they are.
 
     The rows start at 3 levels, shifts applied, and grow by computing only
-    the levels they lack.  `spectrum(W)` is the history operand of block
-    width W.  The table keeps those of Newton's widths, the powers of two
-    up to _LEAF_VALUES, and of the hand-off widths L 2^j of one leaf size
-    L, set by `hand_offs` from the most recent march with more than one
-    leaf; a march of one leaf hands off nothing and keeps them.  Once a
-    call returns, the table holds at most _CACHED_LEVELS = 2^16 levels,
-    1 MiB of rows, and the transforms of widths up to 2^15: about 1 MiB
-    for the hand-off widths and 32 KiB for Newton's, under 2.1 MiB in all.
-    Every array it hands out is read-only, and a grown row is published in
-    one assignment, so a thread sees either the old rows or the new ones
-    whole.
+    the levels they lack; past _CACHED_LEVELS = 2^16 levels they keep the
+    first 2^16, 1 MiB.  `spectrum(W)` is the history operand of block width
+    W, kept for every W with 2 W <= 2^16 while the kept ones take at most
+    _SPECTRUM_BYTES = 1.0625 MiB; the one that would pass that starts the
+    kept set anew.  Every transform of one march of up to 2^16 levels stays,
+    1.0 MiB at most, and a table holds under 2.1 MiB once a call returns.
+    Every array it hands out is read-only, and grown rows and kept
+    transforms are each published in one assignment of a new tuple or dict
+    that no thread changes, so a thread sees either the old ones or the new
+    ones whole.  Of two inserts at once one may be lost, which costs only
+    its recomputation.
     """
 
     def __init__(self, alpha: float, scheme: Scheme):
@@ -161,7 +167,6 @@ class _WeightTable:
         tail[1] -= z
         self._rows = (_frozen(interior), _frozen(tail))
         self._spectra = {}
-        self._leaf = 1
 
     def rows(self, n: int):
         """(c_1..c_{n-1}, the tails of levels 1..n) for n >= 1."""
@@ -181,29 +186,17 @@ class _WeightTable:
         The weights depend on alpha alone, so a march of N levels takes them
         past c_{N-1} where 2W - 1 > N - 1: they reach only entries past the
         levels it keeps, which it drops."""
-        spectrum = self._spectra.get(width)
+        spectra = self._spectra
+        spectrum = spectra.get(width)
         if spectrum is None:
             spectrum = _frozen(np.fft.rfft(self.rows(2 * width)[0],
                                            2 * width)[:, None])
-            if 2 * width <= _CACHED_LEVELS and self._keeps(width):
-                self._spectra[width] = spectrum
+            if 2 * width <= _CACHED_LEVELS:
+                kept = sum(other.nbytes for other in spectra.values())
+                if kept + spectrum.nbytes > _SPECTRUM_BYTES:
+                    spectra = {}
+                self._spectra = {**spectra, width: spectrum}
         return spectrum
-
-    def hand_offs(self, leaf: int) -> None:
-        """Keep the hand-off widths leaf 2^j from now on, and drop those of
-        the leaf size before."""
-        if leaf != self._leaf:
-            self._leaf = leaf
-            # filter a copy, made in one call: other threads may add to the
-            # dict meanwhile, and what they add to it is then only lost
-            kept = self._spectra.copy()
-            self._spectra = {width: spectrum for width, spectrum
-                             in kept.items() if self._keeps(width)}
-
-    def _keeps(self, width: int) -> bool:
-        blocks, rest = divmod(width, self._leaf)
-        newton = width <= _LEAF_VALUES and width & (width - 1) == 0
-        return newton or rest == 0 and blocks & (blocks - 1) == 0
 
 
 def _head(row: np.ndarray, size: int) -> np.ndarray:
@@ -266,32 +259,28 @@ _LEAF_VALUES = 1024
 _COLUMNS = 64
 
 
+# the 5-smooth numbers up to 2^12, past every leaf size
+_SMOOTH = tuple(sorted(2 ** a * 3 ** b * 5 ** c for a in range(13)
+                       for b in range(8) for c in range(6)
+                       if 2 ** a * 3 ** b * 5 ** c <= 1 << 12))
+
+
 def _leaf(unknowns: int, columns: int) -> int:
     """The leaf size L of a march of `unknowns` levels, `columns` columns
     in a chunk.  With longest = max(_LEAF, _LEAF_VALUES // columns), count
     is the largest power of two whose leaves would hold at least longest
     levels each, or 1, and L is the smallest 2^a 3^b 5^c at or above
-    unknowns / count, at most 11% above it (7% from 1024 on).  So
-    count L >= unknowns, every FFT length 2 L 2^j has no prime factor above
-    5, and where the rounding adds fewer than L / count levels per leaf,
-    as for every scalar march of N <= 32769 and the ladders' N = 20 2^k,
-    the march has count leaves, of which only the last falls short."""
+    unknowns / count, at most 11% above it (7% from 1024 on) and at most
+    2 longest <= 2048.  So count L >= unknowns, every FFT length 2 L 2^j
+    has no prime factor above 5, and where the rounding adds fewer than
+    L / count levels per leaf, as for every scalar march of N <= 32769 and
+    the ladders' N = 20 2^k, the march has count leaves, of which only the
+    last falls short."""
     longest = max(_LEAF, _LEAF_VALUES // columns)
     count = 1
     while unknowns // (2 * count) >= longest:
         count *= 2
-    least = -(-unknowns // count)
-    # for each odd part 3^b 5^c, the least power of two that lifts it to
-    # least or above; the smallest of these is the least 5-smooth number
-    leaf = 1 << (least - 1).bit_length()
-    fives = 1
-    while fives < leaf:
-        odd = fives
-        while odd < leaf:
-            leaf = min(leaf, odd << (-(-least // odd) - 1).bit_length())
-            odd *= 3
-        fives *= 5
-    return leaf
+    return _SMOOTH[bisect.bisect_left(_SMOOTH, -(-unknowns // count))]
 
 
 def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
@@ -320,7 +309,8 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     N = 20000 16 leaves of 1250.  After leaf k (counted from 1) the block
     of width W = L (k & -k) that ends there subtracts its history from the
     next W levels, by convolution with c_1..c_{2W-1}, whose FFT the
-    (alpha, scheme) weight table keeps across solves.  Each such block
+    (alpha, scheme) weight table keeps across solves, by W alone, while
+    2W <= 2^16 and the kept ones fit its 1.0625 MiB.  Each such block
     lies within the count leaves, so every hand-off feeds W levels, or all
     of them but the short part of the last leaf; only where rounding L up
     leaves the last leaves empty does the end of the march cut a block
@@ -346,8 +336,6 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     v = v.reshape(n_steps + 1, -1)
     diagonal = (table.c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
     leaf = _leaf(n_steps - 1, min(_COLUMNS, v.shape[1]))
-    if leaf < n_steps - 1:
-        table.hand_offs(leaf)
 
     # one chunk at a time, leaf inverse included: full-width temporaries
     # would be a second array of all levels

@@ -11,6 +11,7 @@ polynomial would cancel to roundoff at T is refused.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +92,11 @@ class RelaxationProblem:
         if self.forcing is not None and not isinstance(self.forcing, PowerSum):
             raise TypeError("forcing must be a PowerSum or None")
         steps = self.T / self.h
+        # refused before any array of the grid is requested, whose shape
+        # numpy would refuse in its own words
+        if not 8.0 * (steps + 1.0) <= sys.maxsize:
+            raise MemoryError(f"a grid of {steps + 1.0:.4g} levels is too "
+                              f"large to index")
         if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
             raise ValueError(f"T/h = {steps} is not a whole number of steps")
 
@@ -247,8 +253,11 @@ def exact_convolution(alpha: float, B: float, forcing, x, y0: float = 1.0):
 
     Takes a scalar or an array of x >= 0 and returns a float or an array of
     the closed form y0 E_alpha(-s) + sum_j c_j Gamma(p_j + 1) x^(p_j + alpha)
-    E_{alpha,p_j+alpha+1}(-s) with s = B x^alpha.  A callable forcing
-    raises TypeError.
+    E_{alpha,p_j+alpha+1}(-s) with s = B x^alpha.  Gamma(p_j + 1) is folded
+    into the Mittag-Leffler sum, which stays at most 1, so every exponent
+    p_j is served, past 170.6 too, where Gamma(p_j + 1) alone overflows.
+    ConvergenceError where the value overflows.  A callable forcing raises
+    TypeError.
     """
     _check_alpha(alpha)
     _check_B(B)
@@ -258,6 +267,13 @@ def exact_convolution(alpha: float, B: float, forcing, x, y0: float = 1.0):
     xa = np.asarray(x, dtype=float)
     s = (B * xa ** alpha).ravel()
     for c, p in forcing.terms if forcing else ():
-        kernel = _ml_neg(alpha, p + alpha + 1.0, s, SeriesPolicy())
-        out = out + c * math.gamma(p + 1.0) * xa ** (p + alpha) * kernel.reshape(xa.shape)
+        kernel = _ml_neg(alpha, p + alpha + 1.0, s, SeriesPolicy(), p + 1.0)
+        # x^(p + alpha) in two halves, which overflow only where the value does
+        root = xa ** (0.5 * (p + alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = out + c * (root * kernel.reshape(xa.shape) * root)
+        if not np.all(np.isfinite(out)):
+            raise ConvergenceError(
+                f"exact_convolution: the term {c} x^{p} overflows at "
+                f"x = {np.max(xa)} for alpha = {alpha}, B = {B}")
     return float(out) if np.isscalar(x) else out

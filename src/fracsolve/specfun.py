@@ -95,27 +95,37 @@ def zeta_unit_strip(s: float) -> float:
     return 2.0 ** s * math.pi ** (s - 1.0) * ratio * math.gamma(1.0 - s) * _eta(1.0 - s)
 
 
-def _power_over_gamma(x: float, n: int, a: float) -> float:
-    """x^n / Gamma(a) for x > 0 and a > 0: directly where both factors are
-    representable, else through logarithms; inf where the quotient
-    overflows."""
+def _power_over_gamma(x: float, n: int, a: float, g: float = 1.0) -> float:
+    """x^n Gamma(g) / Gamma(a) for x > 0, a > 0 and 1 <= g <= a + 1:
+    directly where every factor is representable, else through logarithms;
+    inf where the quotient overflows.  a and g first come down by m whole
+    steps, to an a - m of at most 100 where g - m stays positive, as
+    Gamma(g) / Gamma(a) = Gamma(g - m) / Gamma(a - m) prod_{j=1..m}
+    (g - j) / (a - j), the product summed in logarithms: lgamma(g) - lgamma(a)
+    would be off by about lgamma(a) eps, 2e-13 at a = 300.  At g = 1, m = 0,
+    and the factors Gamma(1) = exp(0) = 1 leave the bits of x^n / Gamma(a)."""
+    m = max(0, min(math.ceil(a) - 100, math.ceil(g) - 1))
+    log_ratio = math.fsum(math.log1p((g - a) / (a - j)) for j in range(1, m + 1))
+    a, g = a - m, g - m
     log_x = math.log(x)
     if 1.0 / sys.float_info.max < a < 171.0 and n * log_x < 700.0:
-        return x ** n / math.gamma(a)
-    log_c = n * log_x - math.lgamma(a)
+        return x ** n / math.gamma(a) * math.gamma(g) * math.exp(log_ratio)
+    log_c = n * log_x - math.lgamma(a) + math.lgamma(g) + log_ratio
     return math.exp(log_c) if log_c < 709.0 else math.inf
 
 
 def _ml_series(alpha: float, beta: float, x: np.ndarray,
-               policy: SeriesPolicy = _DEFAULT_POLICY, degree: int | None = None):
-    """Power series sum x^n / Gamma(alpha n + beta) over an array x of one sign.
+               policy: SeriesPolicy = _DEFAULT_POLICY, degree: int | None = None,
+               g: float = 1.0):
+    """Power series sum x^n Gamma(g) / Gamma(alpha n + beta) over an array x
+    of one sign, Gamma(g) E_{alpha,beta}(x); g = 1 gives E itself.
 
     The sum runs to n = degree, or else until the policy's rule stops it at
     the x of largest magnitude, top, which stops it for every smaller |x|.
-    Horner's rule runs in x / top, so the coefficients top^n / Gamma(alpha n
-    + beta) are the terms at top: a coefficient 1 / Gamma(alpha n + beta)
-    alone would go subnormal long before its term does.  A coefficient is
-    computed directly where that is representable.
+    Horner's rule runs in x / top, so the coefficients top^n Gamma(g) /
+    Gamma(alpha n + beta) are the terms at top: a coefficient 1 / Gamma(alpha
+    n + beta) alone would go subnormal long before its term does.  A
+    coefficient is computed directly where that is representable.
     Returns the values and the largest term magnitude at top; peak / |value|
     measures how much cancellation the sum suffers.  ConvergenceError when a
     term or the sum at top overflows, or the policy's budget runs out.
@@ -126,7 +136,7 @@ def _ml_series(alpha: float, beta: float, x: np.ndarray,
     coeffs, total = [], 0.0
     last = policy.max_terms if degree is None else degree
     for n in range(last + 1):
-        c = _power_over_gamma(top, n, alpha * n + beta)
+        c = _power_over_gamma(top, n, alpha * n + beta, g)
         step = total + sign ** n * c
         if not abs(step) < math.inf:
             raise ConvergenceError(
@@ -206,8 +216,10 @@ def _sin_cos_pi(a: float, b: float = 0.0) -> tuple[float, float]:
 
 
 def _ml_neg(alpha: float, beta: float, s: np.ndarray,
-            policy: SeriesPolicy) -> np.ndarray:
-    """E_{alpha,beta}(-s) for an array of s >= 0, 0 < alpha < 1 and beta > 0.
+            policy: SeriesPolicy, g: float = 1.0) -> np.ndarray:
+    """Gamma(g) E_{alpha,beta}(-s) for an array of s >= 0, 0 < alpha < 1,
+    beta > 0 and g >= 1; g = 1 gives E itself, and a large g keeps the
+    value of a large beta inside the double range.
 
     The branch depends on alpha, beta and s alone.  The series takes
     s <= max(1, beta^alpha), where its terms fall from about the first on.
@@ -215,7 +227,10 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
     s = 1, so there it takes only s < 1e-8 (at most three terms).  The
     spectral integral takes the rest, after a beta > 1 steps down into
     (1 - alpha, 1], where the spectral density is bounded at 0, by
-    E_{alpha,beta}(-s) = (1/Gamma(beta - alpha) - E_{alpha,beta-alpha}(-s)) / s.
+    E_{alpha,beta}(-s) = (1/Gamma(beta - alpha) - E_{alpha,beta-alpha}(-s)) / s,
+    taken in u_b = Gamma(b) E_{alpha,b}(-s), which lies in (0, 1] for every
+    b >= alpha: u_b = Gamma(b) / Gamma(b - alpha) (1 - u_{b-alpha}) / s,
+    from b in (1 - alpha, 1], where Gamma(b) is moderate.
     Above beta^alpha, s exceeds Gamma(b + alpha) / Gamma(b) <= b^alpha
     (Wendel's inequality) at each b = beta - k alpha, so no step grows the
     error much.  ConvergenceError past policy.max_terms steps.
@@ -228,11 +243,11 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
     node resolves, and sin(alpha pi) may be subnormal.
     """
     if alpha < 1e-17 * min(1.0, beta):
-        return 1.0 / (math.gamma(beta) * (1.0 + s))
+        return _power_over_gamma(1.0, 0, beta, g) / (1.0 + s)
     out = np.empty_like(s)
     low = s <= max(1.0, beta ** alpha) if alpha > 0.01 or beta != 1.0 else s < 1e-8
     if low.any():
-        out[low] = _ml_series(alpha, beta, -s[low], policy)[0]
+        out[low] = _ml_series(alpha, beta, -s[low], policy, g=g)[0]
     if not low.all():
         if alpha < 1e-17:
             raise ConvergenceError(
@@ -244,9 +259,17 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
             raise ConvergenceError(f"E_{{{alpha},{beta}}}(-s) needs {steps} "
                                    f"steps down, past {policy.max_terms}")
         high = s[~low]
-        value = _ml_neg_spectral(alpha, beta - steps * alpha, high)
-        for k in range(steps, 0, -1):     # _power_over_gamma(1, 0, b) = 1/Gamma(b)
-            value = (_power_over_gamma(1.0, 0, beta - k * alpha) - value) / high
+        b = beta - steps * alpha
+        value = _ml_neg_spectral(alpha, b, high)
+        if steps:
+            value *= math.gamma(b)      # u_b, stepped up to u_beta
+            for k in range(steps - 1, -1, -1):
+                b = beta - k * alpha
+                value = (_power_over_gamma(1.0, 0, b - alpha, b)
+                         * (1.0 - value) / high)
+            value *= _power_over_gamma(1.0, 0, beta, g)
+        else:
+            value *= math.gamma(g)
         out[~low] = value
     return out
 

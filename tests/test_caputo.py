@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracsolve import caputo
 from fracsolve.caputo import (_CACHED_LEVELS, Scheme, _march, _scheme_weights,
                               _table, _WeightTable, caputo_apply,
                               caputo_power_rule, l1_weights, ml1_weights)
@@ -145,8 +146,9 @@ class TestWeightTable:
     def test_march_bits_do_not_depend_on_earlier_solves(self, scheme):
         """Each solve in turn against the same solve from an empty table.
         The longest runs past the table's cap, which trims it, and each
-        takes another leaf size (1500, 1080, 1250 levels), so each switches
-        the hand-off widths the table keeps."""
+        takes another leaf size (1500, 1080, 1250 levels), so each finds
+        the transforms of other solves' hand-off widths kept and adds its
+        own."""
         sizes = (3000, _CACHED_LEVELS + 1000, 5000, 3000)
         want = {}
         for n in sizes:
@@ -166,15 +168,14 @@ class TestWeightTable:
 
     def test_retained_memory_is_bounded(self):
         """Past 2^16 levels the table keeps the first 2^16, 1 MiB of rows.
-        Of the transforms it keeps Newton's widths, the powers of two up to
-        1024, and the hand-off widths of one leaf size, L 2^j up to 2^15:
-        at most 1 MiB more, under 2.1 MiB per table with their headers, and
-        the cache holds two tables.  A sweep of solves whose leaf sizes
-        differ must not pile up transforms: kept for every leaf size, the
-        sweep below leaves about 11 MiB per table.  65537 levels take 64
-        leaves of 1024, whose hand-off widths reach the bound, 2.0 MiB per
-        table.  Without the trim, a solve of 2^17 + 4096 levels would leave
-        about 4 MiB per table."""
+        It keeps the transforms of widths up to 2^15 while they take at
+        most 1.0625 MiB, and starts them anew past that: under 2.1 MiB per
+        table with their headers, and the cache holds two tables.  A sweep
+        of solves whose leaf sizes differ must not pile up transforms: kept
+        for every leaf size, the sweep below leaves about 11 MiB per table.
+        65537 levels take 64 leaves of 1024, whose transforms take 1.0 MiB
+        and are all kept, 2.0 MiB per table.  Without the trim, a solve of
+        2^17 + 4096 levels would leave about 4 MiB per table."""
         march(0.3, Scheme.L1, 300)      # first calls may set up caches
         _table.cache_clear()
         sizes = [*range(1000, 60001, 997), 65537, 2 * _CACHED_LEVELS + 4096]
@@ -225,36 +226,38 @@ class TestWeightTable:
         for n in want:
             assert np.array_equal(got[n], want[n])
 
-    def test_threads_switching_leaf_sizes_get_every_transform(self):
-        """Four threads on one table, each switching it between two leaf
-        sizes and asking for their hand-off widths, with the interpreter
-        switching threads as often as it can: every transform must match a
-        fresh table's, and none may raise while another thread filters the
-        kept transforms."""
-        table = _WeightTable(0.4, Scheme.L1)
-        pairs = [(3, 5), (5, 7), (9, 3), (7, 9)]
-        widths = {w * 2 ** j for pair in pairs for w in pair for j in range(3)}
+    def test_threads_past_the_kept_bytes_get_every_transform(self,
+                                                             monkeypatch):
+        """Four threads on one table, each asking for widths whose
+        transforms pass the kept bytes many times over, with the
+        interpreter switching threads as often as it can: every transform
+        must match a fresh table's, and none may raise while another thread
+        sums the kept transforms or starts them anew."""
+        widths = range(1, 41)
         fresh = _WeightTable(0.4, Scheme.L1)
         want = {width: fresh.spectrum(width) for width in widths}
+        # 16 (W + 1) bytes each, 13.8 KB for all: about seven fresh starts
+        # for each pass over the widths
+        monkeypatch.setattr(caputo, "_SPECTRUM_BYTES", 2048)
+        table = _WeightTable(0.4, Scheme.L1)
         failures = []
 
-        def solve(pair):
+        def solve(seed):
+            order = np.random.default_rng(seed).permutation(widths).tolist()
             try:
-                for _ in range(300):
-                    for leaf in pair:
-                        table.hand_offs(leaf)
-                        for width in (leaf, 2 * leaf, 4 * leaf):
-                            if not np.array_equal(table.spectrum(width),
-                                                  want[width]):
-                                failures.append(width)
+                for _ in range(100):
+                    for width in order:
+                        if not np.array_equal(table.spectrum(width),
+                                              want[width]):
+                            failures.append(width)
             except Exception as error:      # reported below, not by the thread
                 failures.append(error)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=solve, args=(pair,))
-                       for pair in pairs]
+            threads = [threading.Thread(target=solve, args=(seed,))
+                       for seed in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -263,6 +266,7 @@ class TestWeightTable:
         finally:
             sys.setswitchinterval(interval)
         assert failures == []
+        assert sum(s.nbytes for s in table._spectra.values()) <= 2048
 
 
 @pytest.mark.parametrize("alpha", np.arange(0.1, 0.95, 0.1))

@@ -149,6 +149,24 @@ class TestRelax:
                                 "7.28 TiB for an array\n")
 
 
+@pytest.mark.parametrize("argv,size", [
+    ("relax --alpha 0.5 --h 0.1 --T 1e300", "1e+301 levels"),
+    ("relax --alpha 0.5 --h 1e-300", "1e+300 levels"),
+    ("subdiff --problem s2 --tau 1e-30", "1e+30 x 3e+30 values"),
+    ("subdiff --alpha 0.5 --tau 0.5 --N 1000000000000000000000",
+     "3 x 1e+21 values"),
+    ("subdiff --problem s2 --tau 1e-300", "1e+300 x 3e+300 values"),
+    ("converge --problem s2 --h0 1e-300", "5e+299 x 1.5e+300 values"),
+])
+def test_grid_too_large_to_index_is_out_of_memory(argv, size):
+    # the first four exited 2 with numpy's "Maximum allowed dimension
+    # exceeded", the last two 1 with a division by zero where h^2 underflows
+    status, out, err = run_captured(argv.split())
+    assert (status, out) == (1, "")
+    assert err == (f"fracsolve: out of memory: a grid of {size} is too "
+                   f"large to index\n")
+
+
 class TestSubdiff:
     def test_final_profile(self, capsys):
         assert run(["subdiff", "--problem", "s2", "--tau", "0.125"]) == 0

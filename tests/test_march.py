@@ -300,6 +300,27 @@ def test_leaves_fit_the_grid(n_steps, monkeypatch):
     assert all(k + (k & -k) <= count for k in range(1, count))
 
 
+@pytest.mark.parametrize("columns", [1, 2, 3, 8, 64])
+def test_leaf_is_the_least_5_smooth_size_that_covers_its_share(columns):
+    """`_leaf` against its definition: with longest = max(_LEAF,
+    _LEAF_VALUES // columns), count is the largest power of two whose
+    leaves would hold at least longest levels each, or 1, and L is the
+    least 2^a 3^b 5^c at or above unknowns / count."""
+    longest = max(caputo._LEAF, caputo._LEAF_VALUES // columns)
+    # least_smooth[n] is the least 5-smooth number at or above n; a share
+    # holds at most 2 longest <= 2048 levels
+    least_smooth = list(range(2049))
+    for n in reversed(range(1, 2048)):
+        if not is_5_smooth(n):
+            least_smooth[n] = least_smooth[n + 1]
+    for unknowns in [*range(1, 5001), *range(5001, 200001, 97)]:
+        count = 1
+        while 2 * count * longest <= unknowns:
+            count *= 2
+        assert caputo._leaf(unknowns, columns) == least_smooth[
+            -(-unknowns // count)], unknowns
+
+
 @pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
 def test_repeated_solves_compute_no_weight_transform(scheme, monkeypatch):
     """Each weight transform a march takes is the table's to keep: the

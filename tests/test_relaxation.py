@@ -333,6 +333,39 @@ class TestClosedFormReference:
         want = (1.0 - ml_relaxation_exact(alpha, B, 1.0)) / B
         assert got == pytest.approx(want, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", [100.0, 150.0, 170.0, 171.0, 200.0, 300.0])
+    def test_large_exponents_against_a_direct_sum(self, p, x):
+        # Gamma(p + 1) overflowed past p = 170.6 and raised a bare
+        # OverflowError; at p = 170 the kernel E_{1/2,171.5}(-1) was
+        # subnormal, 7.6e-14 off.  The reference sums the power series
+        # directly in 40 digits: mpmath.nsum was 8e-11 off at p = 100
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, s = mpmath.mpf(0.5), mpmath.sqrt(x)
+            terms = [(-s) ** n / mpmath.gamma(a * n + p + a + 1)
+                     for n in range(80)]
+            want = mpmath.gamma(p + 1) * mpmath.mpf(x) ** (p + a) \
+                * mpmath.fsum(terms)
+        got = exact_convolution(0.5, 1.0, PowerSum(((1.0, p),)), x, y0=0.0)
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("B,p,want", [
+        (20.0, 200.0, 0.029275459151554654),
+        (30.0, 300.0, 0.021126904256609128),
+    ])
+    def test_large_exponents_past_the_series(self, B, p, want):
+        # s = B > beta^alpha: the spectral integral and the steps up from
+        # beta near 1, where Gamma(b) E_{alpha,b} must stay in range; want
+        # is the power series summed directly in 400 digits
+        got = exact_convolution(0.5, B, PowerSum(((1.0, p),)), 1.0, y0=0.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("p,x", [(200.0, 300.0), (100.0, 1e5)])
+    def test_overflowing_value_is_a_convergence_error(self, p, x):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            exact_convolution(0.5, 1.0, PowerSum(((1.0, p),)), x, y0=0.0)
+
     def test_array_matches_scalar_calls(self):
         forcing = relaxation_family("r12").forcing
         x = np.linspace(0.0, 4.0, 9)
