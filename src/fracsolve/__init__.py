@@ -15,8 +15,8 @@ from .caputo import (CoefficientRow, Scheme, caputo_apply, caputo_power_rule,
                      l1_weights, ml1_weights)
 from .harness import ConvergenceReport, Coupling, Ladder, estimate_order
 from .relaxation import PowerSum, RelaxationProblem, TimeSeries, choose_m, taylor_poly
-from .specfun import (ConvergenceError, SeriesPolicy, mittag_leffler,
-                      ml_relaxation_exact, zeta_unit_strip)
+from .specfun import (ConvergenceError, mittag_leffler, ml_relaxation_exact,
+                      zeta_unit_strip)
 from .subdiffusion import SpaceTimeSolution, SubdiffusionProblem, thomas_solve
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "caputo", "harness", "problems", "relaxation", "subdiffusion", "specfun",
     "Scheme", "CoefficientRow", "l1_weights", "ml1_weights",
     "caputo_apply", "caputo_power_rule",
-    "ConvergenceError", "SeriesPolicy", "zeta_unit_strip",
+    "ConvergenceError", "zeta_unit_strip",
     "mittag_leffler", "ml_relaxation_exact",
     "PowerSum", "RelaxationProblem", "TimeSeries", "choose_m", "taylor_poly",
     "SubdiffusionProblem", "SpaceTimeSolution", "thomas_solve",

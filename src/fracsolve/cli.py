@@ -23,7 +23,7 @@ from .caputo import Scheme
 from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
                       run_subdiffusion_study)
 from .relaxation import choose_m
-from .specfun import SeriesPolicy, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--beta", type=_positive, default=1.0,
                       help="series parameter beta > 0")
     p_ml.add_argument("--x", type=float, required=True, help="argument, |x| <= 50")
-    p_ml.add_argument("--rel-tol", type=_positive, default=SeriesPolicy.rel_tol,
-                      help="series truncation tolerance")
-    p_ml.add_argument("--max-terms", type=_positive_int,
-                      default=SeriesPolicy.max_terms,
-                      help="series term budget")
     p_ml.set_defaults(func=_cmd_ml)
 
     p_relax = sub.add_parser("relax", parents=[solver], formatter_class=fmt,
@@ -144,24 +139,33 @@ def _resolve_correct(value: int | None, alpha: float) -> int | None:
     return choose_m(alpha) if value == 0 else value
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(chunks, out: Path | None) -> None:
+    """Write an iterable of strings to the file out, or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        out.write_text(text)
+        with out.open("w") as f:
+            f.writelines(chunks)
 
 
-def _series_table(x: np.ndarray, values: np.ndarray, exact: np.ndarray) -> str:
+# rows formatted at once: the text of a whole long series would take about
+# ten times the memory of its four arrays
+_BLOCK_ROWS = 1024
+
+
+def _series_table(x: np.ndarray, values: np.ndarray, exact: np.ndarray):
+    """The CSV rows x,value,exact,error after a header, in blocks of rows."""
     row = "{:.17g},{:.17g},{:.17g},{:.17g}\n".format
-    return "x,value,exact,error\n" + "".join(map(
-        row, x.tolist(), values.tolist(), exact.tolist(),
-        np.abs(values - exact).tolist()))
+    error = np.abs(values - exact)
+    yield "x,value,exact,error\n"
+    for i in range(0, x.size, _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        yield "".join(map(row, x[rows].tolist(), values[rows].tolist(),
+                          exact[rows].tolist(), error[rows].tolist()))
 
 
 def _cmd_ml(args) -> int:
-    policy = SeriesPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
-    value = mittag_leffler(args.alpha, args.beta, args.x, policy)
-    print(repr(value))
+    print(repr(mittag_leffler(args.alpha, args.beta, args.x)))
     return 0
 
 
@@ -198,7 +202,7 @@ def _cmd_converge(args) -> int:
     m = _resolve_correct(args.correct, family.alpha)
     report = study(family, _scheme(args), Ladder(args.h0, args.levels, coupling),
                    corrected=m is not None, m=m)
-    _emit(render_report(report, args.format), args.out)
+    _emit([render_report(report, args.format)], args.out)
     return 0
 
 

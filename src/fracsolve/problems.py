@@ -97,7 +97,12 @@ class SubdiffusionFamily:
         default N = 3 M (h = pi step / (3 T)): the plain scheme when m is
         None, else the corrected solver of degree m.  The step must divide T
         into whole steps."""
-        M = round(self.T / step)
+        steps = self.T / step
+        if steps == math.inf:      # which round() refuses as an OverflowError
+            width = math.inf if N is None else N + 1
+            raise MemoryError(f"a grid of inf x {width:.4g} values is too "
+                              f"large to index")
+        M = round(steps)
         if M < 1 or abs(M * step - self.T) > 1e-9 * self.T:
             raise ValueError(f"tau = {step} does not divide T = {self.T}")
         N = 3 * M if N is None else N

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caputo import Scheme, _check_alpha, _march
-from .specfun import (ConvergenceError, SeriesPolicy, _ml_neg, _ml_series,
+from .specfun import (_SERIES_MAX_TERMS, ConvergenceError, _ml_neg, _ml_series,
                       _power_over_gamma, ml_relaxation_exact)
 
 __all__ = [
@@ -154,9 +154,9 @@ def _check_B(B: float) -> None:
 
 
 # the polynomial is the first m + 1 terms of the E_alpha series, so a degree
-# past the series' default term budget is refused; the smallest valid degree
+# past the series' term budget is refused; the smallest valid degree
 # 2 / alpha reaches it at alpha = 2e-4, and the sum costs m + 1 array passes
-_MAX_DEGREE = SeriesPolicy.max_terms
+_MAX_DEGREE = _SERIES_MAX_TERMS
 
 
 def taylor_poly(alpha: float, B: float, m: int, x):
@@ -267,7 +267,7 @@ def exact_convolution(alpha: float, B: float, forcing, x, y0: float = 1.0):
     xa = np.asarray(x, dtype=float)
     s = (B * xa ** alpha).ravel()
     for c, p in forcing.terms if forcing else ():
-        kernel = _ml_neg(alpha, p + alpha + 1.0, s, SeriesPolicy(), p + 1.0)
+        kernel = _ml_neg(alpha, p + alpha + 1.0, s, p + 1.0)
         # x^(p + alpha) in two halves, which overflow only where the value does
         root = xa ** (0.5 * (p + alpha))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -11,14 +11,12 @@ function of its arguments and safe to call concurrently.
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "SeriesPolicy",
     "zeta_unit_strip",
     "mittag_leffler",
     "ml_relaxation_exact",
@@ -29,6 +27,12 @@ _LN2 = math.log(2.0)
 # `mittag_leffler` refuses a series sum whose largest term exceeds the result
 # by this factor (about five decimal digits lost to cancellation).
 _CANCELLATION_GUARD = 1e5
+
+# The power series stops once a term falls below _SERIES_REL_TOL times the
+# partial sum, and raises ConvergenceError past _SERIES_MAX_TERMS terms; the
+# same budget bounds `_ml_neg`'s steps down in beta.
+_SERIES_REL_TOL = 1e-15
+_SERIES_MAX_TERMS = 10_000
 
 
 class ConvergenceError(ArithmeticError):
@@ -44,23 +48,6 @@ class ConvergenceError(ArithmeticError):
         super().__init__(message)
         self.partial_sum = partial_sum
         self.terms_used = terms_used
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation control for the Mittag-Leffler power series."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT_POLICY = SeriesPolicy()
 
 
 def _eta(t: float, terms: int = 30) -> float:
@@ -114,27 +101,53 @@ def _power_over_gamma(x: float, n: int, a: float, g: float = 1.0) -> float:
     return math.exp(log_c) if log_c < 709.0 else math.inf
 
 
+def _stirling_tail(z: float) -> float:
+    # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2) by three terms of
+    # Stirling's series; the next, 1/(1680 z^7), changes by under 5e-19 alpha
+    # from z = a to z = a + alpha for a > 100
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / z
+
+
+def _gamma_ratio(b: float, alpha: float) -> float:
+    """Gamma(b) / Gamma(b - alpha) for 0 < alpha < 1 and b > alpha: up to
+    b - alpha = 100 by `_power_over_gamma`, past it in O(1) from the
+    difference of Stirling's series at b and a = b - alpha,
+
+        alpha log a + (b - 1/2) log1p(alpha / a) - alpha + tail(b) - tail(a),
+
+    every term of which is O(alpha); a^alpha is taken by one power, so
+    only a small argument goes through exp.  `_power_over_gamma` would sum
+    about a - 100 logarithms, and is 1.5e-12 off at a = 5000."""
+    a = b - alpha
+    if a <= 100.0:
+        return _power_over_gamma(1.0, 0, a, b)
+    return a ** alpha * math.exp((b - 0.5) * math.log1p(alpha / a) - alpha
+                                 + (_stirling_tail(b) - _stirling_tail(a)))
+
+
 def _ml_series(alpha: float, beta: float, x: np.ndarray,
-               policy: SeriesPolicy = _DEFAULT_POLICY, degree: int | None = None,
-               g: float = 1.0):
+               degree: int | None = None, g: float = 1.0):
     """Power series sum x^n Gamma(g) / Gamma(alpha n + beta) over an array x
     of one sign, Gamma(g) E_{alpha,beta}(x); g = 1 gives E itself.
 
-    The sum runs to n = degree, or else until the policy's rule stops it at
-    the x of largest magnitude, top, which stops it for every smaller |x|.
+    The sum runs to n = degree, or else until a term at the x of largest
+    magnitude, top, falls below _SERIES_REL_TOL times the partial sum there,
+    which stops it for every smaller |x|.
     Horner's rule runs in x / top, so the coefficients top^n Gamma(g) /
     Gamma(alpha n + beta) are the terms at top: a coefficient 1 / Gamma(alpha
     n + beta) alone would go subnormal long before its term does.  A
     coefficient is computed directly where that is representable.
     Returns the values and the largest term magnitude at top; peak / |value|
     measures how much cancellation the sum suffers.  ConvergenceError when a
-    term or the sum at top overflows, or the policy's budget runs out.
+    term or the sum at top overflows, or _SERIES_MAX_TERMS terms do not
+    converge.
     """
     # the floor keeps log(top) finite; an all-zero x gives x / top = 0 anyway
     top = max(float(np.max(np.abs(x), initial=0.0)), 1e-300)
     sign = -1.0 if np.any(x < 0.0) else 1.0
     coeffs, total = [], 0.0
-    last = policy.max_terms if degree is None else degree
+    last = _SERIES_MAX_TERMS if degree is None else degree
     for n in range(last + 1):
         c = _power_over_gamma(top, n, alpha * n + beta, g)
         step = total + sign ** n * c
@@ -145,13 +158,13 @@ def _ml_series(alpha: float, beta: float, x: np.ndarray,
                 partial_sum=total, terms_used=n)
         coeffs.append(c)
         total = step
-        if degree is None and c <= policy.rel_tol * abs(total):
+        if degree is None and c <= _SERIES_REL_TOL * abs(total):
             break
     else:
         if degree is None:
             raise ConvergenceError(
                 f"Mittag-Leffler series did not converge within "
-                f"{policy.max_terms} terms for alpha={alpha}, beta={beta}, "
+                f"{_SERIES_MAX_TERMS} terms for alpha={alpha}, beta={beta}, "
                 f"x={sign * top}", partial_sum=total, terms_used=n)
     u = x / top
     out = np.full_like(u, coeffs[-1])
@@ -161,14 +174,14 @@ def _ml_series(alpha: float, beta: float, x: np.ndarray,
     return out, max(coeffs)
 
 
-def mittag_leffler(alpha: float, beta: float, x,
-                   policy: SeriesPolicy | None = None):
+def mittag_leffler(alpha: float, beta: float, x):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(x).
 
     Takes a scalar or an array of x and returns a float or an array.
     Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For x >= 0 it
     sums the power series sum_{n>=0} x^n / Gamma(alpha n + beta), truncated
-    once a term drops below rel_tol times the partial sum at the largest x;
+    once a term drops below 1e-15 times the partial sum at the largest x, and
+    raises ConvergenceError where 10 000 terms do not get there;
     E_{alpha,beta}(0) = 1/Gamma(beta) exactly.  For x < 0 it is `_ml_neg`
     at s = -x for alpha < 1 and every beta, and exp(x) at alpha = beta = 1.
     The series serves alpha = 1 with beta != 1 and a beta past `_ml_neg`'s
@@ -184,16 +197,15 @@ def mittag_leffler(alpha: float, beta: float, x,
     bad = xa[~(np.abs(xa) <= 50.0)]
     if bad.size:
         raise ValueError(f"mittag_leffler requires |x| <= 50, got {bad[0]}")
-    policy = policy or _DEFAULT_POLICY
     out = np.empty_like(xa)
     pos, neg = xa >= 0.0, xa < 0.0
-    out[pos] = _ml_series(alpha, beta, xa[pos], policy)[0]
-    if alpha < 1.0 and beta - 1.0 <= policy.max_terms * alpha:
-        out[neg] = _ml_neg(alpha, beta, -xa[neg], policy)
+    out[pos] = _ml_series(alpha, beta, xa[pos])[0]
+    if alpha < 1.0 and beta - 1.0 <= _SERIES_MAX_TERMS * alpha:
+        out[neg] = _ml_neg(alpha, beta, -xa[neg])
     elif beta == 1.0:
         out[neg] = np.exp(xa[neg])
     else:
-        value, peak = _ml_series(alpha, beta, xa[neg], policy)
+        value, peak = _ml_series(alpha, beta, xa[neg])
         worst = np.min(np.abs(value), initial=math.inf)
         if not peak <= _CANCELLATION_GUARD * worst:
             raise ConvergenceError(
@@ -216,7 +228,7 @@ def _sin_cos_pi(a: float, b: float = 0.0) -> tuple[float, float]:
 
 
 def _ml_neg(alpha: float, beta: float, s: np.ndarray,
-            policy: SeriesPolicy, g: float = 1.0) -> np.ndarray:
+            g: float = 1.0) -> np.ndarray:
     """Gamma(g) E_{alpha,beta}(-s) for an array of s >= 0, 0 < alpha < 1,
     beta > 0 and g >= 1; g = 1 gives E itself, and a large g keeps the
     value of a large beta inside the double range.
@@ -233,7 +245,9 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
     from b in (1 - alpha, 1], where Gamma(b) is moderate.
     Above beta^alpha, s exceeds Gamma(b + alpha) / Gamma(b) <= b^alpha
     (Wendel's inequality) at each b = beta - k alpha, so no step grows the
-    error much.  ConvergenceError past policy.max_terms steps.
+    error much.  Each step takes Gamma(b) / Gamma(b - alpha) from
+    `_gamma_ratio` at O(1) cost.  ConvergenceError past _SERIES_MAX_TERMS
+    steps.
 
     For alpha < 1e-17 min(1, beta) the value is the limit
     1 / (Gamma(beta) (1 + s)), off by about alpha |psi(beta)| relative,
@@ -247,7 +261,7 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
     out = np.empty_like(s)
     low = s <= max(1.0, beta ** alpha) if alpha > 0.01 or beta != 1.0 else s < 1e-8
     if low.any():
-        out[low] = _ml_series(alpha, beta, -s[low], policy, g=g)[0]
+        out[low] = _ml_series(alpha, beta, -s[low], g=g)[0]
     if not low.all():
         if alpha < 1e-17:
             raise ConvergenceError(
@@ -255,17 +269,16 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
                 f"alpha below 1e-17 has no spectral integral in double "
                 f"precision")
         steps = math.ceil((beta - 1.0) / alpha) if beta > 1.0 else 0
-        if steps > policy.max_terms:
+        if steps > _SERIES_MAX_TERMS:
             raise ConvergenceError(f"E_{{{alpha},{beta}}}(-s) needs {steps} "
-                                   f"steps down, past {policy.max_terms}")
+                                   f"steps down, past {_SERIES_MAX_TERMS}")
         high = s[~low]
         b = beta - steps * alpha
         value = _ml_neg_spectral(alpha, b, high)
         if steps:
             value *= math.gamma(b)      # u_b, stepped up to u_beta
             for k in range(steps - 1, -1, -1):
-                b = beta - k * alpha
-                value = (_power_over_gamma(1.0, 0, b - alpha, b)
+                value = (_gamma_ratio(beta - k * alpha, alpha)
                          * (1.0 - value) / high)
             value *= _power_over_gamma(1.0, 0, beta, g)
         else:
@@ -375,7 +388,7 @@ def ml_relaxation_exact(alpha: float, B: float, x):
         raise ValueError(
             f"ml_relaxation_exact: B x^alpha overflows to inf for "
             f"alpha={alpha}, B={B}, x={xa.max()}")
-    out = _ml_neg(alpha, 1.0, s.ravel(), _DEFAULT_POLICY).reshape(s.shape)
+    out = _ml_neg(alpha, 1.0, s.ravel()).reshape(s.shape)
     return float(out) if np.isscalar(x) else out
 
 

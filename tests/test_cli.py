@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -49,6 +50,11 @@ class TestMl:
 
     def test_alpha_domain(self, capsys):
         assert run(["ml", "--alpha", "1.2", "--x", "1"]) == 2
+
+    def test_series_budget_is_not_an_option(self, capsys):
+        # the stopping ratio 1e-15 and the 10 000-term budget are fixed
+        assert run(["ml", "--alpha", "0.5", "--x", "1", "--max-terms", "3"]) == 2
+        assert "unrecognized arguments: --max-terms 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha,x,want", [
         ("0.5", "-30", 0.01879588886141675150),     # was exit 1, term overflow
@@ -101,7 +107,28 @@ class TestRelax:
         want = "x,value,exact,error\n" + "".join(
             f"{a:.17g},{b:.17g},{c:.17g},{abs(b - c):.17g}\n"
             for a, b, c in zip(x, values, exact))
-        assert _series_table(x, values, exact) == want
+        assert "".join(_series_table(x, values, exact)) == want
+
+    def test_long_series_is_written_in_blocks_of_rows(self, tmp_path):
+        # the text of all 20 001 rows at once peaked at 7.1 MB, against
+        # 0.64 MB for the four arrays it formats
+        target = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            status = run(["relax", "--alpha", "0.5", "--h", "5e-5",
+                          "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak < 3.5e6
+        family = relaxation_family("relax-mlexact", alpha=0.5)
+        series = family.solve(5e-5, Scheme.L1)
+        exact = family.exact(series.x)
+        want = "x,value,exact,error\n" + "".join(
+            f"{a:.17g},{b:.17g},{c:.17g},{abs(b - c):.17g}\n"
+            for a, b, c in zip(series.x, series.values, exact))
+        assert target.read_text() == want
 
     def test_corrected_series_written_to_file(self, tmp_path):
         target = tmp_path / "series.csv"
@@ -157,10 +184,14 @@ class TestRelax:
      "3 x 1e+21 values"),
     ("subdiff --problem s2 --tau 1e-300", "1e+300 x 3e+300 values"),
     ("converge --problem s2 --h0 1e-300", "5e+299 x 1.5e+300 values"),
+    ("subdiff --problem s2 --tau 1e-300 --T 1e10", "inf x inf values"),
+    ("subdiff --alpha 0.5 --tau 1e-300 --T 1e10 --N 4", "inf x 5 values"),
 ])
 def test_grid_too_large_to_index_is_out_of_memory(argv, size):
     # the first four exited 2 with numpy's "Maximum allowed dimension
-    # exceeded", the last two 1 with a division by zero where h^2 underflows
+    # exceeded", the next two 1 with a division by zero where h^2 underflows,
+    # and a T / tau past the double range 1 with "cannot convert float
+    # infinity to integer"
     status, out, err = run_captured(argv.split())
     assert (status, out) == (1, "")
     assert err == (f"fracsolve: out of memory: a grid of {size} is too "
