@@ -11,9 +11,9 @@ script fronts all of it.
 """
 
 from . import caputo, harness, problems, relaxation, subdiffusion, specfun
-from .caputo import (CoefficientRow, Scheme, caputo_apply, caputo_power_rule,
-                     l1_weights, ml1_weights)
-from .harness import ConvergenceReport, Coupling, Ladder, estimate_order
+from .caputo import (Scheme, caputo_apply, caputo_power_rule, l1_weights,
+                     ml1_weights)
+from .harness import Coupling, Ladder, estimate_order
 from .relaxation import PowerSum, RelaxationProblem, TimeSeries, choose_m, taylor_poly
 from .specfun import (ConvergenceError, mittag_leffler, ml_relaxation_exact,
                       zeta_unit_strip)
@@ -24,11 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "caputo", "harness", "problems", "relaxation", "subdiffusion", "specfun",
-    "Scheme", "CoefficientRow", "l1_weights", "ml1_weights",
+    "Scheme", "l1_weights", "ml1_weights",
     "caputo_apply", "caputo_power_rule",
     "ConvergenceError", "zeta_unit_strip",
     "mittag_leffler", "ml_relaxation_exact",
     "PowerSum", "RelaxationProblem", "TimeSeries", "choose_m", "taylor_poly",
     "SubdiffusionProblem", "SpaceTimeSolution", "thomas_solve",
-    "Ladder", "Coupling", "ConvergenceReport", "estimate_order",
+    "Ladder", "Coupling", "estimate_order",
 ]

@@ -283,7 +283,8 @@ def _leaf(unknowns: int, columns: int) -> int:
     return _SMOOTH[bisect.bisect_left(_SMOOTH, -(-unknowns // count))]
 
 
-def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
+def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
+           out: np.ndarray) -> np.ndarray:
     """March v^(alpha) + B v = F(x) from v0 with the L1 or modified-L1
     scheme on the grid x_n = n h, n = 0..N.
 
@@ -292,7 +293,9 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     same for every entry of the state.  The modified scheme needs N >= 2.
     With gha = Gamma(2 - alpha) h^alpha, level n solves
     (c_0 + B gha) v_n = F_n gha - sum_{k=1..n} c_k v_{n-k} over the level-n
-    weight row.  Returns the levels 0..N stacked along a new first axis.
+    weight row.  Writes the levels 0..N into out, of shape (N + 1,) + the
+    state's shape, and returns it; out is contiguous or 2-D, such as the
+    interior columns of a padded result, so that its rows reshape to a view.
 
     Level 1 is solved in closed form.  From level 2 on, every row has the
     same c_0 and interior weights once the modified shifts are part of them,
@@ -328,12 +331,11 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
     table = _table(alpha, scheme)
     interior, tail = table.rows(n_steps)
     v0 = np.asarray(v0, dtype=float)
-    v = np.empty((n_steps + 1,) + v0.shape)
-    v[0] = v0
-    v[1] = (F[1] * gha - tail[0] * v0) / (1.0 + lam)
+    out[0] = v0
+    out[1] = (F[1] * gha - tail[0] * v0) / (1.0 + lam)
     if n_steps < 2:
-        return v
-    v = v.reshape(n_steps + 1, -1)
+        return out
+    v = out.reshape(n_steps + 1, -1)
     diagonal = (table.c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
     leaf = _leaf(n_steps - 1, min(_COLUMNS, v.shape[1]))
 
@@ -352,7 +354,7 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F) -> np.ndarray:
                 future = x[mid:mid + width]
                 future -= _convolve(x[mid - width:mid], table.spectrum(width),
                                     width - 1)[:len(future)]
-    return v.reshape((n_steps + 1,) + v0.shape)
+    return out
 
 
 def _leaf_inverse(weights, diagonal: np.ndarray, leaf: int) -> np.ndarray:

@@ -126,7 +126,8 @@ def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
     levels = problem.n_steps + 1
     F = (np.broadcast_to(0.0, (levels,)) if problem.forcing is None else
          problem.forcing(np.arange(levels) * problem.h))
-    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B, F)
+    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B, F,
+                  np.empty(levels))
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:

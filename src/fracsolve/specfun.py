@@ -24,8 +24,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# `mittag_leffler` refuses a series sum whose largest term exceeds the result
-# by this factor (about five decimal digits lost to cancellation).
+# `_ml_neg` refuses a series that no spectral integral replaces where its
+# largest term exceeds the smallest value by this factor (about five decimal
+# digits lost to cancellation).
 _CANCELLATION_GUARD = 1e5
 
 # The power series stops once a term falls below _SERIES_REL_TOL times the
@@ -50,10 +51,11 @@ class ConvergenceError(ArithmeticError):
         self.terms_used = terms_used
 
 
-def _eta(t: float, terms: int = 30) -> float:
+def _eta(t: float) -> float:
     # Alternating zeta series sum (-1)^(k-1) / k^t, accelerated with the
     # Chebyshev-coefficient scheme of Cohen, Rodriguez Villegas and Zagier;
     # 30 terms give ~(3+sqrt(8))^-30 ~ 1e-23, far below double roundoff.
+    terms = 30
     d = (3.0 + math.sqrt(8.0)) ** terms
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -183,11 +185,8 @@ def mittag_leffler(alpha: float, beta: float, x):
     once a term drops below 1e-15 times the partial sum at the largest x, and
     raises ConvergenceError where 10 000 terms do not get there;
     E_{alpha,beta}(0) = 1/Gamma(beta) exactly.  For x < 0 it is `_ml_neg`
-    at s = -x for alpha < 1 and every beta, and exp(x) at alpha = beta = 1.
-    The series serves alpha = 1 with beta != 1 and a beta past `_ml_neg`'s
-    step budget: there the alternating terms of a strongly negative x grow
-    huge before they decay, and ConvergenceError is raised where the largest
-    exceeds the result by more than _CANCELLATION_GUARD.
+    at s = -x, which picks the evaluation and raises ConvergenceError where
+    none gives the value.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
@@ -198,21 +197,9 @@ def mittag_leffler(alpha: float, beta: float, x):
     if bad.size:
         raise ValueError(f"mittag_leffler requires |x| <= 50, got {bad[0]}")
     out = np.empty_like(xa)
-    pos, neg = xa >= 0.0, xa < 0.0
-    out[pos] = _ml_series(alpha, beta, xa[pos])[0]
-    if alpha < 1.0 and beta - 1.0 <= _SERIES_MAX_TERMS * alpha:
-        out[neg] = _ml_neg(alpha, beta, -xa[neg])
-    elif beta == 1.0:
-        out[neg] = np.exp(xa[neg])
-    else:
-        value, peak = _ml_series(alpha, beta, xa[neg])
-        worst = np.min(np.abs(value), initial=math.inf)
-        if not peak <= _CANCELLATION_GUARD * worst:
-            raise ConvergenceError(
-                f"Mittag-Leffler series for alpha={alpha}, beta={beta}, "
-                f"x={np.min(xa[neg])} cancels: its largest term is {peak} "
-                f"against the sum {worst}")
-        out[neg] = value
+    neg = xa < 0.0
+    out[~neg] = _ml_series(alpha, beta, xa[~neg])[0]
+    out[neg] = _ml_neg(alpha, beta, -xa[neg])
     return float(out) if np.isscalar(x) else out
 
 
@@ -229,15 +216,27 @@ def _sin_cos_pi(a: float, b: float = 0.0) -> tuple[float, float]:
 
 def _ml_neg(alpha: float, beta: float, s: np.ndarray,
             g: float = 1.0) -> np.ndarray:
-    """Gamma(g) E_{alpha,beta}(-s) for an array of s >= 0, 0 < alpha < 1,
+    """Gamma(g) E_{alpha,beta}(-s) for an array of s >= 0, 0 < alpha <= 1,
     beta > 0 and g >= 1; g = 1 gives E itself, and a large g keeps the
     value of a large beta inside the double range.
 
-    The branch depends on alpha, beta and s alone.  The series takes
-    s <= max(1, beta^alpha), where its terms fall from about the first on.
-    For beta = 1 and alpha <= 0.01 it would need about 18 / alpha terms near
-    s = 1, so there it takes only s < 1e-8 (at most three terms).  The
-    spectral integral takes the rest, after a beta > 1 steps down into
+    The one choice of how E_{alpha,beta}(-s) is evaluated, from alpha, beta
+    and s alone.  alpha = beta = 1 is exp(-s).  Below alpha = 1e-17
+    min(1, beta) the value is the limit 1 / (Gamma(beta) (1 + s)), off by
+    about alpha |psi(beta)| relative.  The series takes every s where no
+    spectral integral applies: at alpha = 1, at any other alpha < 1e-17
+    (the integral's factor t^((1-beta)/alpha) is a step at t = 1 that no
+    node resolves), and more than _SERIES_MAX_TERMS steps of alpha above
+    beta = 1.  Its alternating terms can peak far above the value there:
+    ConvergenceError where the largest exceeds the smallest |value| by more
+    than _CANCELLATION_GUARD, or where the series does not converge.
+
+    Elsewhere the series takes s <= max(1, beta^alpha), where its terms fall
+    from about the first on, but only s < 1e-8 for alpha <= 0.1, beta <= 1
+    and 1 - beta <= 1e8 alpha: there its terms near s = 1 peak up to 390
+    times the value, or number about 18 / alpha at beta = 1, while the
+    integral's error, about 1e-23 (1 - beta) / alpha, stays near 1e-15.
+    The spectral integral takes the rest, after a beta > 1 steps down into
     (1 - alpha, 1], where the spectral density is bounded at 0, by
     E_{alpha,beta}(-s) = (1/Gamma(beta - alpha) - E_{alpha,beta-alpha}(-s)) / s,
     taken in u_b = Gamma(b) E_{alpha,b}(-s), which lies in (0, 1] for every
@@ -246,32 +245,28 @@ def _ml_neg(alpha: float, beta: float, s: np.ndarray,
     Above beta^alpha, s exceeds Gamma(b + alpha) / Gamma(b) <= b^alpha
     (Wendel's inequality) at each b = beta - k alpha, so no step grows the
     error much.  Each step takes Gamma(b) / Gamma(b - alpha) from
-    `_gamma_ratio` at O(1) cost.  ConvergenceError past _SERIES_MAX_TERMS
-    steps.
-
-    For alpha < 1e-17 min(1, beta) the value is the limit
-    1 / (Gamma(beta) (1 + s)), off by about alpha |psi(beta)| relative,
-    below roundoff (psi(beta) ~ -1/beta for small beta).  Any other alpha < 1e-17 keeps
-    the series and raises ConvergenceError past its cut: there the factor
-    t^((1-beta)/alpha) of the spectral integral is a step at t = 1 that no
-    node resolves, and sin(alpha pi) may be subnormal.
+    `_gamma_ratio` at O(1) cost.
     """
+    if alpha == beta == 1.0:
+        return math.gamma(g) * np.exp(-s)
     if alpha < 1e-17 * min(1.0, beta):
         return _power_over_gamma(1.0, 0, beta, g) / (1.0 + s)
+    if alpha == 1.0 or alpha < 1e-17 or beta - 1.0 > _SERIES_MAX_TERMS * alpha:
+        value, peak = _ml_series(alpha, beta, -s, g=g)
+        worst = np.min(np.abs(value), initial=math.inf)
+        if not peak <= _CANCELLATION_GUARD * worst:
+            raise ConvergenceError(
+                f"Mittag-Leffler series for alpha={alpha}, beta={beta}, "
+                f"x={-np.max(s)} cancels: its largest term is {peak} "
+                f"against the sum {worst}")
+        return value
     out = np.empty_like(s)
-    low = s <= max(1.0, beta ** alpha) if alpha > 0.01 or beta != 1.0 else s < 1e-8
+    low = (s < 1e-8 if alpha <= 0.1 and 0.0 <= 1.0 - beta <= 1e8 * alpha
+           else s <= max(1.0, beta ** alpha))
     if low.any():
         out[low] = _ml_series(alpha, beta, -s[low], g=g)[0]
     if not low.all():
-        if alpha < 1e-17:
-            raise ConvergenceError(
-                f"E_{{{alpha},{beta}}}(-s) for s > {max(1.0, beta ** alpha)}: "
-                f"alpha below 1e-17 has no spectral integral in double "
-                f"precision")
         steps = math.ceil((beta - 1.0) / alpha) if beta > 1.0 else 0
-        if steps > _SERIES_MAX_TERMS:
-            raise ConvergenceError(f"E_{{{alpha},{beta}}}(-s) needs {steps} "
-                                   f"steps down, past {_SERIES_MAX_TERMS}")
         high = s[~low]
         b = beta - steps * alpha
         value = _ml_neg_spectral(alpha, b, high)

@@ -180,8 +180,10 @@ def thomas_solve(system: TridiagonalSystem, rhs) -> np.ndarray:
     return x
 
 
-# rows of the level matrix sine-transformed at once
-_DST_ROWS = 64
+# rows of the level matrix sine-transformed at once: a block's transform
+# temporaries are about 5 times its rows, so 64 rows held one more result's
+# worth at N = 960, M = 320
+_DST_ROWS = 8
 
 
 def _dst(x: np.ndarray) -> np.ndarray:
@@ -239,19 +241,19 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme,
     (with a degree m, the corrected march of `solve_corrected`), and a
     `Sampled` profile marches its DST-I modes together as one vector state."""
     N, M, tau = problem.N, problem.M, problem.tau
+    values = np.zeros((M + 1, N + 1))
     if isinstance(problem.initial, Sampled):
         u0 = problem.initial.values[1:-1]
-        u = _march(problem.alpha, scheme, tau, _dst(u0),
-                   _mode_rates(N, np.arange(1, N)),
-                   np.broadcast_to(0.0, (M + 1,)))
+        # the march fills the interior columns of the result, which turn
         # back to grid values in place, a block of rows at a time: a second
         # array of all levels would raise peak memory
+        u = _march(problem.alpha, scheme, tau, _dst(u0),
+                   _mode_rates(N, np.arange(1, N)),
+                   np.broadcast_to(0.0, (M + 1,)), values[:, 1:-1])
         for rows in range(0, M + 1, _DST_ROWS):
             u[rows:rows + _DST_ROWS] = _dst(u[rows:rows + _DST_ROWS])
         # the transform round trip is not exact; level 0 is the given data
         u[0] = u0
-        values = np.zeros((M + 1, N + 1))
-        values[:, 1:-1] = u
         return SpaceTimeSolution(problem.h, tau, values)
     k, alpha, T = problem.initial.k, problem.alpha, problem.T
     march = (relaxation.RelaxationProblem(alpha, 1.0, None, 1.0, T, tau)
@@ -259,7 +261,6 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme,
     z = relaxation.solve(replace(march, B=_mode_rates(N, k)), scheme)
     series = (z.values if m is None else
               z.values + relaxation.taylor_poly(alpha, 1.0, m, z.x))
-    values = np.zeros((M + 1, N + 1))
     np.multiply.outer(series, np.sin(k * space_nodes(N)[1:-1]), out=values[:, 1:-1])
     return SpaceTimeSolution(problem.h, tau, values)
 

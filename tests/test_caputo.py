@@ -117,7 +117,8 @@ class TestML1Weights:
 
 
 def march(alpha, scheme, n):
-    return _march(alpha, scheme, 1.0 / n, 0.7, 1.3, np.linspace(0.0, 1.0, n + 1))
+    return _march(alpha, scheme, 1.0 / n, 0.7, 1.3, np.linspace(0.0, 1.0, n + 1),
+                  np.empty(n + 1))
 
 
 class TestWeightTable:
@@ -184,7 +185,8 @@ class TestWeightTable:
         try:
             for n in sizes:
                 for scheme in Scheme:
-                    _march(0.5, scheme, 1.0 / n, 1.0, 1.0, np.zeros(n + 1))
+                    _march(0.5, scheme, 1.0 / n, 1.0, 1.0, np.zeros(n + 1),
+                           np.empty(n + 1))
                     retained.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracsolve.cli import run
@@ -197,7 +197,7 @@ class TestRelaxationExactLargeArgument:
 
 
 class TestNegativeAxisBranchRule:
-    """E_alpha(-s) takes the series for s <= 1 (s < 1e-8 for alpha <= 0.01)
+    """E_alpha(-s) takes the series for s <= 1 (s < 1e-8 for alpha <= 0.1)
     and the spectral integral above, in `mittag_leffler` (beta = 1) and
     `ml_relaxation_exact` alike; other series that cancel raise instead of
     returning a wrong value."""
@@ -352,13 +352,16 @@ def e_neg(alpha, beta, s):
 
 class TestTwoParameterNegativeAxis:
     """E_{alpha,beta}(-s) for alpha < 1 takes one path for every beta: the
-    series up to s = max(1, beta^alpha), then the spectral integral, after
+    series up to s = max(1, beta^alpha), or up to s = 1e-8 for alpha <= 0.1,
+    beta <= 1 and 1 - beta <= 1e8 alpha, then the spectral integral, after
     stepping a beta > 1 down into (1 - alpha, 1]."""
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(0.05, 0.99),
            beta=st.floats(0.0, 3.0, exclude_min=True),
            log_s=st.floats(-3.0, 8.0), log_far=st.floats(0.0, 2.0))
+    # the series at s = 1 lost 1.6e-13 to cancellation here
+    @example(alpha=0.0546875, beta=0.0546875, log_s=0.0, log_far=0.0)
     def test_matches_mpmath(self, alpha, beta, log_s, log_far):
         s = 10.0 ** log_s
         got, want = e_neg(alpha, beta, s), ml_mpmath(alpha, beta, s)
@@ -370,6 +373,16 @@ class TestTwoParameterNegativeAxis:
         assert got == pytest.approx(want, rel=1e-13, abs=0)
         assert got > 0.0
         assert e_neg(alpha, beta, s * 10.0 ** log_far) <= got * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("alpha,beta,s", [
+        (0.0546875, 0.0546875, 1.0), (0.02, 0.02, 1.0), (0.01, 0.01, 0.999),
+        (0.1, 0.1, 1.0), (0.05, 0.05, 0.999),
+        (1e-6, 0.5, 0.999), (1e-4, 0.01, 0.999), (1e-3, 0.9, 0.999)])
+    def test_small_alpha_near_s_one(self, alpha, beta, s):
+        # the series lost 2e-14 to 5.8e-13 to cancellation at the first five,
+        # and ran out of its 10 000 terms at the last three
+        want = ml_mpmath(alpha, beta, s)
+        assert abs(e_neg(alpha, beta, s) - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("alpha,beta,x,want", [
         ("0.5", "0.5", "-5", 0.010666394882413155097),
