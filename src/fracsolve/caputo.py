@@ -12,32 +12,34 @@ zeta(alpha - 1), which cancels the leading error term for smooth functions.
 
 Solvers march such a scheme through `_march`, which takes the equation's
 step, decay rates and forcing samples and owns the step scaling, the weights,
-the history sum and the level solve.  With the modified shifts folded into
-the weights, levels 2..N solve one lower-triangular Toeplitz system, which
-`_march` solves exactly, up to roundoff, in O(N log^2 N): the blocked scheme
-of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985) with its
-recursion unrolled, over leaves solved by FFT convolution with the first
-column of their matrix's inverse.  `_leaf` sizes the leaves to the grid:
-their size is 5-smooth, so no FFT length has a prime factor above 5, and
-they number a power of two wherever rounding the size up allows, as on the
-ladders' grids, so each history hand-off feeds a whole block but for the
-short end of the last leaf.  One helper, `_convolve`, does every FFT
-convolution: the leaf solves, the history hand-offs between blocks and both
-halves of each Newton step that builds the leaf inverse.
+the history sum and the level solve.  It solves for v - v_0, in which every
+row, summing to zero, drops its final weight.  With the modified shifts
+folded into the weights, levels 2..N then solve one lower-triangular
+Toeplitz system, which `_march` solves exactly, up to roundoff, in
+O(N log^2 N): the blocked scheme of Hairer, Lubich and Schlichte (SIAM J.
+Sci. Stat. Comput. 6, 1985) with its recursion unrolled, over leaves solved
+by FFT convolution with the first column of their matrix's inverse.  `_leaf`
+sizes the leaves to the grid: their size is 5-smooth, so no FFT length has a
+prime factor above 5, and they number a power of two wherever rounding the
+size up allows, as on the ladders' grids, so each history hand-off feeds a
+whole block but for the short end of the last leaf.  One helper,
+`_convolve`, does every FFT convolution: the leaf solves, the history
+hand-offs between blocks and both halves of each Newton step that builds
+the leaf inverse.
 
-Every weight and every history operand depends on alpha and the scheme
-alone, so they are computed once per process, not once per solve: a
+Every interior weight and every history operand depends on alpha and the
+scheme alone, so they are computed once per process, not once per solve: a
 `_WeightTable` per (alpha, scheme), of which the two most recent are kept,
-holds c_0, the interior and tail rows with the modified shifts applied, and
-the FFT of c_1..c_{2W-1} by block width W, whatever step asks for it.  A
+holds c_0, the interior weights with the modified shifts applied, and the
+FFT of c_1..c_{2W-1} by block width W, whatever step asks for it.  A
 hand-off's operand always holds all 2W - 1 weights, past c_{N-1} where the
-march is shorter.  The rows grow by the levels they lack and keep at most
-2^16; the transforms of 2W <= 2^16 are kept while they take at most
-1.0625 MiB, which those of any one march of up to 2^16 levels fit.  So a
-table holds at most 2.1 MiB once a solve returns, and 1.98 MiB was the
+march is shorter.  The weights grow by the ones they lack and are kept for
+at most 2^16 levels; the transforms of 2W <= 2^16 are kept while they take
+at most 1.0625 MiB, which those of any one march of up to 2^16 levels fit.
+So a table holds at most 1.6 MiB once a solve returns, and 1.49 MiB was the
 most in a sweep of solves from 1000 to 2^17 + 4096 levels.  `l1_weights`,
 `ml1_weights`, `_march` and the subdiffusion main diagonal all read from
-them.
+them; `_row` alone computes a final weight, for the public rows.
 """
 
 import bisect
@@ -89,8 +91,9 @@ def _check_alpha(alpha: float) -> None:
 def _interior_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
     """Level-independent weights c_k = (k+1)^(1-a) - 2 k^(1-a) + (k-1)^(1-a)
     for k = lo..hi-1, lo >= 2.  Valid as long as k < n; the level's own index
-    takes the tail formula instead.  Each entry depends on its k alone, so
-    any range gives the same bits as the same k in a longer one.
+    takes the final weight of `_tail_weights` instead.  Each entry depends
+    on its k alone, so any range gives the same bits as the same k in a
+    longer one.
 
     The three powers cancel to a value of order k^(-1-a), so they are not
     evaluated as written.  With e = 1-a, x = 1/k and t = e atanh(x),
@@ -99,7 +102,8 @@ def _interior_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
             = 2 (expm1(e/2 log1p(-x^2)) cosh(t) + 2 sinh(t/2)^2),
 
     whose two terms cancel only by a factor (2-a)/a, independent of k.  At
-    k = 1, log1p(-1) diverges, so `_WeightTable` sets c_1 = 2^e - 2 itself.
+    k = 1, log1p(-1) diverges, so `_WeightTable` sets c_1 = 2^e - 2 itself,
+    shift included.
     """
     e = 1.0 - alpha
     k = np.arange(lo, hi, dtype=float)
@@ -111,7 +115,8 @@ def _interior_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
 def _tail_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
     """Final weight (n-1)^e - n^e, e = 1-a, for levels n = lo..hi-1, lo >= 2,
     as n^e expm1(e log1p(-1/n)) so that the powers do not cancel; at n = 1,
-    log1p(-1) diverges and `_WeightTable` sets the weight -1 itself."""
+    log1p(-1) diverges and `_row` sets the weight -1 itself.  Only the
+    public rows read it: the march solves for v - v_0, which it drops."""
     e = 1.0 - alpha
     n = np.arange(lo, hi, dtype=float)
     return n ** e * np.expm1(e * np.log1p(-1.0 / n))
@@ -122,8 +127,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Rows and transforms of more levels than this are computed for the call that
-# needs them and are not kept.
+# Weights and transforms of more levels than this are computed for the call
+# that needs them and are not kept.
 _CACHED_LEVELS = 1 << 16
 # The kept transforms take at most this many bytes.  Those of one march of up
 # to 2^16 levels take at most 1048816: N = 65537 takes 64 leaves of 1024.
@@ -133,53 +138,48 @@ _SPECTRUM_BYTES = (1 << 20) + (1 << 16)
 class _WeightTable:
     """The weights of one scheme at one alpha, shared by every solve.
 
-    c0 is c_0, and `rows(n)` returns the interior weights c_1..c_{n-1},
-    shared by every level that reaches them, and the tails: tail[m-1] is the
-    final weight (m-1)^e - m^e of level m, e = 1-alpha.  The modified scheme
-    shifts indices 0, 1, 2 of every row from level 2 on by -z, +2z, -z with
-    z = zeta(alpha - 1), so its c_0 is 1 - z; index 2 is an interior weight
-    from level 3 on and the tail at level 2, so both take the -z.  Level 1
-    has no index 2 and is the L1 row 1, tail[0] in both schemes.  The plain
-    scheme takes z = 0, which leaves every weight's bits as they are.
+    c0 is c_0, and `interior(n)` returns the interior weights c_1..c_{n-1},
+    shared by every level that reaches them.  The modified scheme shifts
+    indices 0, 1, 2 of every row from level 2 on by -z, +2z, -z with
+    z = zeta(alpha - 1), so its c0 is 1 - z and its c_1 and c_2 carry the
+    shifts; index 2 is the final weight at level 2, which `_row` shifts by
+    -z itself.  The plain scheme takes z = 0, which leaves every weight's
+    bits as they are.  No final weight is kept: a march of v - v_0 never
+    reads one.
 
-    The rows start at 3 levels, shifts applied, and grow by computing only
-    the levels they lack; past _CACHED_LEVELS = 2^16 levels they keep the
-    first 2^16, 1 MiB.  `spectrum(W)` is the history operand of block width
-    W, kept for every W with 2 W <= 2^16 while the kept ones take at most
-    _SPECTRUM_BYTES = 1.0625 MiB; the one that would pass that starts the
-    kept set anew.  Every transform of one march of up to 2^16 levels stays,
-    1.0 MiB at most, and a table holds under 2.1 MiB once a call returns.
-    Every array it hands out is read-only, and grown rows and kept
-    transforms are each published in one assignment of a new tuple or dict
-    that no thread changes, so a thread sees either the old ones or the new
-    ones whole.  Of two inserts at once one may be lost, which costs only
-    its recomputation.
+    The interior weights start at c_1, c_2, shifts applied, and grow by
+    computing only the ones they lack; the grown ones are kept while they
+    serve at most _CACHED_LEVELS = 2^16 levels, 0.5 MiB.  `spectrum(W)` is
+    the history operand of block width W, kept for every W with
+    2 W <= 2^16 while the kept ones take at most _SPECTRUM_BYTES =
+    1.0625 MiB; the one that would pass that starts the kept set anew.
+    Every transform of one march of up to 2^16 levels stays, 1.0 MiB at
+    most, and a table holds under 1.6 MiB once a call returns.  Every array
+    it hands out is read-only, and grown weights and kept transforms are
+    each published in one assignment of a new array or dict that no thread
+    changes, so a thread sees either the old ones or the new ones whole.
+    Of two inserts at once one may be lost, which costs only its
+    recomputation.
     """
 
     def __init__(self, alpha: float, scheme: Scheme):
         e = 1.0 - alpha
         z = 0.0 if scheme is Scheme.L1 else zeta_unit_strip(alpha - 1.0)
-        self.alpha = alpha
+        self.alpha, self.z = alpha, z
         self.c0 = 1.0 - z
-        interior = np.concatenate(([2.0 ** e - 2.0 + 2.0 * z],
-                                   _interior_weights(alpha, 2, 3) - z))
-        tail = np.concatenate(([-1.0], _tail_weights(alpha, 2, 4)))
-        tail[1] -= z
-        self._rows = (_frozen(interior), _frozen(tail))
+        self._interior = _frozen(np.concatenate(
+            ([2.0 ** e - 2.0 + 2.0 * z], _interior_weights(alpha, 2, 3) - z)))
         self._spectra = {}
 
-    def rows(self, n: int):
-        """(c_1..c_{n-1}, the tails of levels 1..n) for n >= 1."""
-        interior, tail = self._rows
-        levels = len(tail)
-        if levels < n:
-            interior = _frozen(np.concatenate(
-                (interior, _interior_weights(self.alpha, levels, n))))
-            tail = _frozen(np.concatenate(
-                (tail, _tail_weights(self.alpha, levels + 1, n + 1))))
-            self._rows = (_head(interior, _CACHED_LEVELS - 1),
-                          _head(tail, _CACHED_LEVELS))
-        return interior[:n - 1], tail[:n]
+    def interior(self, n: int) -> np.ndarray:
+        """c_1..c_{n-1}, the interior weights of level n >= 1."""
+        weights = self._interior
+        if len(weights) < n - 1:
+            weights = _frozen(np.concatenate(
+                (weights, _interior_weights(self.alpha, len(weights) + 1, n))))
+            if n <= _CACHED_LEVELS:
+                self._interior = weights
+        return weights[:n - 1]
 
     def spectrum(self, width: int) -> np.ndarray:
         """The FFT of length 2 W of c_1..c_{2W-1}, W = width, as a column.
@@ -189,7 +189,7 @@ class _WeightTable:
         spectra = self._spectra
         spectrum = spectra.get(width)
         if spectrum is None:
-            spectrum = _frozen(np.fft.rfft(self.rows(2 * width)[0],
+            spectrum = _frozen(np.fft.rfft(self.interior(2 * width),
                                            2 * width)[:, None])
             if 2 * width <= _CACHED_LEVELS:
                 kept = sum(other.nbytes for other in spectra.values())
@@ -199,12 +199,6 @@ class _WeightTable:
         return spectrum
 
 
-def _head(row: np.ndarray, size: int) -> np.ndarray:
-    """row if it has at most size entries, else a copy of its first size:
-    a view would hold all of row."""
-    return row if len(row) <= size else _frozen(row[:size].copy())
-
-
 @functools.lru_cache(maxsize=2)
 def _table(alpha: float, scheme: Scheme) -> _WeightTable:
     """The weight table of one (alpha, scheme); the two most recent stay,
@@ -212,16 +206,15 @@ def _table(alpha: float, scheme: Scheme) -> _WeightTable:
     return _WeightTable(alpha, scheme)
 
 
-def _scheme_weights(alpha: float, scheme: Scheme, n: int):
-    """The weights of levels 1..n as (c_0, interior, tail); see
-    `_WeightTable`."""
-    table = _table(alpha, scheme)
-    return (table.c0, *table.rows(n))
-
-
 def _row(alpha: float, scheme: Scheme, n: int) -> CoefficientRow:
-    c0, interior, tail = _scheme_weights(alpha, scheme, n)
-    return CoefficientRow(alpha, n, np.concatenate(([c0], interior, tail[-1:])))
+    """The weights c_0..c_n of level n, final weight included: -1 at n = 1,
+    and shifted by -z at n = 2."""
+    table = _table(alpha, scheme)
+    final = -1.0 if n == 1 else _tail_weights(alpha, n, n + 1)[0]
+    if n == 2:
+        final -= table.z
+    return CoefficientRow(alpha, n, np.concatenate(
+        ([table.c0], table.interior(n), [final])))
 
 
 def l1_weights(alpha: float, n: int) -> CoefficientRow:
@@ -291,16 +284,20 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     The state v0 may be a scalar or an array; B is a scalar or an array of
     its shape, and F holds one forcing sample per level, N + 1 in all, the
     same for every entry of the state.  The modified scheme needs N >= 2.
-    With gha = Gamma(2 - alpha) h^alpha, level n solves
-    (c_0 + B gha) v_n = F_n gha - sum_{k=1..n} c_k v_{n-k} over the level-n
-    weight row.  Writes the levels 0..N into out, of shape (N + 1,) + the
-    state's shape, and returns it; out is contiguous or 2-D, such as the
-    interior columns of a padded result, so that its rows reshape to a view.
+    Writes the levels 0..N into out, of shape (N + 1,) + the state's shape,
+    and returns it; out is contiguous or 2-D, such as the interior columns
+    of a padded result, so that its rows reshape to a view.
 
-    Level 1 is solved in closed form.  From level 2 on, every row has the
-    same c_0 and interior weights once the modified shifts are part of them,
-    so with the terms in v_0 and v_1 moved to the right-hand side, levels
-    2..N solve one lower-triangular Toeplitz system.  It is solved leaf by
+    With gha = Gamma(2 - alpha) h^alpha and lam = B gha, level n solves
+    (c_0 + lam) v_n = F_n gha - sum_{k=1..n} c_k v_{n-k} over its weight
+    row.  The row sums to zero, so w_n = v_n - v_0 solves
+    (c_0 + lam) w_n = F_n gha - lam v_0 - sum_{k=1..n-1} c_k w_{n-k}: the
+    final weight multiplies w_0 = 0.  Level 1 is solved in closed form,
+    v_1 = (F_1 gha + v_0) / (1 + lam).  From level 2 on, every row has
+    the same c_0 and interior weights once the modified shifts are part of
+    them, so with the term c_{n-1} w_1 moved to the right-hand side, the w_n
+    of levels 2..N solve one lower-triangular Toeplitz system, and each
+    chunk adds v_0 back once they are solved.  It is solved leaf by
     leaf, L levels each: a leaf's solution is the convolution of its
     right-hand sides with s, the first column of the leaf matrix's inverse,
     whose FFT `_leaf_inverse` returns.  `_leaf` sizes the leaves to the
@@ -329,24 +326,24 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     # would be a second array of all levels
     lam = B * gha
     table = _table(alpha, scheme)
-    interior, tail = table.rows(n_steps)
     v0 = np.asarray(v0, dtype=float)
     out[0] = v0
-    out[1] = (F[1] * gha - tail[0] * v0) / (1.0 + lam)
+    out[1] = (F[1] * gha + v0) / (1.0 + lam)
     if n_steps < 2:
         return out
     v = out.reshape(n_steps + 1, -1)
-    diagonal = (table.c0 + np.broadcast_to(lam, v0.shape)).reshape(-1)
+    lam = np.broadcast_to(lam, v0.shape).reshape(-1)
+    interior = table.interior(n_steps)
     leaf = _leaf(n_steps - 1, min(_COLUMNS, v.shape[1]))
 
     # one chunk at a time, leaf inverse included: full-width temporaries
     # would be a second array of all levels
     for c in range(0, v.shape[1], _COLUMNS):
-        x = v[:, c:c + _COLUMNS]
+        x, rates = v[:, c:c + _COLUMNS], lam[c:c + _COLUMNS]
         np.multiply(F[2:, None], gha, out=x[2:])
-        x[2:] -= np.multiply.outer(tail[1:], x[0])
-        x[2:] -= np.multiply.outer(interior, x[1])
-        s = _leaf_inverse(table.spectrum, diagonal[c:c + _COLUMNS], leaf)
+        x[2:] -= rates * x[0]
+        x[2:] -= np.multiply.outer(interior, x[1] - x[0])
+        s = _leaf_inverse(table.spectrum, table.c0 + rates, leaf)
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
             x[lo:lo + leaf] = _convolve(x[lo:lo + leaf], s, 0)
             mid, width = lo + leaf, leaf * (k & -k)
@@ -354,6 +351,7 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
                 future = x[mid:mid + width]
                 future -= _convolve(x[mid - width:mid], table.spectrum(width),
                                     width - 1)[:len(future)]
+        x[2:] += x[0]
     return out
 
 

@@ -95,16 +95,14 @@ class SubdiffusionFamily:
               N: int | None = None) -> SpaceTimeSolution:
         """Solution on M = T / step time levels and N space intervals, by
         default N = 3 M (h = pi step / (3 T)): the plain scheme when m is
-        None, else the corrected solver of degree m.  The step must divide T
-        into whole steps."""
-        steps = self.T / step
-        if steps == math.inf:      # which round() refuses as an OverflowError
+        None, else the corrected solver of degree m.  T / step must be a
+        whole number of steps by the rule of `RelaxationProblem`."""
+        # a T / step past the double range, which round() refuses
+        if self.T / step == math.inf:
             width = math.inf if N is None else N + 1
             raise MemoryError(f"a grid of inf x {width:.4g} values is too "
                               f"large to index")
-        M = round(steps)
-        if M < 1 or abs(M * step - self.T) > 1e-9 * self.T:
-            raise ValueError(f"tau = {step} does not divide T = {self.T}")
+        M = relaxation._whole_steps(self.T, step, "tau")
         N = 3 * M if N is None else N
         if m is None:
             problem = SubdiffusionProblem(alpha=self.alpha, N=N, M=M, T=self.T,

@@ -62,6 +62,18 @@ class PowerSum:
         return float(out) if np.isscalar(x) else out
 
 
+def _whole_steps(T: float, step: float, name: str = "h") -> int:
+    """T / step rounded to the whole number of steps, at least 1, that it
+    must lie within 1e-8 max(1, T / step) of; else a ValueError that calls
+    the step `name`.  Relaxation problems and subdiffusion families share
+    this one rule."""
+    steps = T / step
+    count = round(steps)
+    if count < 1 or abs(steps - count) > 1e-8 * max(1.0, steps):
+        raise ValueError(f"T/{name} = {steps} is not a whole number of steps")
+    return count
+
+
 @dataclass(frozen=True)
 class RelaxationProblem:
     """Complete statement of a fractional relaxation problem.
@@ -97,8 +109,7 @@ class RelaxationProblem:
         if not 8.0 * (steps + 1.0) <= sys.maxsize:
             raise MemoryError(f"a grid of {steps + 1.0:.4g} levels is too "
                               f"large to index")
-        if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
-            raise ValueError(f"T/h = {steps} is not a whole number of steps")
+        _whole_steps(self.T, self.h)
 
     @property
     def n_steps(self) -> int:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from fracsolve import caputo
-from fracsolve.caputo import (_CACHED_LEVELS, Scheme, _march, _scheme_weights,
-                              _table, _WeightTable, caputo_apply,
-                              caputo_power_rule, l1_weights, ml1_weights)
+from fracsolve.caputo import (_CACHED_LEVELS, Scheme, _march, _table,
+                              _WeightTable, caputo_apply, caputo_power_rule,
+                              l1_weights, ml1_weights)
 from fracsolve.specfun import zeta_unit_strip
 
 SQRT2_MINUS_2 = -0.5857864376269049
@@ -136,20 +136,19 @@ class TestWeightTable:
                  "random": np.random.default_rng(5).permutation(self.SIZES)}
         _table.cache_clear()
         for n in sizes[order]:
-            got = _scheme_weights(alpha, scheme, int(n))
+            got = _table(alpha, scheme)
             fresh = _WeightTable(alpha, scheme)
-            want = (fresh.c0, *fresh.rows(int(n)))
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
-            assert np.array_equal(got[2], want[2])
+            assert got.c0 == fresh.c0
+            assert np.array_equal(got.interior(int(n)),
+                                  fresh.interior(int(n)))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_march_bits_do_not_depend_on_earlier_solves(self, scheme):
         """Each solve in turn against the same solve from an empty table.
-        The longest runs past the table's cap, which trims it, and each
-        takes another leaf size (1500, 1080, 1250 levels), so each finds
-        the transforms of other solves' hand-off widths kept and adds its
-        own."""
+        The longest runs past the table's cap, so the table keeps none of
+        the weights it grows, and each takes another leaf size (1500, 1080,
+        1250 levels), so each finds the transforms of other solves'
+        hand-off widths kept and adds its own."""
         sizes = (3000, _CACHED_LEVELS + 1000, 5000, 3000)
         want = {}
         for n in sizes:
@@ -160,23 +159,23 @@ class TestWeightTable:
             assert np.array_equal(march(0.3, scheme, n), want[n])
 
     def test_handed_out_arrays_are_read_only(self):
-        _, interior, tail = _scheme_weights(0.5, Scheme.MODIFIED_L1, 100)
-        spectrum = _table(0.5, Scheme.MODIFIED_L1).spectrum(8)
-        for array in (interior, tail, spectrum,
+        table = _table(0.5, Scheme.MODIFIED_L1)
+        for array in (table.interior(100), table.spectrum(8),
                       ml1_weights(0.5, 100).weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
     def test_retained_memory_is_bounded(self):
-        """Past 2^16 levels the table keeps the first 2^16, 1 MiB of rows.
-        It keeps the transforms of widths up to 2^15 while they take at
-        most 1.0625 MiB, and starts them anew past that: under 2.1 MiB per
-        table with their headers, and the cache holds two tables.  A sweep
-        of solves whose leaf sizes differ must not pile up transforms: kept
-        for every leaf size, the sweep below leaves about 11 MiB per table.
-        65537 levels take 64 leaves of 1024, whose transforms take 1.0 MiB
-        and are all kept, 2.0 MiB per table.  Without the trim, a solve of
-        2^17 + 4096 levels would leave about 4 MiB per table."""
+        """The table keeps interior weights grown for at most 2^16 levels,
+        0.5 MiB.  It keeps the transforms of widths up to 2^15 while they
+        take at most 1.0625 MiB, and starts them anew past that: under
+        1.6 MiB per table with their headers, and the cache holds two
+        tables.  A sweep of solves whose leaf sizes differ must not pile up
+        transforms: kept for every leaf size, the sweep below leaves about
+        11 MiB per table.  65537 levels take 64 leaves of 1024, whose
+        transforms take 1.0 MiB and are all kept, 1.5 MiB per table.
+        Keeping the weights of a solve of 2^17 + 4096 levels would leave
+        about 2.1 MiB per table."""
         march(0.3, Scheme.L1, 300)      # first calls may set up caches
         _table.cache_clear()
         sizes = [*range(1000, 60001, 997), 65537, 2 * _CACHED_LEVELS + 4096]
@@ -190,7 +189,7 @@ class TestWeightTable:
                     retained.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert max(retained) <= 2 * 2.1 * 2 ** 20
+        assert max(retained) <= 2 * 1.6 * 2 ** 20
 
     def test_tables_hold_no_reference_cycle(self):
         gc.collect()

@@ -225,6 +225,27 @@ class TestSubdiff:
         assert run(["subdiff", "--problem", "s2", "--tau", "0.3"]) == 2
 
 
+@pytest.mark.parametrize("off,status", [(5e-9, 0), (5e-8, 2)])
+def test_relax_and_subdiff_share_one_whole_step_rule(off, status):
+    """A step 0.003125 (1 + off), 320 steps of T = 1 but for off: `relax`
+    and `subdiff` accept it or refuse it alike.  `subdiff` refused 5e-9
+    with a 1e-9 rule of its own."""
+    step = repr(0.003125 * (1.0 + off))
+    for argv in (["relax", "--alpha", "0.5", "--h", step],
+                 ["subdiff", "--problem", "s2", "--tau", step]):
+        got, _, err = run_captured(argv)
+        assert got == status
+        if status:
+            assert err.endswith("is not a whole number of steps\n")
+
+
+def test_step_longer_than_the_interval_is_refused_by_step_count():
+    status, out, err = run_captured(["subdiff", "--problem", "s2",
+                                     "--tau", "1e10"])
+    assert (status, out) == (2, "")
+    assert err == "fracsolve: T/tau = 1e-10 is not a whole number of steps\n"
+
+
 class TestConverge:
     def test_homogeneous_half_csv(self, capsys):
         assert run(["converge", "--problem", "relax-mlexact", "--alpha", "0.5",

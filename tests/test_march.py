@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from fracsolve import caputo, problems, relaxation, subdiffusion
-from fracsolve.caputo import (Scheme, _leaf_inverse, _march, _scheme_weights,
-                              _table, _WeightTable, l1_weights, ml1_weights)
+from fracsolve.caputo import (Scheme, _leaf_inverse, _march, _table,
+                              _tail_weights, _WeightTable, l1_weights,
+                              ml1_weights)
 from fracsolve.relaxation import PowerSum, RelaxationProblem, taylor_poly
 from fracsolve.subdiffusion import Sampled, SineMode, SubdiffusionProblem
 
@@ -186,10 +187,10 @@ def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
     its triangular Toeplitz matrix against e_0, and the padding must stay
     zero.  160, 1250 and 1280 are leaf sizes the march takes, 5-smooth but
     no power of two."""
-    c0, interior, _ = _scheme_weights(alpha, Scheme.MODIFIED_L1, leaf + 1)
-    diagonal = c0 + lam * np.arange(1.0, columns + 1)
-    spectrum = _leaf_inverse(_table(alpha, Scheme.MODIFIED_L1).spectrum,
-                             diagonal, leaf)
+    table = _table(alpha, Scheme.MODIFIED_L1)
+    interior = table.interior(leaf + 1)
+    diagonal = table.c0 + lam * np.arange(1.0, columns + 1)
+    spectrum = _leaf_inverse(table.spectrum, diagonal, leaf)
     assert spectrum.shape == (leaf + 1, columns)
     got = np.fft.irfft(spectrum, 2 * leaf, axis=0)
     c = np.concatenate(([0.0], interior[:leaf - 1]))
@@ -204,11 +205,16 @@ def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
 def long_double_march(alpha, scheme, h, v0, B, F):
     """The equations `_march` solves, level by level in long double with
     its own weights and step scaling, for a state of columns v0 with rates
-    B: what is left is the roundoff of the march's arithmetic."""
+    B: what is left is the roundoff of the march's arithmetic.  Each level
+    sums its whole row, final weight on v_0 included, where the march
+    solves for v - v_0 and never reads a final weight."""
     ld = np.longdouble
     n_steps = len(F) - 1
-    c0, interior, tail = _scheme_weights(alpha, scheme, n_steps)
-    c, tail = interior.astype(ld), tail.astype(ld)
+    table = _table(alpha, scheme)
+    c0, c = table.c0, table.interior(n_steps).astype(ld)
+    tail = np.concatenate(([-1.0], _tail_weights(alpha, 2, n_steps + 1)))
+    tail[1:2] -= table.z
+    tail = tail.astype(ld)
     gha = ld(math.gamma(2.0 - alpha) * h ** alpha)
     lam = np.asarray(B, dtype=ld) * gha
     F = np.asarray(F, dtype=ld) * gha
@@ -434,8 +440,8 @@ def test_scalar_march_peak_memory():
 def test_scalar_march_peak_memory_from_an_empty_table():
     """The first solve at an (alpha, scheme) in a process builds its
     weights and their spectra by block width, all of them full-width and
-    kept: at N = 40960 a traced peak about 8.1 times the result.  One more
-    array of all levels held by the rows or the transforms would push it
+    kept: at N = 40960 a traced peak about 8.0 times the result.  One more
+    array of all levels held by the weights or the transforms would push it
     past 8.6.  A rung that grows a table of half its levels reads about
     7.1."""
     assert scalar_march_peak(cold=True) <= 8.6

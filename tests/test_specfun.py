@@ -91,6 +91,23 @@ class TestMittagLeffler:
             mittag_leffler(0.001, 1.0, 0.999)
         assert info.value.terms_used == 10000
 
+    # the two numerical refusals of the negative axis: at alpha = 1 with
+    # beta != 1 the series cancels by 1.3e10, and just below alpha = 1 the
+    # spectral integral's last two sums still differ by 4.6e-10
+    @pytest.mark.parametrize("args,match", [
+        ((1.0, 0.5, -20.0), "cancels"),
+        ((0.9999999999, 0.9, -3.0), "differ by"),
+    ])
+    def test_negative_axis_refusals(self, args, match, capsys):
+        with pytest.raises(ConvergenceError, match=match):
+            mittag_leffler(*args)
+        alpha, beta, x = map(repr, args)
+        assert run(["ml", "--alpha", alpha, "--beta", beta, f"--x={x}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fracsolve: numerical failure: ")
+        assert match in captured.err and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("alpha,beta,x", [
         (0.0, 1.0, 1.0), (1.2, 1.0, 1.0), (0.5, 0.0, 1.0),
         (0.5, -1.0, 1.0), (0.5, 1.0, 51.0), (0.5, 1.0, -51.0),
