@@ -297,14 +297,17 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     the same c_0 and interior weights once the modified shifts are part of
     them, so with the term c_{n-1} w_1 moved to the right-hand side, the w_n
     of levels 2..N solve one lower-triangular Toeplitz system, and each
-    chunk adds v_0 back once they are solved.  It is solved leaf by
-    leaf, L levels each: a leaf's solution is the convolution of its
-    right-hand sides with s, the first column of the leaf matrix's inverse,
-    whose FFT `_leaf_inverse` returns.  `_leaf` sizes the leaves to the
-    N - 1 unknowns, columns being the width of one chunk: count leaves, a
-    power of two, of L levels, L the least 5-smooth number at or above
-    (N - 1) / count, so that every FFT length is 5-smooth, and from
-    max(_LEAF, _LEAF_VALUES / columns) to about twice that where N allows.
+    chunk adds v_0 back once they are solved.  So each level is accurate to
+    a few eps |v_0| absolutely, not relative to its value: where a stiff
+    solve decays to eps |v_0| or below, its values may read 0.  The system
+    is solved leaf by leaf, L levels each: a leaf's solution is the
+    convolution of its right-hand sides with s, the first column of the
+    leaf matrix's inverse, whose FFT `_leaf_inverse` returns.  `_leaf`
+    sizes the leaves to the N - 1 unknowns, columns being the width of one
+    chunk: count leaves, a power of two, of L levels, L the least 5-smooth
+    number at or above (N - 1) / count, so that every FFT length is
+    5-smooth, and from max(_LEAF, _LEAF_VALUES / columns) to about twice
+    that where N allows.
     A scalar march of N = 40960 levels takes 32 leaves of 1280, one of
     N = 20000 16 leaves of 1250.  After leaf k (counted from 1) the block
     of width W = L (k & -k) that ends there subtracts its history from the

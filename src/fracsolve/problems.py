@@ -97,12 +97,9 @@ class SubdiffusionFamily:
         default N = 3 M (h = pi step / (3 T)): the plain scheme when m is
         None, else the corrected solver of degree m.  T / step must be a
         whole number of steps by the rule of `RelaxationProblem`."""
-        # a T / step past the double range, which round() refuses
-        if self.T / step == math.inf:
-            width = math.inf if N is None else N + 1
-            raise MemoryError(f"a grid of inf x {width:.4g} values is too "
-                              f"large to index")
-        M = relaxation._whole_steps(self.T, step, "tau")
+        # the grid's width is N + 1 space nodes, N = 3 M by default
+        width = 3.0 * self.T / step + 1.0 if N is None else N + 1
+        M = relaxation._whole_steps(self.T, step, "tau", width)
         N = 3 * M if N is None else N
         if m is None:
             problem = SubdiffusionProblem(alpha=self.alpha, N=N, M=M, T=self.T,

@@ -62,12 +62,18 @@ class PowerSum:
         return float(out) if np.isscalar(x) else out
 
 
-def _whole_steps(T: float, step: float, name: str = "h") -> int:
-    """T / step rounded to the whole number of steps, at least 1, that it
-    must lie within 1e-8 max(1, T / step) of; else a ValueError that calls
-    the step `name`.  Relaxation problems and subdiffusion families share
-    this one rule."""
+def _whole_steps(T: float, step: float, name: str = "h", width=None) -> int:
+    """T / step rounded to the whole number N of steps, at least 1, that it
+    must lie within 1e-8 max(1, T / step) of, else a ValueError that calls
+    the step `name`.  First, the one "too large to index" refusal of a grid
+    of N + 1 levels (of `width` values each), made before numpy would refuse
+    its shape.  Every relaxation and subdiffusion grid is counted here, and
+    both march the step T / N."""
     steps = T / step
+    if not steps + 1.0 <= sys.maxsize // 8 // (width or 1):
+        size = (f"{steps + 1.0:.4g} levels" if width is None else
+                f"{steps + 1.0:.4g} x {width:.4g} values")
+        raise MemoryError(f"a grid of {size} is too large to index")
     count = round(steps)
     if count < 1 or abs(steps - count) > 1e-8 * max(1.0, steps):
         raise ValueError(f"T/{name} = {steps} is not a whole number of steps")
@@ -79,7 +85,7 @@ class RelaxationProblem:
     """Complete statement of a fractional relaxation problem.
 
     The forcing is a PowerSum, or None for zero.  T/h must be a whole number
-    of steps.
+    N of steps; the solvers march the step T/N.
     """
 
     alpha: float
@@ -103,12 +109,6 @@ class RelaxationProblem:
             raise ValueError(f"h must lie in (0, T], got {self.h}")
         if self.forcing is not None and not isinstance(self.forcing, PowerSum):
             raise TypeError("forcing must be a PowerSum or None")
-        steps = self.T / self.h
-        # refused before any array of the grid is requested, whose shape
-        # numpy would refuse in its own words
-        if not 8.0 * (steps + 1.0) <= sys.maxsize:
-            raise MemoryError(f"a grid of {steps + 1.0:.4g} levels is too "
-                              f"large to index")
         _whole_steps(self.T, self.h)
 
     @property
@@ -118,7 +118,7 @@ class RelaxationProblem:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Computed grid values v_0..v_N on the uniform grid x_k = k h."""
+    """Computed grid values v_0..v_N on the uniform grid x_k = k h, h = T/N."""
 
     h: float
     values: np.ndarray
@@ -131,14 +131,15 @@ class TimeSeries:
         return np.arange(self.values.size) * self.h
 
 
-def _advance(problem: RelaxationProblem, scheme: Scheme) -> np.ndarray:
-    """Run the time-stepping recurrence; the march kernel evaluates the
-    nonlocal history sum in O(N log^2 N) work for N steps."""
+def _advance(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
+    """Run the time-stepping recurrence at h = T/N; the march kernel
+    evaluates the nonlocal history sum in O(N log^2 N) work for N steps."""
     levels = problem.n_steps + 1
+    h = problem.T / problem.n_steps
     F = (np.broadcast_to(0.0, (levels,)) if problem.forcing is None else
-         problem.forcing(np.arange(levels) * problem.h))
-    return _march(problem.alpha, scheme, problem.h, problem.y0, problem.B, F,
-                  np.empty(levels))
+         problem.forcing(np.arange(levels) * h))
+    return TimeSeries(h, _march(problem.alpha, scheme, h, problem.y0,
+                                problem.B, F, np.empty(levels)))
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
@@ -148,7 +149,7 @@ def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
 
 def solve_l1(problem: RelaxationProblem) -> TimeSeries:
     """Numerical solution with the L1 scheme, stepped explicitly from v_0 = y0."""
-    return TimeSeries(problem.h, _advance(problem, Scheme.L1))
+    return _advance(problem, Scheme.L1)
 
 
 def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
@@ -157,7 +158,7 @@ def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
     The first step coincides with the L1 step (the modification needs three
     grid points), so at least two steps are required.
     """
-    return TimeSeries(problem.h, _advance(problem, Scheme.MODIFIED_L1))
+    return _advance(problem, Scheme.MODIFIED_L1)
 
 
 def _check_B(B: float) -> None:
@@ -256,7 +257,7 @@ def solve_corrected(alpha: float, B: float, m: int, T: float, h: float,
     problem = corrected_problem(alpha, B, m, T, h)
     zs = solve(problem, scheme)
     values = zs.values + taylor_poly(alpha, B, m, zs.x)
-    return TimeSeries(h, values)
+    return TimeSeries(zs.h, values)
 
 
 def exact_convolution(alpha: float, B: float, forcing, x, y0: float = 1.0):

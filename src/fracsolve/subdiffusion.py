@@ -14,7 +14,6 @@ Taylor expansion of the time factor from the scalar march restores them.
 """
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,11 +86,8 @@ class SubdiffusionProblem:
             raise ValueError(f"need at least 1 time step, got M={self.M}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        # refused before any array of the grid is requested, whose shape
-        # numpy would refuse in its own words, and before h^2 underflows
-        if 8 * (self.M + 1) * (self.N + 1) > sys.maxsize:
-            raise MemoryError(f"a grid of {self.M + 1:.4g} x {self.N + 1:.4g} "
-                              f"values is too large to index")
+        # a grid too large to index is refused before h^2 underflows
+        relaxation._whole_steps(self.T, self.tau, "tau", self.N + 1)
         if isinstance(self.initial, Sampled):
             v = self.initial.values
             if v.size != self.N + 1:

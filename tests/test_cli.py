@@ -239,6 +239,17 @@ def test_relax_and_subdiff_share_one_whole_step_rule(off, status):
             assert err.endswith("is not a whole number of steps\n")
 
 
+@pytest.mark.parametrize("argv,T", [("--h 0.0031250000156", 1.0),
+                                    ("--h 0.1 --T 0.7", 0.7)])
+def test_relax_marches_t_over_n_and_ends_at_t(argv, T):
+    """An accepted step that is not T/N itself is marched as T/N, as
+    `subdiff` marches tau: the last row is at T, where it was at
+    1.0000000049920001 and 0.70000000000000007."""
+    status, out, _ = run_captured(["relax", "--alpha", "0.5", *argv.split()])
+    assert status == 0
+    assert float(out.splitlines()[-1].split(",")[0]) == T
+
+
 def test_step_longer_than_the_interval_is_refused_by_step_count():
     status, out, err = run_captured(["subdiff", "--problem", "s2",
                                      "--tau", "1e10"])

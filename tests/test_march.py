@@ -227,9 +227,8 @@ def long_double_march(alpha, scheme, h, v0, B, F):
     return v
 
 
-# about three times the worst error on this sweep of power-of-two leaves
-# (1024 levels for a scalar, 128 to 256 for states of columns), 5.8e-13 at
-# alpha = 0.95, modified L1, N = 5120
+# 1.43 times the worst error on this sweep, 1.19e-12 at alpha = 0.95,
+# modified L1, N = 5120, the 5-column state
 LONG_DOUBLE_RTOL = 1.7e-12
 
 
@@ -239,8 +238,8 @@ LONG_DOUBLE_RTOL = 1.7e-12
 def test_march_matches_long_double_substitution(n_steps, alpha, scheme):
     """A scalar state, one of 3 columns and one of 70, whose two chunks
     are checked at five columns, each within LONG_DOUBLE_RTOL of its
-    largest value.  The worst seen is 6.2e-13, at alpha = 0.95, modified
-    L1, N = 5120."""
+    largest value.  The worst seen is 1.19e-12, at alpha = 0.95, modified
+    L1, N = 5120, the 5-column state."""
     h = 1.0 / n_steps
     F = 1.0 + np.sqrt(np.arange(n_steps + 1) * h)
     rng = np.random.default_rng(11)
@@ -260,6 +259,29 @@ def test_march_matches_long_double_substitution(n_steps, alpha, scheme):
         exact = want[:, lo:hi]
         error = np.max(np.abs(march - exact)) / np.max(np.abs(exact))
         assert error <= LONG_DOUBLE_RTOL
+
+
+# about three times the worst absolute error on this sweep, 5.4 eps |v0|
+# at alpha = 0.5, modified L1, N = 1281
+ABSOLUTE_FLOOR = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("n_steps", [2, 3, 20, 129, 1281])
+def test_stiff_march_error_is_bounded_by_v0(n_steps, alpha, scheme):
+    """Where B is so large that the solution decays far below v0, the
+    march is accurate to ABSOLUTE_FLOOR |v0|, not to a share of each
+    value: it solves for v - v0, whose roundoff is eps |v0| in size.  So
+    values near eps |v0| and below may be off by all of their size, or
+    read 0."""
+    h = 1.0 / n_steps
+    F = 1.0 + np.sqrt(np.arange(n_steps + 1) * h)
+    v0 = np.array([1.0, -3.0, 1e16, 1e-300])
+    B = np.array([1e16, 1e8, 1e12, 1e300])
+    want = long_double_march(alpha, scheme, h, v0, B, F)
+    got = _march(alpha, scheme, h, v0, B, F, np.empty((n_steps + 1, 4)))
+    assert np.all(np.abs(got - want) <= ABSOLUTE_FLOOR * np.abs(v0))
 
 
 def is_5_smooth(n):
