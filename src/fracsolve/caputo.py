@@ -50,7 +50,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import zeta_unit_strip
+from .specfun import ConvergenceError, zeta_unit_strip
 
 __all__ = [
     "Scheme",
@@ -88,12 +88,19 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _interior_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
+# Interior weights are computed this many at a time: each block's temporaries
+# are a few times its size, not a few arrays of all levels.
+_WEIGHT_BLOCK = 1 << 12
+
+
+def _interior_weights(alpha: float, lo: int, hi: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Level-independent weights c_k = (k+1)^(1-a) - 2 k^(1-a) + (k-1)^(1-a)
-    for k = lo..hi-1, lo >= 2.  Valid as long as k < n; the level's own index
-    takes the final weight of `_tail_weights` instead.  Each entry depends
-    on its k alone, so any range gives the same bits as the same k in a
-    longer one.
+    for k = lo..hi-1, lo >= 2, written into out (hi - lo entries) where
+    given, _WEIGHT_BLOCK of them at a time so that the temporaries stay
+    bounded.  Valid as long as k < n; the level's own index takes the final
+    weight of `_tail_weights` instead.  Each entry depends on its k alone,
+    so any range or block gives the same bits as the same k in a longer one.
 
     The three powers cancel to a value of order k^(-1-a), so they are not
     evaluated as written.  With e = 1-a, x = 1/k and t = e atanh(x),
@@ -106,10 +113,14 @@ def _interior_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
     shift included.
     """
     e = 1.0 - alpha
-    k = np.arange(lo, hi, dtype=float)
-    t = e * np.arctanh(1.0 / k)
-    return 2.0 * k ** e * (np.expm1(0.5 * e * np.log1p(-1.0 / k ** 2)) * np.cosh(t)
-                           + 2.0 * np.sinh(0.5 * t) ** 2)
+    out = np.empty(hi - lo) if out is None else out
+    for start in range(lo, hi, _WEIGHT_BLOCK):
+        k = np.arange(start, min(start + _WEIGHT_BLOCK, hi), dtype=float)
+        t = e * np.arctanh(1.0 / k)
+        out[start - lo:start - lo + len(k)] = 2.0 * k ** e * (
+            np.expm1(0.5 * e * np.log1p(-1.0 / k ** 2)) * np.cosh(t)
+            + 2.0 * np.sinh(0.5 * t) ** 2)
+    return out
 
 
 def _tail_weights(alpha: float, lo: int, hi: int) -> np.ndarray:
@@ -174,9 +185,12 @@ class _WeightTable:
     def interior(self, n: int) -> np.ndarray:
         """c_1..c_{n-1}, the interior weights of level n >= 1."""
         weights = self._interior
-        if len(weights) < n - 1:
-            weights = _frozen(np.concatenate(
-                (weights, _interior_weights(self.alpha, len(weights) + 1, n))))
+        kept = len(weights)
+        if kept < n - 1:
+            grown = np.empty(n - 1)
+            grown[:kept] = weights
+            _interior_weights(self.alpha, kept + 1, n, grown[kept:])
+            weights = _frozen(grown)
             if n <= _CACHED_LEVELS:
                 self._interior = weights
         return weights[:n - 1]
@@ -286,7 +300,9 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     same for every entry of the state.  The modified scheme needs N >= 2.
     Writes the levels 0..N into out, of shape (N + 1,) + the state's shape,
     and returns it; out is contiguous or 2-D, such as the interior columns
-    of a padded result, so that its rows reshape to a view.
+    of a padded result, so that its rows reshape to a view.  For a scalar
+    state out may be F itself, so that the forcing samples become the
+    result.  ConvergenceError where B gha v_0 is not finite.
 
     With gha = Gamma(2 - alpha) h^alpha and lam = B gha, level n solves
     (c_0 + lam) v_n = F_n gha - sum_{k=1..n} c_k v_{n-k} over its weight
@@ -325,27 +341,38 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
         raise ValueError("the modified L1 scheme needs at least 2 steps")
     gha = math.gamma(2.0 - alpha) * h ** alpha
-    # F is scaled as each chunk is filled, not up front: a scaled copy of F
-    # would be a second array of all levels
     lam = B * gha
     table = _table(alpha, scheme)
     v0 = np.asarray(v0, dtype=float)
+    # where out is F, level n's sample is read before level n is written
     out[0] = v0
     out[1] = (F[1] * gha + v0) / (1.0 + lam)
     if n_steps < 2:
         return out
     v = out.reshape(n_steps + 1, -1)
     lam = np.broadcast_to(lam, v0.shape).reshape(-1)
-    interior = table.interior(n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_v0 = lam * v[0]
+    if not np.all(np.isfinite(lam_v0)):
+        raise ConvergenceError(
+            f"B Gamma(2 - alpha) h^alpha v_0 overflows at h = {h}: the march "
+            f"of v - v_0 cannot hold it")
     leaf = _leaf(n_steps - 1, min(_COLUMNS, v.shape[1]))
 
-    # one chunk at a time, leaf inverse included: full-width temporaries
-    # would be a second array of all levels
+    # one chunk at a time, leaf inverse included, and the right-hand sides
+    # one leaf of rows at a time: full-length temporaries would be a second
+    # array of all levels
     for c in range(0, v.shape[1], _COLUMNS):
         x, rates = v[:, c:c + _COLUMNS], lam[c:c + _COLUMNS]
-        np.multiply(F[2:, None], gha, out=x[2:])
-        x[2:] -= rates * x[0]
-        x[2:] -= np.multiply.outer(interior, x[1] - x[0])
+        interior, w1 = table.interior(n_steps), x[1] - x[0]
+        for lo in range(2, n_steps + 1, leaf):
+            rows = x[lo:lo + leaf]
+            np.multiply(F[lo:lo + leaf, None], gha, out=rows)
+            rows -= lam_v0[c:c + _COLUMNS]
+            rows -= np.multiply.outer(interior[lo - 2:lo - 2 + leaf], w1)
+        # past 2^16 levels the table keeps no weights, so these are an
+        # array of all levels that the hand-offs must not hold too
+        del interior
         s = _leaf_inverse(table.spectrum, table.c0 + rates, leaf)
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
             x[lo:lo + leaf] = _convolve(x[lo:lo + leaf], s, 0)

@@ -77,8 +77,8 @@ class RelaxationFamily:
     def error(self, series: TimeSeries) -> float:
         """Maximum of |exact(x_n) - v_n| over the grid nodes n >= 1 (node 0
         is exact by construction)."""
-        x = series.x
-        return float(np.max(np.abs(series.values[1:] - self.exact(x[1:]))))
+        error = series.values[1:] - self.exact(series.x[1:])
+        return float(np.max(np.abs(error, out=error)))
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,23 @@ class PowerSum:
 
     def __call__(self, x):
         xa = np.asarray(x, dtype=float)
-        out = np.zeros_like(xa)
+        out, term = np.zeros_like(xa), np.empty_like(xa)
         for c, p in self.terms:
-            out += c * xa ** p
+            np.power(xa, p, out=term)
+            term *= c
+            out += term
         return float(out) if np.isscalar(x) else out
+
+
+def _four_digits(count) -> str:
+    """count to four significant digits, as `.4g` writes a float, also for
+    an int past the double range, which float() refuses."""
+    try:
+        return f"{count:.4g}"
+    except OverflowError:
+        # imported here: no other path needs it
+        from decimal import Context, Decimal
+        return f"{Decimal(count).normalize(Context(prec=4)):g}"
 
 
 def _whole_steps(T: float, step: float, name: str = "h", width=None) -> int:
@@ -72,7 +85,7 @@ def _whole_steps(T: float, step: float, name: str = "h", width=None) -> int:
     steps = T / step
     if not steps + 1.0 <= sys.maxsize // 8 // (width or 1):
         size = (f"{steps + 1.0:.4g} levels" if width is None else
-                f"{steps + 1.0:.4g} x {width:.4g} values")
+                f"{steps + 1.0:.4g} x {_four_digits(width)} values")
         raise MemoryError(f"a grid of {size} is too large to index")
     count = round(steps)
     if count < 1 or abs(steps - count) > 1e-8 * max(1.0, steps):
@@ -128,18 +141,27 @@ class TimeSeries:
 
     @property
     def x(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.h
+        return _grid(self.values.size, self.h)
+
+
+def _grid(levels: int, h: float) -> np.ndarray:
+    """The points x_k = k h, k < levels, as float k scaled in place."""
+    x = np.arange(levels, dtype=float)
+    x *= h
+    return x
 
 
 def _advance(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
     """Run the time-stepping recurrence at h = T/N; the march kernel
-    evaluates the nonlocal history sum in O(N log^2 N) work for N steps."""
+    evaluates the nonlocal history sum in O(N log^2 N) work for N steps.
+    The march writes the levels over the forcing samples: no second array
+    of all levels is held."""
     levels = problem.n_steps + 1
     h = problem.T / problem.n_steps
-    F = (np.broadcast_to(0.0, (levels,)) if problem.forcing is None else
-         problem.forcing(np.arange(levels) * h))
+    F = (np.zeros(levels) if problem.forcing is None else
+         problem.forcing(_grid(levels, h)))
     return TimeSeries(h, _march(problem.alpha, scheme, h, problem.y0,
-                                problem.B, F, np.empty(levels)))
+                                problem.B, F, F))
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:

@@ -186,12 +186,15 @@ class TestRelax:
     ("converge --problem s2 --h0 1e-300", "5e+299 x 1.5e+300 values"),
     ("subdiff --problem s2 --tau 1e-300 --T 1e10", "inf x inf values"),
     ("subdiff --alpha 0.5 --tau 1e-300 --T 1e10 --N 4", "inf x 5 values"),
+    pytest.param("subdiff --alpha 0.5 --tau 0.5 --N 1" + "0" * 400,
+                 "3 x 1e+400 values", id="subdiff --N 1e400"),
 ])
 def test_grid_too_large_to_index_is_out_of_memory(argv, size):
     # the first four exited 2 with numpy's "Maximum allowed dimension
     # exceeded", the next two 1 with a division by zero where h^2 underflows,
-    # and a T / tau past the double range 1 with "cannot convert float
-    # infinity to integer"
+    # a T / tau past the double range 1 with "cannot convert float infinity
+    # to integer", and an N past it 1 with "int too large to convert to
+    # float"
     status, out, err = run_captured(argv.split())
     assert (status, out) == (1, "")
     assert err == (f"fracsolve: out of memory: a grid of {size} is too "

@@ -431,18 +431,19 @@ def test_corrected_subdiffusion_peak_memory(solve):
     assert peak <= 1.2 * values.nbytes
 
 
-def scalar_march_peak(cold):
-    """Traced peak over the result's size of an r11 L1 solve at N = 40960,
-    after a first solve, from an empty weight table where cold is true."""
-    family = problems.relaxation_family("r11")
+def scalar_march_peak(cold, pid="r11", scheme=Scheme.L1, n_steps=40960):
+    """Traced peak over the result's size of a solve of problem `pid` with
+    `scheme` at N = n_steps, after a first solve, from an empty weight table
+    where cold is true."""
+    family = problems.relaxation_family(pid)
     problem = RelaxationProblem(family.alpha, family.B, family.forcing,
-                                family.y0, T=1.0, h=1.0 / 40960)
-    relaxation.solve_l1(problem)     # first calls may set up caches
+                                family.y0, T=1.0, h=1.0 / n_steps)
+    relaxation.solve(problem, scheme)     # first calls may set up caches
     if cold:
         _table.cache_clear()
     tracemalloc.start()
     try:
-        values = relaxation.solve_l1(problem).values
+        values = relaxation.solve(problem, scheme).values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -450,23 +451,38 @@ def scalar_march_peak(cold):
 
 
 def test_scalar_march_peak_memory():
-    """A scalar march holds the levels, the forcing and the transforms of
-    one history hand-off at a time; the weights and their spectra by block
-    width are in the (alpha, scheme) table from the first call.  At
+    """A scalar march writes its levels over the forcing samples, builds
+    its right-hand sides one leaf of rows at a time and holds the transforms
+    of one history hand-off at a time; the weights and their spectra by
+    block width are in the (alpha, scheme) table from the first call.  At
     N = 40960, 32 leaves of 1280 levels, the widest hand-off transforms
-    40960 points and the traced peak is about 4.1 times the result; one
-    more array of all levels would push it past 4.5."""
-    assert scalar_march_peak(cold=False) <= 4.5
+    40960 points and the traced peak is about 3.07 times the result, as is
+    the forcing's evaluation (grid, sum and one term); one more array of all
+    levels would push it past 3.4.  A separate result array and a
+    full-length right-hand side temporary read 4.07."""
+    assert scalar_march_peak(cold=False) <= 3.4
 
 
 def test_scalar_march_peak_memory_from_an_empty_table():
     """The first solve at an (alpha, scheme) in a process builds its
-    weights and their spectra by block width, all of them full-width and
-    kept: at N = 40960 a traced peak about 8.0 times the result.  One more
-    array of all levels held by the weights or the transforms would push it
-    past 8.6.  A rung that grows a table of half its levels reads about
-    7.1."""
-    assert scalar_march_peak(cold=True) <= 8.6
+    weights, 4096 at a time into one new array, and their spectra by block
+    width, all of them full-width and kept: at N = 40960 a traced peak about
+    6.13 times the result.  One more array of all levels held by the
+    weights or the transforms would push it past 6.6; weights computed in
+    one piece and appended by concatenation read 8.01."""
+    assert scalar_march_peak(cold=True) <= 6.6
+
+
+def test_scalar_march_peak_memory_past_the_kept_levels():
+    """Past 2^16 levels the table keeps no weights: the march computes its
+    own and drops them once its right-hand sides are built, and each
+    hand-off wider than 2^15 computes its own.  An r12 ML1 solve at
+    N = 2^18 from an empty table reads about 4.8 times the result; one more
+    array of all levels, such as the march's weights held through the
+    hand-offs (5.77), would push it past 5.3.  Weights computed in one
+    piece, a separate result and a full-length right-hand side temporary
+    read 8.27."""
+    assert scalar_march_peak(True, "r12", Scheme.MODIFIED_L1, 1 << 18) <= 5.3
 
 
 def test_both_families_refuse_a_single_modified_l1_step_in_the_march():

@@ -398,3 +398,19 @@ def test_first_step_error_constant():
 def test_non_finite_arguments_are_rejected(func, args, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         func(*args)
+
+
+# the march solves for v - v_0, so B Gamma(2 - alpha) h^alpha v_0 enters
+# every right-hand side; where it overflows, each of these returned nan from
+# level 2 on, with RuntimeWarnings, and the last one nan from y0 = 0
+@pytest.mark.parametrize("alpha,B,y0,T,h", [
+    (0.5, 1e300, 1e10, 1.0, 0.2),
+    (0.5, 1e300, 7e300, 1.0, 0.25),
+    (0.9, 1e308, 0.0, 2000.0, 1000.0),
+])
+@pytest.mark.parametrize("solver", [solve_l1, solve_ml1])
+def test_overflowing_decay_term_is_a_convergence_error(solver, alpha, B, y0,
+                                                       T, h):
+    problem = RelaxationProblem(alpha, B, None, y0, T, h)
+    with pytest.raises(ConvergenceError, match="overflows"):
+        solver(problem)
