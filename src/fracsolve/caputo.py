@@ -25,7 +25,8 @@ size up allows, as on the ladders' grids, so each history hand-off feeds a
 whole block but for the short end of the last leaf.  One helper,
 `_convolve`, does every FFT convolution: the leaf solves, the history
 hand-offs between blocks and both halves of each Newton step that builds
-the leaf inverse.
+the leaf inverse.  A convergence ladder builds the leaf inverses of all
+its rungs in one such doubling, one column per rung (`_ladder_inverses`).
 
 Every interior weight and every history operand depends on alpha and the
 scheme alone, so they are computed once per process, not once per solve: a
@@ -43,6 +44,8 @@ them; `_row` alone computes a final weight, for the public rows.
 """
 
 import bisect
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -290,6 +293,57 @@ def _leaf(unknowns: int, columns: int) -> int:
     return _SMOOTH[bisect.bisect_left(_SMOOTH, -(-unknowns // count))]
 
 
+def _step_scale(alpha: float, h: float) -> float:
+    """Gamma(2 - alpha) h^alpha, the factor of a march's forcing and rate."""
+    return math.gamma(2.0 - alpha) * h ** alpha
+
+
+# The leaf inverses of the scalar marches of one convergence ladder, by
+# (alpha, scheme, leaf, diagonal), while `_ladder_inverses` holds them.
+_LADDER = contextvars.ContextVar("_LADDER", default=None)
+
+
+@contextlib.contextmanager
+def _ladder_inverses(alpha: float, scheme: Scheme, marches):
+    """Within the block, every scalar march of (alpha, scheme) at one of
+    the (h, B, N) in marches takes the first column of its leaf inverse
+    from one `_leaf_inverse` call over all of them, made on entry, and does
+    not run Newton's doubling itself.  A march takes a column only where
+    its alpha, scheme, leaf and diagonal match bit for bit; any other
+    computes its own.  The columns are dropped when the block exits, by an
+    exception too: no march outside it sees them."""
+    token = _LADDER.set(_ladder_columns(alpha, scheme, marches))
+    try:
+        yield
+    finally:
+        _LADDER.reset(token)
+
+
+def _ladder_columns(alpha: float, scheme: Scheme, marches) -> dict:
+    """The leaf inverses of the scalar marches at (h, B, N), each of a
+    problem that passed its checks, by (alpha, scheme, leaf, diagonal),
+    from one `_leaf_inverse` call.  Their leaf matrices differ only in the
+    diagonal c_0 + B Gamma(2 - alpha) h^alpha and in their size L, so the
+    doubling serves them all as columns, and each column keeps the bits of
+    its lone inverse.  Each is copied out, so that the batch's array of
+    max L rows per column is not held, and is read-only, as every rung
+    reads it."""
+    if not marches:
+        return {}
+    table = _table(alpha, scheme)
+    keys = {(alpha, scheme, _leaf(N - 1, 1),
+             float(table.c0 + B * _step_scale(alpha, h)))
+            for h, B, N in marches if N >= 2}
+    keys = sorted((key for key in keys if math.isfinite(key[3])),
+                  key=lambda key: -key[2])
+    if not keys:
+        return {}
+    s = _leaf_inverse(table.spectrum, np.array([key[3] for key in keys]),
+                      [key[2] for key in keys])
+    return {key: _frozen(s[:key[2], j:j + 1].copy())
+            for j, key in enumerate(keys)}
+
+
 def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
            out: np.ndarray) -> np.ndarray:
     """March v^(alpha) + B v = F(x) from v0 with the L1 or modified-L1
@@ -318,7 +372,10 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     solve decays to eps |v_0| or below, its values may read 0.  The system
     is solved leaf by leaf, L levels each: a leaf's solution is the
     convolution of its right-hand sides with s, the first column of the
-    leaf matrix's inverse, whose FFT `_leaf_inverse` returns.  `_leaf`
+    leaf matrix's inverse, which `_leaf_inverse` computes and the march
+    transforms at length 2 L.  Within a convergence ladder a scalar march
+    takes s from the batch that `_ladder_inverses` computed for every rung
+    at once, and runs no inversion itself.  `_leaf`
     sizes the leaves to the N - 1 unknowns, columns being the width of one
     chunk: count leaves, a power of two, of L levels, L the least 5-smooth
     number at or above (N - 1) / count, so that every FFT length is
@@ -340,7 +397,7 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     n_steps = len(F) - 1
     if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
         raise ValueError("the modified L1 scheme needs at least 2 steps")
-    gha = math.gamma(2.0 - alpha) * h ** alpha
+    gha = _step_scale(alpha, h)
     lam = B * gha
     table = _table(alpha, scheme)
     v0 = np.asarray(v0, dtype=float)
@@ -373,7 +430,13 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
         # past 2^16 levels the table keeps no weights, so these are an
         # array of all levels that the hand-offs must not hold too
         del interior
-        s = _leaf_inverse(table.spectrum, table.c0 + rates, leaf)
+        diagonal = table.c0 + rates
+        inverses = _LADDER.get()
+        s = (inverses.get((alpha, scheme, leaf, float(diagonal[0])))
+             if inverses and diagonal.size == 1 else None)
+        if s is None:
+            s = _leaf_inverse(table.spectrum, diagonal, leaf)
+        s = np.fft.rfft(s, 2 * leaf, axis=0)
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
             x[lo:lo + leaf] = _convolve(x[lo:lo + leaf], s, 0)
             mid, width = lo + leaf, leaf * (k & -k)
@@ -385,13 +448,14 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     return out
 
 
-def _leaf_inverse(weights, diagonal: np.ndarray, leaf: int) -> np.ndarray:
-    """FFT of length 2 leaf of the first column s of the inverse of the
-    leaf x leaf lower-triangular Toeplitz matrix with the given diagonal and
-    subdiagonals c_1..c_{leaf-1}, one column of s per diagonal entry.  The
-    inverse is lower-triangular Toeplitz too, so s defines it; s solves the
-    matrix against e_0.  weights(W) is the FFT of length 2 W of
-    c_1..c_{2W-1}.
+def _leaf_inverse(weights, diagonal: np.ndarray, leaves) -> np.ndarray:
+    """The first column s of the inverse of the L x L lower-triangular
+    Toeplitz matrix with the given diagonal and subdiagonals c_1..c_{L-1},
+    one column of s per diagonal entry, L = leaves: one int for every
+    column, or one per column in non-increasing order.  The inverse is
+    lower-triangular Toeplitz too, so s defines it; s solves the matrix
+    against e_0.  Returns max L rows, zero past each column's L.
+    weights(W) is the FFT of length 2 W of c_1..c_{2W-1}.
 
     s starts at its one entry 1/diagonal and doubles by Newton's step
     s <- s (2 - a s) for power series (Kung, Numer. Math. 22, 1974), a the
@@ -399,19 +463,30 @@ def _leaf_inverse(weights, diagonal: np.ndarray, leaf: int) -> np.ndarray:
     zero below k, and entries k..2k-1 of s are those of -r convolved with s.
     In march terms, -r is the history that levels 0..k-1 of s hand to the
     next k levels, and the convolution solves those k levels as a leaf with
-    s[:k]; both take the one FFT of s[:k].
+    s[:k]; both take the one FFT of s[:k], of every column still short of
+    its L.  So the first L entries of a longer column invert the L x L
+    matrix too, up to roundoff (the prefix rule).  A column leaves the
+    doubling once it holds its L entries, and the doubling that reaches L
+    zeroes its entries past L before the leaf convolution, as the FFT's
+    zero padding does for a lone column of L entries: each column keeps
+    the bits it would have alone.
     """
-    s = np.empty((leaf, diagonal.size))
+    leaves = np.broadcast_to(leaves, diagonal.shape)
+    s = np.zeros((leaves[0], diagonal.size))
     s[0] = 1.0 / diagonal
     k = 1
-    while k < leaf:
-        spectrum = np.fft.rfft(s[:k], 2 * k, axis=0)
-        grown = s[k:2 * k]
-        np.negative(_convolve(s[:k], weights(k), k - 1, spectrum)[:len(grown)],
+    while k < leaves[0]:
+        short = np.count_nonzero(leaves > k)
+        head, grown = s[:k, :short], s[k:2 * k, :short]
+        spectrum = np.fft.rfft(head, 2 * k, axis=0)
+        np.negative(_convolve(head, weights(k), k - 1, spectrum)[:len(grown)],
                     out=grown)
+        past = np.arange(k, k + len(grown))[:, None] >= leaves[:short]
+        grown[past] = 0.0
         grown[...] = _convolve(grown, spectrum, 0)
+        grown[past] = 0.0
         k *= 2
-    return np.fft.rfft(s, 2 * leaf, axis=0)
+    return s
 
 
 def _convolve(x: np.ndarray, spectrum: np.ndarray, start: int,

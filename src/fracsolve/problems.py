@@ -74,6 +74,13 @@ class RelaxationFamily:
         return relaxation.solve_corrected(self.alpha, self.B, m, self.T,
                                           step, scheme)
 
+    def _rate(self, step: float) -> tuple:
+        """(h, B, N) of the scalar march that `solve(step, scheme, m)` runs,
+        plain or corrected; ValueError where the step makes no grid."""
+        return relaxation._rate(RelaxationProblem(
+            alpha=self.alpha, B=self.B, forcing=self.forcing, y0=self.y0,
+            T=self.T, h=step))
+
     def error(self, series: TimeSeries) -> float:
         """Maximum of |exact(x_n) - v_n| over the grid nodes n >= 1 (node 0
         is exact by construction)."""
@@ -97,15 +104,29 @@ class SubdiffusionFamily:
         default N = 3 M (h = pi step / (3 T)): the plain scheme when m is
         None, else the corrected solver of degree m.  T / step must be a
         whole number of steps by the rule of `RelaxationProblem`."""
-        # the grid's width is N + 1 space nodes, N = 3 M by default
-        width = 3.0 * self.T / step + 1.0 if N is None else N + 1
-        M = relaxation._whole_steps(self.T, step, "tau", width)
-        N = 3 * M if N is None else N
+        M, N = self._grid(step, N)
         if m is None:
             problem = SubdiffusionProblem(alpha=self.alpha, N=N, M=M, T=self.T,
                                           initial=SineMode(1))
             return subdiffusion.solve(problem, scheme)
         return subdiffusion.solve_corrected(self.alpha, m, self.T, N, M, scheme)
+
+    def _grid(self, step: float, N: int | None) -> tuple:
+        """(M, N): M = T / step time levels, N = 3 M space intervals by
+        default."""
+        # the grid's width is N + 1 space nodes
+        width = 3.0 * self.T / step + 1.0 if N is None else N + 1
+        M = relaxation._whole_steps(self.T, step, "tau", width)
+        return M, 3 * M if N is None else N
+
+    def _rate(self, step: float) -> tuple:
+        """(h, B, N) of the scalar march of the mode sin(x) that
+        `solve(step, scheme, m)` runs at N = 3 M, plain or corrected;
+        ValueError where the step makes no grid."""
+        M, N = self._grid(step, None)
+        return relaxation._rate(RelaxationProblem(
+            alpha=self.alpha, B=subdiffusion._mode_rates(N, 1), forcing=None,
+            y0=1.0, T=self.T, h=self.T / M))
 
     def error(self, solution: SpaceTimeSolution) -> float:
         """Maximum error over the interior space nodes at the final time."""

@@ -156,12 +156,17 @@ def _advance(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:
     evaluates the nonlocal history sum in O(N log^2 N) work for N steps.
     The march writes the levels over the forcing samples: no second array
     of all levels is held."""
-    levels = problem.n_steps + 1
-    h = problem.T / problem.n_steps
-    F = (np.zeros(levels) if problem.forcing is None else
-         problem.forcing(_grid(levels, h)))
-    return TimeSeries(h, _march(problem.alpha, scheme, h, problem.y0,
-                                problem.B, F, F))
+    h, B, n_steps = _rate(problem)
+    F = (np.zeros(n_steps + 1) if problem.forcing is None else
+         problem.forcing(_grid(n_steps + 1, h)))
+    return TimeSeries(h, _march(problem.alpha, scheme, h, problem.y0, B, F, F))
+
+
+def _rate(problem: RelaxationProblem) -> tuple:
+    """(h, B, N) of the march that solves the problem: N steps of
+    h = T / N at the rate B.  A convergence ladder computes the leaf
+    inverses of its rungs' marches from these."""
+    return problem.T / problem.n_steps, problem.B, problem.n_steps
 
 
 def solve(problem: RelaxationProblem, scheme: Scheme) -> TimeSeries:

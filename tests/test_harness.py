@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracsolve import relaxation, subdiffusion
+from fracsolve import caputo, relaxation, subdiffusion
 from fracsolve.caputo import Scheme
 from fracsolve.harness import (ConvergenceReport, Coupling, Ladder, ReportRow,
                                estimate_order, parse_report_jsonl,
@@ -165,6 +165,90 @@ class TestSubdiffusionStudy:
                                         Ladder(0.1, 2, Coupling.SPACE_FROM_TIME))
         assert [row.step for row in report.rows] == [0.1, 0.05]
         assert all(0.9 < row.order < 1.3 for row in report.rows)
+
+
+class TestLadderInverses:
+    """A study computes the leaf inverses of all its rungs in one
+    `_leaf_inverse` call, before its first rung, and drops them when it
+    returns or raises; each rung keeps the bits of a lone solve."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        """The number of columns of each `_leaf_inverse` call."""
+        calls, original = [], caputo._leaf_inverse
+
+        def counted(weights, diagonal, leaves):
+            calls.append(len(diagonal))
+            return original(weights, diagonal, leaves)
+        monkeypatch.setattr(caputo, "_leaf_inverse", counted)
+        return calls
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("pid, alpha, corrected", [
+        ("r11", None, False), ("relax-mlexact", 0.3, False),
+        ("relax-mlexact", 0.3, True)])
+    def test_relaxation_study_inverts_once(self, inversions, pid, alpha,
+                                           corrected, scheme):
+        family = relaxation_family(pid, alpha=alpha)
+        run_relaxation_study(family, scheme, Ladder(0.05, 8),
+                             corrected=corrected)
+        # one column per rung, the extra coarse run's included
+        assert inversions == [9]
+        run_relaxation_study(family, scheme, Ladder(0.05, 8),
+                             corrected=corrected)
+        assert inversions == [9, 9]
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_sine_mode_study_inverts_once(self, inversions, corrected):
+        run_subdiffusion_study(subdiffusion_family("s03"), Scheme.MODIFIED_L1,
+                               Ladder(0.05, 4, Coupling.SPACE_FROM_TIME),
+                               corrected=corrected)
+        assert inversions == [5]
+
+    def test_lone_solve_after_a_study_inverts(self, inversions):
+        family = relaxation_family("r12")
+        run_relaxation_study(family, Scheme.L1, Ladder(0.05, 4))
+        assert caputo._LADDER.get() is None
+        family.solve(0.05, Scheme.L1)
+        assert inversions == [5, 1]
+
+    def test_lone_solve_after_a_rung_raises_inverts(self, inversions):
+        # 2/3 does not divide T = 1, so the first rung raises, after the
+        # batch of the three rungs that do
+        family = relaxation_family("r11")
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            run_relaxation_study(family, Scheme.L1, Ladder(1.0 / 3.0, 3))
+        assert inversions == [3]
+        assert caputo._LADDER.get() is None
+        family.solve(1.0 / 3.0, Scheme.L1)
+        assert inversions == [3, 1]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("family, ladder, m", [
+        (relaxation_family("r11"), Ladder(0.05, 9), None),
+        (relaxation_family("r12"), Ladder(0.05, 9), None),
+        (relaxation_family("relax-mlexact", alpha=0.3), Ladder(0.05, 9), 7),
+        (subdiffusion_family("s03"),
+         Ladder(0.05, 5, Coupling.SPACE_FROM_TIME), None),
+        (subdiffusion_family("s2"),
+         Ladder(0.05, 5, Coupling.SPACE_FROM_TIME), 4)],
+        ids=["r11", "r12", "mlexact-corrected", "s03", "s2-corrected"])
+    def test_rungs_keep_the_bits_of_lone_solves(self, monkeypatch, family,
+                                                ladder, m, scheme):
+        # r11 and r12 reach N = 5120, three rungs of leaves of 1280
+        solve, rungs = type(family).solve, []
+
+        def recorded(self, step, scheme, m=None):
+            solution = solve(self, step, scheme, m)
+            rungs.append((step, solution.values))
+            return solution
+        monkeypatch.setattr(type(family), "solve", recorded)
+        study = (run_relaxation_study if isinstance(family, RelaxationFamily)
+                 else run_subdiffusion_study)
+        study(family, scheme, ladder, corrected=m is not None, m=m)
+        assert len(rungs) == ladder.levels + 1
+        for step, values in rungs:
+            assert np.array_equal(values, solve(family, step, scheme, m).values)
 
 
 class TestFamilySolve:

@@ -182,24 +182,62 @@ def test_corrected_subdiffusion_matches_direct_march(N, M, alpha, scheme):
 @pytest.mark.parametrize("leaf", [1, 2, 127, 128, 129, 160, 1000, 1024, 1250,
                                   1280])
 def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
-    """The inverse grows by Newton doubling through the history hand-off
-    and comes back as its FFT of length 2 leaf; each column must still solve
-    its triangular Toeplitz matrix against e_0, and the padding must stay
-    zero.  160, 1250 and 1280 are leaf sizes the march takes, 5-smooth but
+    """The inverse grows by Newton doubling through the history hand-off;
+    each column must still solve its triangular Toeplitz matrix against
+    e_0.  160, 1250 and 1280 are leaf sizes the march takes, 5-smooth but
     no power of two."""
     table = _table(alpha, Scheme.MODIFIED_L1)
     interior = table.interior(leaf + 1)
     diagonal = table.c0 + lam * np.arange(1.0, columns + 1)
-    spectrum = _leaf_inverse(table.spectrum, diagonal, leaf)
-    assert spectrum.shape == (leaf + 1, columns)
-    got = np.fft.irfft(spectrum, 2 * leaf, axis=0)
+    got = _leaf_inverse(table.spectrum, diagonal, leaf)
+    assert got.shape == (leaf, columns)
     c = np.concatenate(([0.0], interior[:leaf - 1]))
     lags = np.subtract.outer(np.arange(leaf), np.arange(leaf))
     lower = np.where(lags > 0, c[np.clip(lags, 0, None)], 0.0)
     e0 = np.eye(leaf)[:, 0]
     for j, d in enumerate(diagonal):
         want = np.linalg.solve(lower + d * np.eye(leaf), e0)
-        assert_close(got[:, j], np.concatenate((want, np.zeros(leaf))))
+        assert_close(got[:, j], want)
+
+
+# non-increasing leaf sizes as a ladder's rungs take them, plus the
+# smallest ones: 1250 and 1280 are 5-smooth leaves of long marches
+BATCH_LEAVES = [1280, 1280, 1250, 640, 160, 129, 20, 9, 2, 1]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95])
+def test_batched_leaf_inverse_keeps_each_columns_bits(alpha, scheme):
+    """One batch over several leaf sizes gives every column the bits of
+    its lone inverse, and zeros past its leaf: a column leaves the
+    doubling at its leaf, and its entries past the leaf are zeroed before
+    they would enter a convolution."""
+    table = _table(alpha, scheme)
+    diagonal = table.c0 + np.geomspace(1e3, 1e-3, len(BATCH_LEAVES))
+    got = _leaf_inverse(table.spectrum, diagonal, BATCH_LEAVES)
+    assert got.shape == (BATCH_LEAVES[0], len(BATCH_LEAVES))
+    for j, leaf in enumerate(BATCH_LEAVES):
+        lone = _leaf_inverse(table.spectrum, diagonal[j:j + 1], leaf)
+        np.testing.assert_array_equal(got[:leaf, j], lone[:, 0])
+        assert np.all(got[leaf:, j] == 0.0)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.95])
+def test_longer_leaf_inverse_starts_with_the_shorter_one(alpha, scheme):
+    """The prefix rule: the first L entries of the inverse of a longer leaf
+    invert the L x L leaf matrix, up to roundoff, since both matrices are
+    lower-triangular Toeplitz with the same first L entries.  The worst
+    seen is 1.6 eps of the largest entry, at alpha = 0.95."""
+    table = _table(alpha, scheme)
+    for lam in (1e-3, 1.0, 1e3):
+        diagonal = np.array([table.c0 + lam])
+        longer = _leaf_inverse(table.spectrum, diagonal, 1280)
+        for leaf in BATCH_LEAVES[2:]:
+            want = _leaf_inverse(table.spectrum, diagonal, leaf)
+            scale = np.max(np.abs(want))
+            assert (np.max(np.abs(longer[:leaf] - want))
+                    <= 4.0 * np.finfo(float).eps * scale)
 
 
 def long_double_march(alpha, scheme, h, v0, B, F):
