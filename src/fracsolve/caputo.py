@@ -25,28 +25,23 @@ size up allows, as on the ladders' grids, so each history hand-off feeds a
 whole block but for the short end of the last leaf.  One helper,
 `_convolve`, does every FFT convolution: the leaf solves, the history
 hand-offs between blocks and both halves of each Newton step that builds
-the leaf inverse.  A convergence ladder builds the leaf inverses of all
-its rungs in one such doubling, one column per rung (`_ladder_inverses`).
+the leaf inverse.
 
 Every interior weight and every history operand depends on alpha and the
-scheme alone, so they are computed once per process, not once per solve: a
-`_WeightTable` per (alpha, scheme), of which the two most recent are kept,
-holds c_0, the interior weights with the modified shifts applied, and the
-FFT of c_1..c_{2W-1} by block width W, whatever step asks for it.  A
-hand-off's operand always holds all 2W - 1 weights, past c_{N-1} where the
-march is shorter.  The weights grow by the ones they lack and are kept for
-at most 2^16 levels; the transforms of 2W <= 2^16 are kept while they take
-at most 1.0625 MiB, which those of any one march of up to 2^16 levels fit.
-So a table holds at most 1.6 MiB once a solve returns, and 1.49 MiB was the
-most in a sweep of solves from 1000 to 2^17 + 4096 levels.  `l1_weights`,
-`ml1_weights`, `_march` and the subdiffusion main diagonal all read from
-them; `_row` alone computes a final weight, for the public rows.
+scheme alone.  A `_Scope` holds them for the marches of one call at one
+(alpha, scheme): c_0, the interior weights with the modified shifts applied,
+the FFT of c_1..c_{2W-1} by block width W, and the first columns of the leaf
+inverses of a convergence ladder's rungs, all computed in one doubling.
+`_solving` makes a scope current for a block, as a convergence study does
+around its rungs; a march that finds none for its (alpha, scheme) makes its
+own and drops it when it returns.  A scope keeps weights and transforms of
+at most 2^16 levels, and a longer march computes its own.  `l1_weights` and
+`ml1_weights` compute their rows afresh.
 """
 
 import bisect
 import contextlib
 import contextvars
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,7 +107,7 @@ def _interior_weights(alpha: float, lo: int, hi: int,
             = 2 (expm1(e/2 log1p(-x^2)) cosh(t) + 2 sinh(t/2)^2),
 
     whose two terms cancel only by a factor (2-a)/a, independent of k.  At
-    k = 1, log1p(-1) diverges, so `_WeightTable` sets c_1 = 2^e - 2 itself,
+    k = 1, log1p(-1) diverges, so `_Scope` sets c_1 = 2^e - 2 itself,
     shift included.
     """
     e = 1.0 - alpha
@@ -141,49 +136,41 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Weights and transforms of more levels than this are computed for the call
-# that needs them and are not kept.
-_CACHED_LEVELS = 1 << 16
-# The kept transforms take at most this many bytes.  Those of one march of up
-# to 2^16 levels take at most 1048816: N = 65537 takes 64 leaves of 1024.
-_SPECTRUM_BYTES = (1 << 20) + (1 << 16)
+# The current scope, which `_solving` sets: None outside one.
+_SCOPE = contextvars.ContextVar("_SCOPE", default=None)
+# A scope keeps weights and transforms of at most this many levels; a longer
+# march computes its own and drops them as it goes.
+_KEPT_LEVELS = 1 << 16
 
 
-class _WeightTable:
-    """The weights of one scheme at one alpha, shared by every solve.
+class _Scope:
+    """The weights and history operands of one scheme at one alpha, for the
+    marches of one call.
 
-    c0 is c_0, and `interior(n)` returns the interior weights c_1..c_{n-1},
-    shared by every level that reaches them.  The modified scheme shifts
-    indices 0, 1, 2 of every row from level 2 on by -z, +2z, -z with
-    z = zeta(alpha - 1), so its c0 is 1 - z and its c_1 and c_2 carry the
-    shifts; index 2 is the final weight at level 2, which `_row` shifts by
-    -z itself.  The plain scheme takes z = 0, which leaves every weight's
-    bits as they are.  No final weight is kept: a march of v - v_0 never
-    reads one.
-
-    The interior weights start at c_1, c_2, shifts applied, and grow by
-    computing only the ones they lack; the grown ones are kept while they
-    serve at most _CACHED_LEVELS = 2^16 levels, 0.5 MiB.  `spectrum(W)` is
-    the history operand of block width W, kept for every W with
-    2 W <= 2^16 while the kept ones take at most _SPECTRUM_BYTES =
-    1.0625 MiB; the one that would pass that starts the kept set anew.
-    Every transform of one march of up to 2^16 levels stays, 1.0 MiB at
-    most, and a table holds under 1.6 MiB once a call returns.  Every array
-    it hands out is read-only, and grown weights and kept transforms are
-    each published in one assignment of a new array or dict that no thread
-    changes, so a thread sees either the old ones or the new ones whole.
-    Of two inserts at once one may be lost, which costs only its
-    recomputation.
+    c0 is c_0 = 1 - z, and `interior(n)` returns the interior weights
+    c_1..c_{n-1}.  The modified scheme shifts indices 0, 1, 2 of every row
+    from level 2 on by -z, +2z, -z with z = zeta(alpha - 1), so its c_1 and
+    c_2 carry the shifts; index 2 is the final weight at level 2, which
+    `_row` shifts by -z itself.  The plain scheme takes z = 0, which leaves
+    every weight's bits as they are.  No final weight is kept: a march of
+    v - v_0 never reads one.  The interior weights are grown to the longest
+    of marches, each (h, B, N), on entry, and later by the ones they lack;
+    `spectrum(W)` is the history operand of block width W.  Both are kept
+    while they serve at most _KEPT_LEVELS levels.  `inverses` maps
+    the `key` of each scalar march in marches to the first column of its
+    leaf inverse.  Every array it keeps is read-only.
     """
 
-    def __init__(self, alpha: float, scheme: Scheme):
+    def __init__(self, alpha: float, scheme: Scheme, marches=()):
         e = 1.0 - alpha
         z = 0.0 if scheme is Scheme.L1 else zeta_unit_strip(alpha - 1.0)
-        self.alpha, self.z = alpha, z
-        self.c0 = 1.0 - z
+        self.alpha, self.scheme, self.z, self.c0 = alpha, scheme, z, 1.0 - z
         self._interior = _frozen(np.concatenate(
             ([2.0 ** e - 2.0 + 2.0 * z], _interior_weights(alpha, 2, 3) - z)))
         self._spectra = {}
+        if marches:     # at once, not grown rung by rung
+            self.interior(min(max(N for _, _, N in marches), _KEPT_LEVELS))
+        self.inverses = self._invert(marches)
 
     def interior(self, n: int) -> np.ndarray:
         """c_1..c_{n-1}, the interior weights of level n >= 1."""
@@ -194,7 +181,7 @@ class _WeightTable:
             grown[:kept] = weights
             _interior_weights(self.alpha, kept + 1, n, grown[kept:])
             weights = _frozen(grown)
-            if n <= _CACHED_LEVELS:
+            if n <= _KEPT_LEVELS:
                 self._interior = weights
         return weights[:n - 1]
 
@@ -203,35 +190,62 @@ class _WeightTable:
         The weights depend on alpha alone, so a march of N levels takes them
         past c_{N-1} where 2W - 1 > N - 1: they reach only entries past the
         levels it keeps, which it drops."""
-        spectra = self._spectra
-        spectrum = spectra.get(width)
+        spectrum = self._spectra.get(width)
         if spectrum is None:
             spectrum = _frozen(np.fft.rfft(self.interior(2 * width),
                                            2 * width)[:, None])
-            if 2 * width <= _CACHED_LEVELS:
-                kept = sum(other.nbytes for other in spectra.values())
-                if kept + spectrum.nbytes > _SPECTRUM_BYTES:
-                    spectra = {}
-                self._spectra = {**spectra, width: spectrum}
+            if 2 * width <= _KEPT_LEVELS:
+                self._spectra[width] = spectrum
         return spectrum
 
+    def key(self, h: float, B, n_steps: int) -> tuple:
+        """(L, c_0 + B Gamma(2 - alpha) h^alpha), the leaf size and the
+        diagonal of the leaf matrix of a scalar march of n_steps levels of
+        step h at the rate B."""
+        return (_leaf(n_steps - 1, 1),
+                float(self.c0 + B * _step_scale(self.alpha, h)))
 
-@functools.lru_cache(maxsize=2)
-def _table(alpha: float, scheme: Scheme) -> _WeightTable:
-    """The weight table of one (alpha, scheme); the two most recent stay,
-    so both schemes of a ladder at one alpha are computed once."""
-    return _WeightTable(alpha, scheme)
+    def _invert(self, marches) -> dict:
+        """The leaf inverses of the scalar marches at (h, B, N), each of a
+        problem that passed its checks, by `key`, from one `_leaf_inverse`
+        call.  Their leaf matrices differ only in the diagonal and in their
+        size L, so the doubling serves them all as columns, and each column
+        keeps the bits of its lone inverse.  Each is copied out, so that the
+        batch's array of max L rows per column is not held."""
+        keys = {self.key(h, B, N) for h, B, N in marches if N >= 2}
+        keys = sorted((key for key in keys if math.isfinite(key[1])),
+                      key=lambda key: -key[0])
+        if not keys:
+            return {}
+        s = _leaf_inverse(self.spectrum, np.array([key[1] for key in keys]),
+                          [key[0] for key in keys])
+        return {key: _frozen(s[:key[0], j:j + 1].copy())
+                for j, key in enumerate(keys)}
+
+
+@contextlib.contextmanager
+def _solving(alpha: float, scheme: Scheme, marches=()):
+    """Within the block, every march of (alpha, scheme) shares one `_Scope`,
+    made on entry with the leaf inverses of the scalar marches at the
+    (h, B, N) in marches.  A march takes a column only where its leaf and
+    diagonal match bit for bit; any other computes its own.  The scope is
+    dropped when the block exits, by an exception too."""
+    token = _SCOPE.set(_Scope(alpha, scheme, marches))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 def _row(alpha: float, scheme: Scheme, n: int) -> CoefficientRow:
     """The weights c_0..c_n of level n, final weight included: -1 at n = 1,
     and shifted by -z at n = 2."""
-    table = _table(alpha, scheme)
+    scope = _Scope(alpha, scheme)
     final = -1.0 if n == 1 else _tail_weights(alpha, n, n + 1)[0]
     if n == 2:
-        final -= table.z
+        final -= scope.z
     return CoefficientRow(alpha, n, np.concatenate(
-        ([table.c0], table.interior(n), [final])))
+        ([scope.c0], scope.interior(n), [final])))
 
 
 def l1_weights(alpha: float, n: int) -> CoefficientRow:
@@ -298,52 +312,6 @@ def _step_scale(alpha: float, h: float) -> float:
     return math.gamma(2.0 - alpha) * h ** alpha
 
 
-# The leaf inverses of the scalar marches of one convergence ladder, by
-# (alpha, scheme, leaf, diagonal), while `_ladder_inverses` holds them.
-_LADDER = contextvars.ContextVar("_LADDER", default=None)
-
-
-@contextlib.contextmanager
-def _ladder_inverses(alpha: float, scheme: Scheme, marches):
-    """Within the block, every scalar march of (alpha, scheme) at one of
-    the (h, B, N) in marches takes the first column of its leaf inverse
-    from one `_leaf_inverse` call over all of them, made on entry, and does
-    not run Newton's doubling itself.  A march takes a column only where
-    its alpha, scheme, leaf and diagonal match bit for bit; any other
-    computes its own.  The columns are dropped when the block exits, by an
-    exception too: no march outside it sees them."""
-    token = _LADDER.set(_ladder_columns(alpha, scheme, marches))
-    try:
-        yield
-    finally:
-        _LADDER.reset(token)
-
-
-def _ladder_columns(alpha: float, scheme: Scheme, marches) -> dict:
-    """The leaf inverses of the scalar marches at (h, B, N), each of a
-    problem that passed its checks, by (alpha, scheme, leaf, diagonal),
-    from one `_leaf_inverse` call.  Their leaf matrices differ only in the
-    diagonal c_0 + B Gamma(2 - alpha) h^alpha and in their size L, so the
-    doubling serves them all as columns, and each column keeps the bits of
-    its lone inverse.  Each is copied out, so that the batch's array of
-    max L rows per column is not held, and is read-only, as every rung
-    reads it."""
-    if not marches:
-        return {}
-    table = _table(alpha, scheme)
-    keys = {(alpha, scheme, _leaf(N - 1, 1),
-             float(table.c0 + B * _step_scale(alpha, h)))
-            for h, B, N in marches if N >= 2}
-    keys = sorted((key for key in keys if math.isfinite(key[3])),
-                  key=lambda key: -key[2])
-    if not keys:
-        return {}
-    s = _leaf_inverse(table.spectrum, np.array([key[3] for key in keys]),
-                      [key[2] for key in keys])
-    return {key: _frozen(s[:key[2], j:j + 1].copy())
-            for j, key in enumerate(keys)}
-
-
 def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
            out: np.ndarray) -> np.ndarray:
     """March v^(alpha) + B v = F(x) from v0 with the L1 or modified-L1
@@ -370,36 +338,21 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     chunk adds v_0 back once they are solved.  So each level is accurate to
     a few eps |v_0| absolutely, not relative to its value: where a stiff
     solve decays to eps |v_0| or below, its values may read 0.  The system
-    is solved leaf by leaf, L levels each: a leaf's solution is the
-    convolution of its right-hand sides with s, the first column of the
-    leaf matrix's inverse, which `_leaf_inverse` computes and the march
-    transforms at length 2 L.  Within a convergence ladder a scalar march
-    takes s from the batch that `_ladder_inverses` computed for every rung
-    at once, and runs no inversion itself.  `_leaf`
-    sizes the leaves to the N - 1 unknowns, columns being the width of one
-    chunk: count leaves, a power of two, of L levels, L the least 5-smooth
-    number at or above (N - 1) / count, so that every FFT length is
-    5-smooth, and from max(_LEAF, _LEAF_VALUES / columns) to about twice
-    that where N allows.
-    A scalar march of N = 40960 levels takes 32 leaves of 1280, one of
-    N = 20000 16 leaves of 1250.  After leaf k (counted from 1) the block
-    of width W = L (k & -k) that ends there subtracts its history from the
-    next W levels, by convolution with c_1..c_{2W-1}, whose FFT the
-    (alpha, scheme) weight table keeps across solves, by W alone, while
-    2W <= 2^16 and the kept ones fit its 1.0625 MiB.  Each such block
-    lies within the count leaves, so every hand-off feeds W levels, or all
-    of them but the short part of the last leaf; only where rounding L up
-    leaves the last leaves empty does the end of the march cut a block
-    shorter.  This is the Hairer-Lubich-Schlichte recursion over
-    power-of-two blocks, unrolled: every level receives the history of
-    every earlier block exactly once before its leaf is solved.
+    is solved leaf by leaf, L levels each (`_leaf`): a leaf's solution is
+    the convolution of its right-hand sides with s, the first column of the
+    leaf matrix's inverse, which a ladder's scope holds for its scalar
+    marches and `_leaf_inverse` computes otherwise.  After leaf k (counted
+    from 1) the block of width W = L (k & -k) that ends there subtracts its
+    history from the next W levels, by convolution with c_1..c_{2W-1}.
+    This is the Hairer-Lubich-Schlichte recursion over power-of-two blocks,
+    unrolled: every level receives the history of every earlier block
+    exactly once before its leaf is solved.
     """
     n_steps = len(F) - 1
     if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
         raise ValueError("the modified L1 scheme needs at least 2 steps")
     gha = _step_scale(alpha, h)
     lam = B * gha
-    table = _table(alpha, scheme)
     v0 = np.asarray(v0, dtype=float)
     # where out is F, level n's sample is read before level n is written
     out[0] = v0
@@ -414,6 +367,11 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
         raise ConvergenceError(
             f"B Gamma(2 - alpha) h^alpha v_0 overflows at h = {h}: the march "
             f"of v - v_0 cannot hold it")
+    scope = _SCOPE.get()
+    if scope is None or (scope.alpha, scope.scheme) != (alpha, scheme):
+        scope = _Scope(alpha, scheme)
+    held = (scope.inverses.get(scope.key(h, B, n_steps)) if v0.ndim == 0
+            else None)
     leaf = _leaf(n_steps - 1, min(_COLUMNS, v.shape[1]))
 
     # one chunk at a time, leaf inverse included, and the right-hand sides
@@ -421,28 +379,24 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     # array of all levels
     for c in range(0, v.shape[1], _COLUMNS):
         x, rates = v[:, c:c + _COLUMNS], lam[c:c + _COLUMNS]
-        interior, w1 = table.interior(n_steps), x[1] - x[0]
+        interior, w1 = scope.interior(n_steps), x[1] - x[0]
         for lo in range(2, n_steps + 1, leaf):
             rows = x[lo:lo + leaf]
             np.multiply(F[lo:lo + leaf, None], gha, out=rows)
             rows -= lam_v0[c:c + _COLUMNS]
             rows -= np.multiply.outer(interior[lo - 2:lo - 2 + leaf], w1)
-        # past 2^16 levels the table keeps no weights, so these are an
+        # past _KEPT_LEVELS the scope keeps no weights, so these are an
         # array of all levels that the hand-offs must not hold too
         del interior
-        diagonal = table.c0 + rates
-        inverses = _LADDER.get()
-        s = (inverses.get((alpha, scheme, leaf, float(diagonal[0])))
-             if inverses and diagonal.size == 1 else None)
-        if s is None:
-            s = _leaf_inverse(table.spectrum, diagonal, leaf)
+        s = (held if held is not None else
+             _leaf_inverse(scope.spectrum, scope.c0 + rates, leaf))
         s = np.fft.rfft(s, 2 * leaf, axis=0)
         for k, lo in enumerate(range(2, n_steps + 1, leaf), 1):
             x[lo:lo + leaf] = _convolve(x[lo:lo + leaf], s, 0)
             mid, width = lo + leaf, leaf * (k & -k)
             if mid <= n_steps:
                 future = x[mid:mid + width]
-                future -= _convolve(x[mid - width:mid], table.spectrum(width),
+                future -= _convolve(x[mid - width:mid], scope.spectrum(width),
                                     width - 1)[:len(future)]
         x[2:] += x[0]
     return out
@@ -509,15 +463,23 @@ def _convolve(x: np.ndarray, spectrum: np.ndarray, start: int,
 
 def caputo_apply(samples, alpha: float, h: float,
                  scheme: Scheme = Scheme.L1) -> float:
-    """Apply a scheme to the samples y_0..y_n; returns the derivative at x_n."""
+    """Apply a scheme to the samples y_0..y_n; returns the derivative at x_n.
+    ValueError for a sample that is not finite, ConvergenceError where the
+    derivative of finite samples overflows."""
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1:
         raise ValueError("samples must be a one-dimensional sequence")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("samples must be finite")
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     weights = ml1_weights if scheme is Scheme.MODIFIED_L1 else l1_weights
     row = weights(alpha, y.size - 1)
-    return float(row.weights @ y[::-1]) / (math.gamma(2.0 - alpha) * h ** alpha)
+    derivative = float(row.weights @ y[::-1]) / _step_scale(alpha, h)
+    if not math.isfinite(derivative):
+        raise ConvergenceError(
+            f"the derivative of the samples overflows at h = {h}")
+    return derivative
 
 
 def caputo_power_rule(p: float, alpha: float, x: float) -> float:

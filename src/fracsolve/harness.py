@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import relaxation
-from .caputo import Scheme, _ladder_inverses
+from .caputo import Scheme, _solving
 from .problems import RelaxationFamily, SubdiffusionFamily
 
 __all__ = [
@@ -105,18 +105,17 @@ def _chain_orders(steps, errors) -> ConvergenceReport:
 def _study(family, scheme: Scheme, ladder: Ladder, corrected: bool,
            m: int | None) -> ConvergenceReport:
     """The one ladder loop: the family picks the solver and measures the
-    error.  Every rung marches one scalar state, and their leaf matrices
-    differ only in their diagonal and size, so one batched inversion,
-    computed before the first rung, serves them all, each rung with the
-    bits of its own (see `caputo._ladder_inverses`); it is dropped when
-    the loop ends or a rung raises.  On the 13 rungs of an r11 ladder from
-    h = 0.1 to 0.05 / 2^11 the inversions and their transforms take 2.4 ms
-    on a 2-vCPU Xeon, where one inversion per rung took 7.1 ms."""
+    error.  The rungs run in one `caputo._solving` scope at the family's
+    (alpha, scheme), so they share its weights and their transforms, and
+    every rung marches one scalar state, whose leaf matrices differ only in
+    their diagonal and size: one batched inversion, computed before the
+    first rung, serves them all, each rung with the bits of its own.  The
+    scope is dropped when the loop ends or a rung raises."""
     if corrected and m is None:
         m = relaxation.choose_m(family.alpha)
     degree = m if corrected else None
     steps = [2.0 * ladder.base_step] + ladder.steps()
-    with _ladder_inverses(family.alpha, scheme, _marches(family, steps)):
+    with _solving(family.alpha, scheme, _marches(family, steps)):
         errors = [family.error(family.solve(step, scheme, degree))
                   for step in steps]
     return _chain_orders(steps, errors)

@@ -416,7 +416,6 @@ _DE_FAIL = 1e-10        # ... and fails when the last two still differ more
 _DE_BLOCK = 1 << 16     # integrand values evaluated at once
 
 
-@functools.cache
 def _de_rule(level: int) -> _DERule:
     h = _DE_STEP / 2 ** level
     k = np.arange(math.ceil(_DE_LO / h), math.floor(_DE_HI / h) + 1)
@@ -434,6 +433,9 @@ def _de_rule(level: int) -> _DERule:
     return _DERule(h, *(r[None, :] for r in rows))
 
 
+_DE_RULES = tuple(_de_rule(level) for level in range(_DE_LEVELS + 1))
+
+
 def _de_integrate(integrand, n: int, what: str) -> np.ndarray:
     """n integrals at once by the nested double-exponential rules.
 
@@ -447,8 +449,7 @@ def _de_integrate(integrand, n: int, what: str) -> np.ndarray:
     value, size = np.zeros(n), np.zeros(n)
     change = np.zeros(n)
     cols = np.arange(n)
-    for level in range(_DE_LEVELS + 1):
-        rule = _de_rule(level)
+    for level, rule in enumerate(_DE_RULES):
         part, part_abs = np.empty(cols.size), np.empty(cols.size)
         block = max(1, _DE_BLOCK // rule.y.size)
         for i in range(0, cols.size, block):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import relaxation
-from .caputo import Scheme, _check_alpha, _march, _table
+from .caputo import Scheme, _check_alpha, _march, _Scope
 from .specfun import ml_relaxation_exact
 
 __all__ = [
@@ -149,7 +149,7 @@ def build_system(alpha: float, tau: float, h: float, N: int,
     if tau <= 0.0 or h <= 0.0:
         raise ValueError("tau and h must be positive")
     eta = math.gamma(2.0 - alpha) * tau ** alpha / h ** 2
-    main = np.full(N - 1, _table(alpha, scheme).c0 + 2.0 * eta)
+    main = np.full(N - 1, _Scope(alpha, scheme).c0 + 2.0 * eta)
     off = np.full(N - 2, -eta)
     return TridiagonalSystem(off, main, off.copy())
 

@@ -9,11 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracsolve import caputo
-from fracsolve.caputo import (_CACHED_LEVELS, Scheme, _march, _table,
-                              _WeightTable, caputo_apply, caputo_power_rule,
+from fracsolve.caputo import (_KEPT_LEVELS, _SCOPE, Scheme, _march, _Scope,
+                              _solving, caputo_apply, caputo_power_rule,
                               l1_weights, ml1_weights)
-from fracsolve.specfun import zeta_unit_strip
+from fracsolve.harness import Ladder, run_relaxation_study
+from fracsolve.problems import relaxation_family
+from fracsolve.specfun import ConvergenceError, zeta_unit_strip
 
 SQRT2_MINUS_2 = -0.5857864376269049
 ONE_MINUS_ZETA_HALF = 1.2078862249773546   # 1 - zeta(-0.5)
@@ -116,15 +117,22 @@ class TestML1Weights:
             ml1_weights(0.5, 1)
 
 
+# Traced memory a march or a study may hold once it returns: numpy's FFT
+# keeps a few dozen bytes per transform length it has planned, about 6.6 KB
+# after the lone-solve sweep below, and the scope keeps nothing.
+RETAINED_BYTES = 1 << 16
+
+
 def march(alpha, scheme, n):
     return _march(alpha, scheme, 1.0 / n, 0.7, 1.3, np.linspace(0.0, 1.0, n + 1),
                   np.empty(n + 1))
 
 
 class TestWeightTable:
-    """Every solve at one (alpha, scheme) reads one table of weights and
-    history-weight transforms, which grows by the levels it lacks.  What it
-    hands out must not depend on which solves grew it, or in what order."""
+    """Every march at one (alpha, scheme) in one scope reads one table of
+    weights and history-weight transforms, which grows by the levels it
+    lacks.  What it hands out must not depend on which solves grew it, or
+    in what order, and none of it outlives the scope."""
 
     SIZES = [2, 3, 5, 64, 1000, 1025, 4097]
 
@@ -134,51 +142,40 @@ class TestWeightTable:
     def test_rows_match_a_fresh_table(self, order, alpha, scheme):
         sizes = {"rising": self.SIZES, "falling": self.SIZES[::-1],
                  "random": np.random.default_rng(5).permutation(self.SIZES)}
-        _table.cache_clear()
+        scope = _Scope(alpha, scheme)
         for n in sizes[order]:
-            got = _table(alpha, scheme)
-            fresh = _WeightTable(alpha, scheme)
-            assert got.c0 == fresh.c0
-            assert np.array_equal(got.interior(int(n)),
+            fresh = _Scope(alpha, scheme)
+            assert scope.c0 == fresh.c0
+            assert np.array_equal(scope.interior(int(n)),
                                   fresh.interior(int(n)))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_march_bits_do_not_depend_on_earlier_solves(self, scheme):
-        """Each solve in turn against the same solve from an empty table.
-        The longest runs past the table's cap, so the table keeps none of
-        the weights it grows, and each takes another leaf size (1500, 1080,
-        1250 levels), so each finds the transforms of other solves'
+        """Each solve in turn inside one scope against the same solve
+        alone.  The longest runs past _KEPT_LEVELS, so the scope keeps none
+        of the weights it grows, and each takes another leaf size (1500,
+        1080, 1250 levels), so each finds the transforms of other solves'
         hand-off widths kept and adds its own."""
-        sizes = (3000, _CACHED_LEVELS + 1000, 5000, 3000)
-        want = {}
-        for n in sizes:
-            _table.cache_clear()
-            want[n] = march(0.3, scheme, n)
-        _table.cache_clear()
-        for n in sizes:
-            assert np.array_equal(march(0.3, scheme, n), want[n])
+        sizes = (3000, _KEPT_LEVELS + 1000, 5000, 3000)
+        want = {n: march(0.3, scheme, n) for n in sizes}
+        with _solving(0.3, scheme):
+            for n in sizes:
+                assert np.array_equal(march(0.3, scheme, n), want[n])
 
     def test_handed_out_arrays_are_read_only(self):
-        table = _table(0.5, Scheme.MODIFIED_L1)
-        for array in (table.interior(100), table.spectrum(8),
-                      ml1_weights(0.5, 100).weights):
+        scope = _Scope(0.5, Scheme.MODIFIED_L1, [(0.01, 1.0, 100)])
+        for array in (scope.interior(100), scope.spectrum(8),
+                      *scope.inverses.values(), ml1_weights(0.5, 100).weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
     def test_retained_memory_is_bounded(self):
-        """The table keeps interior weights grown for at most 2^16 levels,
-        0.5 MiB.  It keeps the transforms of widths up to 2^15 while they
-        take at most 1.0625 MiB, and starts them anew past that: under
-        1.6 MiB per table with their headers, and the cache holds two
-        tables.  A sweep of solves whose leaf sizes differ must not pile up
-        transforms: kept for every leaf size, the sweep below leaves about
-        11 MiB per table.  65537 levels take 64 leaves of 1024, whose
-        transforms take 1.0 MiB and are all kept, 1.5 MiB per table.
-        Keeping the weights of a solve of 2^17 + 4096 levels would leave
-        about 2.1 MiB per table."""
+        """A march with no scope open keeps nothing once it returns: over a
+        sweep of lone solves whose leaf sizes differ, up to 2^17 + 4096
+        levels, the traced memory held after each return stays within
+        what numpy's own FFT plans take."""
         march(0.3, Scheme.L1, 300)      # first calls may set up caches
-        _table.cache_clear()
-        sizes = [*range(1000, 60001, 997), 65537, 2 * _CACHED_LEVELS + 4096]
+        sizes = [*range(1000, 60001, 997), 65537, 2 * _KEPT_LEVELS + 4096]
         retained = []
         tracemalloc.start()
         try:
@@ -189,85 +186,84 @@ class TestWeightTable:
                     retained.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert max(retained) <= 2 * 1.6 * 2 ** 20
+        assert max(retained) <= RETAINED_BYTES
+
+    @pytest.mark.parametrize("pid, scheme", [("r11", Scheme.L1),
+                                             ("r12", Scheme.MODIFIED_L1)])
+    def test_a_study_retains_nothing(self, pid, scheme):
+        """The scope of a study, its weights, transforms and leaf inverses
+        for rungs up to N = 40960, is dropped when the study returns."""
+        family = relaxation_family(pid)
+        run_relaxation_study(family, scheme, Ladder(0.05, 12))
+        tracemalloc.start()
+        try:
+            run_relaxation_study(family, scheme, Ladder(0.05, 12))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 1 << 20       # the study held its scope while it ran
+        assert retained <= RETAINED_BYTES
+
+    @pytest.mark.parametrize("alpha, scheme", [(0.3, Scheme.L1),
+                                               (0.5, Scheme.MODIFIED_L1)])
+    def test_solves_at_another_scheme_keep_their_bits_in_a_scope(
+            self, alpha, scheme):
+        """A march at another (alpha, scheme) than the open scope's makes
+        its own, and takes nothing from the scope or leaves anything in it:
+        it keeps the bits of a lone solve."""
+        sizes = (2, 300, 5000)
+        want = {n: march(alpha, scheme, n) for n in sizes}
+        marches = [(1.0 / n, 1.3, n) for n in sizes]
+        with _solving(0.5, Scheme.L1, marches):
+            held = _SCOPE.get()
+            for n in sizes:
+                assert np.array_equal(march(alpha, scheme, n), want[n])
+            assert held._spectra.keys() == _Scope(0.5, Scheme.L1,
+                                                  marches)._spectra.keys()
 
     def test_tables_hold_no_reference_cycle(self):
         gc.collect()
         gc.disable()
         try:
-            _table.cache_clear()
             for scheme in Scheme:
-                march(0.5, scheme, 3000)
-            _table.cache_clear()
+                with _solving(0.5, scheme, [(1.0 / 3000, 1.3, 3000)]):
+                    march(0.5, scheme, 3000)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_threads_growing_one_table_match_serial_solves(self, scheme):
-        sizes = [(700, 20000, 3000), (5000, 129, 40000)]
-        _table.cache_clear()
-        want = {n: march(0.4, scheme, n) for part in sizes for n in part}
-        _table.cache_clear()
-        got = {}
-        start = threading.Barrier(len(sizes))
+    def test_threads_running_studies_match_serial_studies(self, scheme):
+        """Two threads, each running studies at one (alpha, scheme), with
+        the interpreter switching threads as often as it can: each thread
+        has its own scope, and every report matches the serial study's
+        bit for bit."""
+        studies = [(relaxation_family("r11"), Ladder(0.05, 9)),
+                   (relaxation_family("r12"), Ladder(0.1, 8))]
+        want = [run_relaxation_study(family, scheme, ladder)
+                for family, ladder in studies]
+        got = [[], []]
+        start = threading.Barrier(len(studies))
 
-        def solve(part):
+        def study(j):
+            family, ladder = studies[j]
             start.wait()
-            for n in part:
-                got[n] = march(0.4, scheme, n)
-
-        threads = [threading.Thread(target=solve, args=(part,))
-                   for part in sizes]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert got.keys() == want.keys()
-        for n in want:
-            assert np.array_equal(got[n], want[n])
-
-    def test_threads_past_the_kept_bytes_get_every_transform(self,
-                                                             monkeypatch):
-        """Four threads on one table, each asking for widths whose
-        transforms pass the kept bytes many times over, with the
-        interpreter switching threads as often as it can: every transform
-        must match a fresh table's, and none may raise while another thread
-        sums the kept transforms or starts them anew."""
-        widths = range(1, 41)
-        fresh = _WeightTable(0.4, Scheme.L1)
-        want = {width: fresh.spectrum(width) for width in widths}
-        # 16 (W + 1) bytes each, 13.8 KB for all: about seven fresh starts
-        # for each pass over the widths
-        monkeypatch.setattr(caputo, "_SPECTRUM_BYTES", 2048)
-        table = _WeightTable(0.4, Scheme.L1)
-        failures = []
-
-        def solve(seed):
-            order = np.random.default_rng(seed).permutation(widths).tolist()
-            try:
-                for _ in range(100):
-                    for width in order:
-                        if not np.array_equal(table.spectrum(width),
-                                              want[width]):
-                            failures.append(width)
-            except Exception as error:      # reported below, not by the thread
-                failures.append(error)
+            for _ in range(3):
+                got[j].append(run_relaxation_study(family, scheme, ladder))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=solve, args=(seed,))
-                       for seed in range(4)]
+            threads = [threading.Thread(target=study, args=(j,))
+                       for j in range(len(studies))]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=60)
+                thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert failures == []
-        assert sum(s.nbytes for s in table._spectra.values()) <= 2048
+        assert got == [[report] * 3 for report in want]
 
 
 @pytest.mark.parametrize("alpha", np.arange(0.1, 0.95, 0.1))
@@ -335,6 +331,17 @@ class TestCaputoApply:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             caputo_apply([1.0, 2.0], 0.5, 0.0)
+
+    @pytest.mark.parametrize("samples, scheme", [
+        ([1.0, math.nan, 2.0], Scheme.L1),
+        ([1.0, math.inf, 2.0], Scheme.MODIFIED_L1)], ids=["nan", "inf"])
+    def test_rejects_samples_that_are_not_finite(self, samples, scheme):
+        with pytest.raises(ValueError, match="finite"):
+            caputo_apply(samples, 0.5, 0.1, scheme)
+
+    def test_overflowing_derivative_raises(self):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            caputo_apply([1e308, -1e308, 1e308], 0.5, 1e-3)
 
 
 class TestCaputoPowerRule:

@@ -169,8 +169,8 @@ class TestSubdiffusionStudy:
 
 class TestLadderInverses:
     """A study computes the leaf inverses of all its rungs in one
-    `_leaf_inverse` call, before its first rung, and drops them when it
-    returns or raises; each rung keeps the bits of a lone solve."""
+    `_leaf_inverse` call, before its first rung, and drops its scope when
+    it returns or raises; each rung keeps the bits of a lone solve."""
 
     @pytest.fixture
     def inversions(self, monkeypatch):
@@ -208,7 +208,7 @@ class TestLadderInverses:
     def test_lone_solve_after_a_study_inverts(self, inversions):
         family = relaxation_family("r12")
         run_relaxation_study(family, Scheme.L1, Ladder(0.05, 4))
-        assert caputo._LADDER.get() is None
+        assert caputo._SCOPE.get() is None
         family.solve(0.05, Scheme.L1)
         assert inversions == [5, 1]
 
@@ -219,7 +219,7 @@ class TestLadderInverses:
         with pytest.raises(ValueError, match="not a whole number of steps"):
             run_relaxation_study(family, Scheme.L1, Ladder(1.0 / 3.0, 3))
         assert inversions == [3]
-        assert caputo._LADDER.get() is None
+        assert caputo._SCOPE.get() is None
         family.solve(1.0 / 3.0, Scheme.L1)
         assert inversions == [3, 1]
 

@@ -98,3 +98,46 @@ def test_check_catches_an_unreferenced_private_name():
     other = "from m import _TOLD\n"
     trees = [ast.parse(source), ast.parse(other)]
     assert unreferenced_private_names(trees) == ["_GUARD", "_Rule", "_orphan"]
+
+
+def process_wide_state(tree):
+    """(functions under a functools cache decorator, ContextVar calls) of a
+    module's AST: the state that outlives a call in every thread of a
+    process, and the per-thread state that a solve scope lives in."""
+    cached, context_vars = [], 0
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(
+            node, "id", None)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(name(getattr(decorator, "func", decorator))
+                   in ("lru_cache", "cache")
+                   for decorator in node.decorator_list):
+                cached.append(node.name)
+        elif isinstance(node, ast.Call) and name(node.func) == "ContextVar":
+            context_vars += 1
+    return cached, context_vars
+
+
+def test_no_process_wide_cache_and_one_context_variable():
+    """Weights and transforms live in one solve scope, set through one
+    ContextVar: no cache outlives the call that filled it."""
+    found = [process_wide_state(ast.parse(path.read_text()))
+             for path in MODULES]
+    assert [name for cached, _ in found for name in cached] == []
+    assert sum(count for _, count in found) <= 1
+
+
+def test_check_catches_a_cache_and_a_second_context_variable():
+    source = ("import contextvars\nimport functools\n"
+              "from contextvars import ContextVar\n"
+              "from functools import cache, lru_cache\n"
+              "A = contextvars.ContextVar('A')\n"
+              "B = ContextVar('B', default=None)\n"
+              "@functools.lru_cache(maxsize=2)\ndef f(x):\n    return x\n"
+              "@lru_cache\ndef g(x):\n    return x\n"
+              "@functools.cache\ndef h(x):\n    return x\n"
+              "@cache\ndef k(x):\n    return x\n"
+              "@staticmethod\ndef plain(x):\n    return cache(x)\n")
+    assert process_wide_state(ast.parse(source)) == (["f", "g", "h", "k"], 2)

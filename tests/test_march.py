@@ -7,6 +7,7 @@ history directly, so every level's row, tail and modified-L1 shift come from
 `l1_weights` / `ml1_weights` alone.
 """
 
+import contextlib
 import gc
 import math
 import tracemalloc
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from fracsolve import caputo, problems, relaxation, subdiffusion
-from fracsolve.caputo import (Scheme, _leaf_inverse, _march, _table,
-                              _tail_weights, _WeightTable, l1_weights,
-                              ml1_weights)
+from fracsolve.caputo import (Scheme, _leaf_inverse, _march, _Scope,
+                              _solving, _tail_weights, l1_weights, ml1_weights)
+from fracsolve.harness import Ladder, run_relaxation_study
 from fracsolve.relaxation import PowerSum, RelaxationProblem, taylor_poly
 from fracsolve.subdiffusion import Sampled, SineMode, SubdiffusionProblem
 
@@ -186,7 +187,7 @@ def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
     each column must still solve its triangular Toeplitz matrix against
     e_0.  160, 1250 and 1280 are leaf sizes the march takes, 5-smooth but
     no power of two."""
-    table = _table(alpha, Scheme.MODIFIED_L1)
+    table = _Scope(alpha, Scheme.MODIFIED_L1)
     interior = table.interior(leaf + 1)
     diagonal = table.c0 + lam * np.arange(1.0, columns + 1)
     got = _leaf_inverse(table.spectrum, diagonal, leaf)
@@ -212,7 +213,7 @@ def test_batched_leaf_inverse_keeps_each_columns_bits(alpha, scheme):
     its lone inverse, and zeros past its leaf: a column leaves the
     doubling at its leaf, and its entries past the leaf are zeroed before
     they would enter a convolution."""
-    table = _table(alpha, scheme)
+    table = _Scope(alpha, scheme)
     diagonal = table.c0 + np.geomspace(1e3, 1e-3, len(BATCH_LEAVES))
     got = _leaf_inverse(table.spectrum, diagonal, BATCH_LEAVES)
     assert got.shape == (BATCH_LEAVES[0], len(BATCH_LEAVES))
@@ -229,7 +230,7 @@ def test_longer_leaf_inverse_starts_with_the_shorter_one(alpha, scheme):
     invert the L x L leaf matrix, up to roundoff, since both matrices are
     lower-triangular Toeplitz with the same first L entries.  The worst
     seen is 1.6 eps of the largest entry, at alpha = 0.95."""
-    table = _table(alpha, scheme)
+    table = _Scope(alpha, scheme)
     for lam in (1e-3, 1.0, 1e3):
         diagonal = np.array([table.c0 + lam])
         longer = _leaf_inverse(table.spectrum, diagonal, 1280)
@@ -248,7 +249,7 @@ def long_double_march(alpha, scheme, h, v0, B, F):
     solves for v - v_0 and never reads a final weight."""
     ld = np.longdouble
     n_steps = len(F) - 1
-    table = _table(alpha, scheme)
+    table = _Scope(alpha, scheme)
     c0, c = table.c0, table.interior(n_steps).astype(ld)
     tail = np.concatenate(([-1.0], _tail_weights(alpha, 2, n_steps + 1)))
     tail[1:2] -= table.z
@@ -352,7 +353,6 @@ def test_leaves_fit_the_grid(n_steps, monkeypatch):
             hand_offs.append(len(x))
         return real(x, spectrum, start, x_spectrum)
     monkeypatch.setattr(caputo, "_convolve", convolve)
-    _table.cache_clear()    # so the weights' transforms are taken here
     _march(0.5, Scheme.L1, 1.0 / n_steps, 1.0, 1.0, np.ones(n_steps + 1),
            np.empty(n_steps + 1))
     assert all(is_5_smooth(n) for n in lengths)
@@ -390,25 +390,29 @@ def test_leaf_is_the_least_5_smooth_size_that_covers_its_share(columns):
 
 @pytest.mark.parametrize("scheme", [Scheme.L1, Scheme.MODIFIED_L1])
 def test_repeated_solves_compute_no_weight_transform(scheme, monkeypatch):
-    """Each weight transform a march takes is the table's to keep: the
-    same solve again, or a step-halving ladder again, finds every one."""
-    misses = []
+    """Within one scope each weight transform is taken once: a study's rungs
+    share them, and the same solve again, or a step-halving ladder again,
+    finds every one."""
+    transforms = []
 
-    def spectrum(self, width, real=_WeightTable.spectrum):
+    def spectrum(self, width, real=_Scope.spectrum):
         if width not in self._spectra:
-            misses.append(width)
+            transforms.append(width)
         return real(self, width)
-    monkeypatch.setattr(_WeightTable, "spectrum", spectrum)
-    ladder = [20 * 2 ** k for k in range(12)]
-    for solves in ([40960], ladder):
-        _table.cache_clear()
-        for n_steps in solves:
-            SOLVERS["relaxation"][scheme](relaxation_problem(0.5, n_steps))
-        assert misses
-        misses.clear()
-        for n_steps in solves:
-            SOLVERS["relaxation"][scheme](relaxation_problem(0.5, n_steps))
-        assert misses == []
+    monkeypatch.setattr(_Scope, "spectrum", spectrum)
+    run_relaxation_study(problems.relaxation_family("r12"), scheme,
+                         Ladder(0.05, 12))
+    assert transforms and len(set(transforms)) == len(transforms)
+    for solves in ([40960], [20 * 2 ** k for k in range(12)]):
+        transforms.clear()
+        with _solving(0.5, scheme):
+            for n_steps in solves:
+                SOLVERS["relaxation"][scheme](relaxation_problem(0.5, n_steps))
+            assert transforms
+            transforms.clear()
+            for n_steps in solves:
+                SOLVERS["relaxation"][scheme](relaxation_problem(0.5, n_steps))
+            assert transforms == []
 
 
 def test_solves_create_no_reference_cycles():
@@ -471,28 +475,29 @@ def test_corrected_subdiffusion_peak_memory(solve):
 
 def scalar_march_peak(cold, pid="r11", scheme=Scheme.L1, n_steps=40960):
     """Traced peak over the result's size of a solve of problem `pid` with
-    `scheme` at N = n_steps, after a first solve, from an empty weight table
-    where cold is true."""
+    `scheme` at N = n_steps after a first one: a lone solve where cold is
+    true, else the second solve inside one open scope."""
     family = problems.relaxation_family(pid)
     problem = RelaxationProblem(family.alpha, family.B, family.forcing,
                                 family.y0, T=1.0, h=1.0 / n_steps)
-    relaxation.solve(problem, scheme)     # first calls may set up caches
-    if cold:
-        _table.cache_clear()
-    tracemalloc.start()
-    try:
-        values = relaxation.solve(problem, scheme).values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with (contextlib.nullcontext() if cold else
+          _solving(problem.alpha, scheme)):
+        # first calls may set up caches; in a scope, it fills the scope
+        relaxation.solve(problem, scheme)
+        tracemalloc.start()
+        try:
+            values = relaxation.solve(problem, scheme).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     return peak / values.nbytes
 
 
 def test_scalar_march_peak_memory():
     """A scalar march writes its levels over the forcing samples, builds
     its right-hand sides one leaf of rows at a time and holds the transforms
-    of one history hand-off at a time; the weights and their spectra by
-    block width are in the (alpha, scheme) table from the first call.  At
+    of one history hand-off at a time; inside a scope, the weights and
+    their spectra by block width are the scope's from the first solve.  At
     N = 40960, 32 leaves of 1280 levels, the widest hand-off transforms
     40960 points and the traced peak is about 3.07 times the result, as is
     the forcing's evaluation (grid, sum and one term); one more array of all
@@ -502,24 +507,23 @@ def test_scalar_march_peak_memory():
 
 
 def test_scalar_march_peak_memory_from_an_empty_table():
-    """The first solve at an (alpha, scheme) in a process builds its
-    weights, 4096 at a time into one new array, and their spectra by block
-    width, all of them full-width and kept: at N = 40960 a traced peak about
-    6.13 times the result.  One more array of all levels held by the
-    weights or the transforms would push it past 6.6; weights computed in
-    one piece and appended by concatenation read 8.01."""
+    """A lone solve builds its weights, 4096 at a time into one new array,
+    and their spectra by block width, all of them full-width and kept until
+    it returns: at N = 40960 a traced peak about 6.13 times the result.
+    One more array of all levels held by the weights or the transforms
+    would push it past 6.6; weights computed in one piece and appended by
+    concatenation read 8.01."""
     assert scalar_march_peak(cold=True) <= 6.6
 
 
 def test_scalar_march_peak_memory_past_the_kept_levels():
-    """Past 2^16 levels the table keeps no weights: the march computes its
+    """Past 2^16 levels a scope keeps no weights: the march computes its
     own and drops them once its right-hand sides are built, and each
-    hand-off wider than 2^15 computes its own.  An r12 ML1 solve at
-    N = 2^18 from an empty table reads about 4.8 times the result; one more
-    array of all levels, such as the march's weights held through the
-    hand-offs (5.77), would push it past 5.3.  Weights computed in one
-    piece, a separate result and a full-length right-hand side temporary
-    read 8.27."""
+    hand-off wider than 2^15 computes its own.  A lone r12 ML1 solve at
+    N = 2^18 reads about 4.8 times the result; one more array of all
+    levels, such as the march's weights held through the hand-offs (5.77),
+    would push it past 5.3.  Weights computed in one piece, a separate
+    result and a full-length right-hand side temporary read 8.27."""
     assert scalar_march_peak(True, "r12", Scheme.MODIFIED_L1, 1 << 18) <= 5.3
 
 
