@@ -109,28 +109,22 @@ def _study(family, scheme: Scheme, ladder: Ladder, corrected: bool,
     (alpha, scheme), so they share its weights and their transforms, and
     every rung marches one scalar state, whose leaf matrices differ only in
     their diagonal and size: one batched inversion, computed before the
-    first rung, serves them all, each rung with the bits of its own.  The
-    scope is dropped when the loop ends or a rung raises."""
+    first rung, serves them all, each rung with the bits of its own.  Where
+    some rung's step makes no grid there is no batch, and that rung's solve
+    makes its refusal in its turn.  The scope is dropped when the loop ends
+    or a rung raises."""
     if corrected and m is None:
         m = relaxation.choose_m(family.alpha)
     degree = m if corrected else None
     steps = [2.0 * ladder.base_step] + ladder.steps()
-    with _solving(family.alpha, scheme, _marches(family, steps)):
+    try:
+        marches = [family._rate(step) for step in steps]
+    except (TypeError, ValueError, MemoryError):
+        marches = ()
+    with _solving(family.alpha, scheme, marches):
         errors = [family.error(family.solve(step, scheme, degree))
                   for step in steps]
     return _chain_orders(steps, errors)
-
-
-def _marches(family, steps) -> list:
-    """(h, B, N) of each rung's scalar march, but for a rung whose step
-    makes no grid: its solve makes that refusal, in its turn."""
-    marches = []
-    for step in steps:
-        try:
-            marches.append(family._rate(step))
-        except (TypeError, ValueError, MemoryError):
-            pass
-    return marches
 
 
 def run_relaxation_study(family: RelaxationFamily, scheme: Scheme,

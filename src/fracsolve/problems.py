@@ -63,10 +63,7 @@ class RelaxationFamily:
         None, else the corrected solver of degree m, which applies to the
         homogeneous problem with y0 = 1 only."""
         if m is None:
-            problem = RelaxationProblem(alpha=self.alpha, B=self.B,
-                                        forcing=self.forcing, y0=self.y0,
-                                        T=self.T, h=step)
-            return relaxation.solve(problem, scheme)
+            return relaxation.solve(self._problem(step), scheme)
         if self.forcing is not None or self.y0 != 1.0:
             raise ValueError(
                 f"correction applies to the homogeneous problem only, "
@@ -74,12 +71,17 @@ class RelaxationFamily:
         return relaxation.solve_corrected(self.alpha, self.B, m, self.T,
                                           step, scheme)
 
+    def _problem(self, step: float) -> RelaxationProblem:
+        """The problem of the rung of step `step`; the corrected solver
+        marches its remainder on the same grid at the same rate."""
+        return RelaxationProblem(alpha=self.alpha, B=self.B,
+                                 forcing=self.forcing, y0=self.y0, T=self.T,
+                                 h=step)
+
     def _rate(self, step: float) -> tuple:
         """(h, B, N) of the scalar march that `solve(step, scheme, m)` runs,
         plain or corrected; ValueError where the step makes no grid."""
-        return relaxation._rate(RelaxationProblem(
-            alpha=self.alpha, B=self.B, forcing=self.forcing, y0=self.y0,
-            T=self.T, h=step))
+        return relaxation._rate(self._problem(step))
 
     def error(self, series: TimeSeries) -> float:
         """Maximum of |exact(x_n) - v_n| over the grid nodes n >= 1 (node 0
@@ -104,29 +106,26 @@ class SubdiffusionFamily:
         default N = 3 M (h = pi step / (3 T)): the plain scheme when m is
         None, else the corrected solver of degree m.  T / step must be a
         whole number of steps by the rule of `RelaxationProblem`."""
-        M, N = self._grid(step, N)
+        problem = self._problem(step, N)
         if m is None:
-            problem = SubdiffusionProblem(alpha=self.alpha, N=N, M=M, T=self.T,
-                                          initial=SineMode(1))
             return subdiffusion.solve(problem, scheme)
-        return subdiffusion.solve_corrected(self.alpha, m, self.T, N, M, scheme)
+        return subdiffusion.solve_corrected(self.alpha, m, self.T, problem.N,
+                                            problem.M, scheme)
 
-    def _grid(self, step: float, N: int | None) -> tuple:
-        """(M, N): M = T / step time levels, N = 3 M space intervals by
-        default."""
+    def _problem(self, step: float, N: int | None = None) -> SubdiffusionProblem:
+        """The problem of the rung of step `step`: M = T / step time levels,
+        N = 3 M space intervals by default."""
         # the grid's width is N + 1 space nodes
         width = 3.0 * self.T / step + 1.0 if N is None else N + 1
         M = relaxation._whole_steps(self.T, step, "tau", width)
-        return M, 3 * M if N is None else N
+        return SubdiffusionProblem(alpha=self.alpha, N=3 * M if N is None else N,
+                                   M=M, T=self.T, initial=SineMode(1))
 
     def _rate(self, step: float) -> tuple:
         """(h, B, N) of the scalar march of the mode sin(x) that
         `solve(step, scheme, m)` runs at N = 3 M, plain or corrected;
         ValueError where the step makes no grid."""
-        M, N = self._grid(step, None)
-        return relaxation._rate(RelaxationProblem(
-            alpha=self.alpha, B=subdiffusion._mode_rates(N, 1), forcing=None,
-            y0=1.0, T=self.T, h=self.T / M))
+        return relaxation._rate(subdiffusion._mode_march(self._problem(step)))
 
     def error(self, solution: SpaceTimeSolution) -> float:
         """Maximum error over the interior space nodes at the final time."""

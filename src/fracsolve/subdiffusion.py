@@ -14,6 +14,7 @@ Taylor expansion of the time factor from the scalar march restores them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,13 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SineMode:
-    """Initial profile sin(k x)."""
+    """Initial profile sin(k x); the mode number k is a positive integer, by
+    the rule of `Ladder.levels`."""
 
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"mode number must be >= 1, got {self.k}")
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"mode number must be an integer >= 1, got {k!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +226,7 @@ class SpaceTimeSolution:
 
     @property
     def t(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.tau
+        return relaxation._grid(self.values.shape[0], self.tau)
 
     @property
     def final(self) -> np.ndarray:
@@ -233,9 +236,9 @@ class SpaceTimeSolution:
 def _advance(problem: SubdiffusionProblem, scheme: Scheme,
              m: int | None = None) -> SpaceTimeSolution:
     """Time-step the problem by the one path for its initial profile: a
-    `SineMode(k)` is sin(k x_j) times one scalar relaxation march at rate B_k
-    (with a degree m, the corrected march of `solve_corrected`), and a
-    `Sampled` profile marches its DST-I modes together as one vector state."""
+    `SineMode(k)` is sin(k x_j) times the scalar march of `_mode_march`
+    (with a degree m, plus the Taylor polynomial), and a `Sampled` profile
+    marches its DST-I modes together as one vector state."""
     N, M, tau = problem.N, problem.M, problem.tau
     values = np.zeros((M + 1, N + 1))
     if isinstance(problem.initial, Sampled):
@@ -251,14 +254,22 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme,
         # the transform round trip is not exact; level 0 is the given data
         u[0] = u0
         return SpaceTimeSolution(problem.h, tau, values)
-    k, alpha, T = problem.initial.k, problem.alpha, problem.T
-    march = (relaxation.RelaxationProblem(alpha, 1.0, None, 1.0, T, tau)
-             if m is None else relaxation.corrected_problem(alpha, 1.0, m, T, tau))
-    z = relaxation.solve(replace(march, B=_mode_rates(N, k)), scheme)
+    k, z = problem.initial.k, relaxation.solve(_mode_march(problem, m), scheme)
     series = (z.values if m is None else
-              z.values + relaxation.taylor_poly(alpha, 1.0, m, z.x))
+              z.values + relaxation.taylor_poly(problem.alpha, 1.0, m, z.x))
     np.multiply.outer(series, np.sin(k * space_nodes(N)[1:-1]), out=values[:, 1:-1])
     return SpaceTimeSolution(problem.h, tau, values)
+
+
+def _mode_march(problem: SubdiffusionProblem,
+                m: int | None = None) -> relaxation.RelaxationProblem:
+    """The scalar march of a `SineMode(k)` problem: at the rate B_k, from 1,
+    or with a degree m the remainder march of `solve_corrected`, from 0.
+    A convergence ladder takes its rungs' (h, B, N) from it too."""
+    alpha, T, tau = problem.alpha, problem.T, problem.tau
+    march = (relaxation.RelaxationProblem(alpha, 1.0, None, 1.0, T, tau)
+             if m is None else relaxation.corrected_problem(alpha, 1.0, m, T, tau))
+    return replace(march, B=_mode_rates(problem.N, problem.initial.k))
 
 
 def solve(problem: SubdiffusionProblem, scheme: Scheme) -> SpaceTimeSolution:
@@ -278,9 +289,9 @@ def solve_ml1(problem: SubdiffusionProblem) -> SpaceTimeSolution:
 
 def exact_single_mode(alpha: float, k: int, x, t: float):
     """Separated solution sin(k x) E_alpha(-k^2 t^alpha) of the homogeneous
-    problem with initial profile sin(k x)."""
-    if k < 1:
-        raise ValueError(f"mode number must be >= 1, got {k}")
+    problem with initial profile sin(k x) of a mode number k that `SineMode`
+    takes."""
+    SineMode(k)
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= 0.0) & (xa <= math.pi)):
         raise ValueError("x must lie in [0, pi]")

@@ -129,10 +129,10 @@ def march(alpha, scheme, n):
 
 
 class TestWeightTable:
-    """Every march at one (alpha, scheme) in one scope reads one table of
-    weights and history-weight transforms, which grows by the levels it
-    lacks.  What it hands out must not depend on which solves grew it, or
-    in what order, and none of it outlives the scope."""
+    """Every march at one (alpha, scheme) in one solve scope reads the
+    scope's weights and history-weight transforms, which grow by the levels
+    they lack.  What the scope hands out must not depend on which solves
+    grew it, or in what order, and none of it outlives the scope."""
 
     SIZES = [2, 3, 5, 64, 1000, 1025, 4097]
 
@@ -140,6 +140,8 @@ class TestWeightTable:
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
     @pytest.mark.parametrize("order", ["rising", "falling", "random"])
     def test_rows_match_a_fresh_table(self, order, alpha, scheme):
+        """One scope grown in each order hands out the interior weights of
+        a fresh scope, bit for bit."""
         sizes = {"rising": self.SIZES, "falling": self.SIZES[::-1],
                  "random": np.random.default_rng(5).permutation(self.SIZES)}
         scope = _Scope(alpha, scheme)
@@ -221,7 +223,7 @@ class TestWeightTable:
             assert held._spectra.keys() == _Scope(0.5, Scheme.L1,
                                                   marches)._spectra.keys()
 
-    def test_tables_hold_no_reference_cycle(self):
+    def test_scopes_hold_no_reference_cycle(self):
         gc.collect()
         gc.disable()
         try:

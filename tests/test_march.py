@@ -3,8 +3,9 @@
 The solvers carry the nonlocal history sum across blocks of levels by FFT
 convolution and solve each leaf of levels with its Toeplitz inverse.  The
 oracle here marches level by level with the public weight rows, summing the
-history directly, so every level's row, tail and modified-L1 shift come from
-`l1_weights` / `ml1_weights` alone.
+history directly: the interior weights and the modified-L1 shifts come from
+`l1_weights` / `ml1_weights` of the last level and of levels 1 and 2, and
+every other level's final weight from `_tail_weights`.
 """
 
 import contextlib
@@ -37,14 +38,25 @@ def weight_row(alpha, scheme, n):
     return l1_weights(alpha, n).weights
 
 
+def weight_rows(alpha, scheme, N):
+    """The weight rows of levels 1..N.  Levels 1 and 2 are public rows
+    whole: the modified scheme's level 1 is the L1 row, and its level 2
+    shifts the final weight.  Every later level n shares its first n weights
+    with the public row of level N and ends in its own final weight, so the
+    interior weights are computed once, not once per level."""
+    last, tails = weight_row(alpha, scheme, N), _tail_weights(alpha, 3, N + 1)
+    for n in range(1, N + 1):
+        yield (weight_row(alpha, scheme, n) if n <= 2 else
+               np.append(last[:n], tails[n - 3]))
+
+
 def direct_relaxation(problem, scheme):
     alpha, B, h, N = problem.alpha, problem.B, problem.h, problem.n_steps
     gha = math.gamma(2.0 - alpha) * h ** alpha
     F = problem.forcing(np.arange(N + 1) * h)
     v = np.empty(N + 1)
     v[0] = problem.y0
-    for n in range(1, N + 1):
-        w = weight_row(alpha, scheme, n)
+    for n, w in enumerate(weight_rows(alpha, scheme, N), 1):
         hist = w[1:] @ v[n - 1::-1]
         v[n] = (gha * F[n] - hist) / (w[0] + B * gha)
     return v
@@ -64,8 +76,7 @@ def direct_subdiffusion(problem, scheme, source=None):
         V[0] = np.sin(problem.initial.k * x)
     else:
         V[0] = problem.initial.values[1:-1]
-    for m in range(1, M + 1):
-        w = weight_row(alpha, scheme, m)
+    for m, w in enumerate(weight_rows(alpha, scheme, M), 1):
         rhs = -(w[1:] @ V[m - 1::-1])
         if source is not None:
             rhs += scale * source[m]
@@ -187,10 +198,10 @@ def test_leaf_inverse_matches_dense_solve(leaf, columns, alpha, lam):
     each column must still solve its triangular Toeplitz matrix against
     e_0.  160, 1250 and 1280 are leaf sizes the march takes, 5-smooth but
     no power of two."""
-    table = _Scope(alpha, Scheme.MODIFIED_L1)
-    interior = table.interior(leaf + 1)
-    diagonal = table.c0 + lam * np.arange(1.0, columns + 1)
-    got = _leaf_inverse(table.spectrum, diagonal, leaf)
+    scope = _Scope(alpha, Scheme.MODIFIED_L1)
+    interior = scope.interior(leaf + 1)
+    diagonal = scope.c0 + lam * np.arange(1.0, columns + 1)
+    got = _leaf_inverse(scope.spectrum, diagonal, leaf)
     assert got.shape == (leaf, columns)
     c = np.concatenate(([0.0], interior[:leaf - 1]))
     lags = np.subtract.outer(np.arange(leaf), np.arange(leaf))
@@ -213,12 +224,12 @@ def test_batched_leaf_inverse_keeps_each_columns_bits(alpha, scheme):
     its lone inverse, and zeros past its leaf: a column leaves the
     doubling at its leaf, and its entries past the leaf are zeroed before
     they would enter a convolution."""
-    table = _Scope(alpha, scheme)
-    diagonal = table.c0 + np.geomspace(1e3, 1e-3, len(BATCH_LEAVES))
-    got = _leaf_inverse(table.spectrum, diagonal, BATCH_LEAVES)
+    scope = _Scope(alpha, scheme)
+    diagonal = scope.c0 + np.geomspace(1e3, 1e-3, len(BATCH_LEAVES))
+    got = _leaf_inverse(scope.spectrum, diagonal, BATCH_LEAVES)
     assert got.shape == (BATCH_LEAVES[0], len(BATCH_LEAVES))
     for j, leaf in enumerate(BATCH_LEAVES):
-        lone = _leaf_inverse(table.spectrum, diagonal[j:j + 1], leaf)
+        lone = _leaf_inverse(scope.spectrum, diagonal[j:j + 1], leaf)
         np.testing.assert_array_equal(got[:leaf, j], lone[:, 0])
         assert np.all(got[leaf:, j] == 0.0)
 
@@ -230,12 +241,12 @@ def test_longer_leaf_inverse_starts_with_the_shorter_one(alpha, scheme):
     invert the L x L leaf matrix, up to roundoff, since both matrices are
     lower-triangular Toeplitz with the same first L entries.  The worst
     seen is 1.6 eps of the largest entry, at alpha = 0.95."""
-    table = _Scope(alpha, scheme)
+    scope = _Scope(alpha, scheme)
     for lam in (1e-3, 1.0, 1e3):
-        diagonal = np.array([table.c0 + lam])
-        longer = _leaf_inverse(table.spectrum, diagonal, 1280)
+        diagonal = np.array([scope.c0 + lam])
+        longer = _leaf_inverse(scope.spectrum, diagonal, 1280)
         for leaf in BATCH_LEAVES[2:]:
-            want = _leaf_inverse(table.spectrum, diagonal, leaf)
+            want = _leaf_inverse(scope.spectrum, diagonal, leaf)
             scale = np.max(np.abs(want))
             assert (np.max(np.abs(longer[:leaf] - want))
                     <= 4.0 * np.finfo(float).eps * scale)
@@ -249,10 +260,10 @@ def long_double_march(alpha, scheme, h, v0, B, F):
     solves for v - v_0 and never reads a final weight."""
     ld = np.longdouble
     n_steps = len(F) - 1
-    table = _Scope(alpha, scheme)
-    c0, c = table.c0, table.interior(n_steps).astype(ld)
+    scope = _Scope(alpha, scheme)
+    c0, c = scope.c0, scope.interior(n_steps).astype(ld)
     tail = np.concatenate(([-1.0], _tail_weights(alpha, 2, n_steps + 1)))
-    tail[1:2] -= table.z
+    tail[1:2] -= scope.z
     tail = tail.astype(ld)
     gha = ld(math.gamma(2.0 - alpha) * h ** alpha)
     lam = np.asarray(B, dtype=ld) * gha
@@ -506,7 +517,7 @@ def test_scalar_march_peak_memory():
     assert scalar_march_peak(cold=False) <= 3.4
 
 
-def test_scalar_march_peak_memory_from_an_empty_table():
+def test_scalar_march_peak_memory_of_a_lone_solve():
     """A lone solve builds its weights, 4096 at a time into one new array,
     and their spectra by block width, all of them full-width and kept until
     it returns: at N = 40960 a traced peak about 6.13 times the result.

@@ -240,6 +240,23 @@ class TestExactSingleMode:
             exact_single_mode(0.5, 0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5, 1.0, math.nan, True, "2"],
+                         ids=repr)
+def test_mode_numbers_are_positive_integers(k):
+    """sin(1.5 x) is no eigenvector of the second difference and does not
+    vanish at x = pi, and sin(True x) is no mode: each is refused, by the
+    rule of `Ladder.levels`."""
+    with pytest.raises(ValueError, match="mode number must be an integer"):
+        SineMode(k)
+    with pytest.raises(ValueError, match="mode number must be an integer"):
+        exact_single_mode(0.5, k, math.pi, 0.0)
+
+
+def test_numpy_integer_modes_are_accepted():
+    assert SineMode(np.int64(2)) == SineMode(2)
+    assert exact_single_mode(0.5, np.int64(2), 0.7, 0.0) == math.sin(1.4)
+
+
 class TestSineTransform:
     """The orthonormal DST-I behind the sine-mode march."""
 
