@@ -73,8 +73,6 @@ class CoefficientRow:
     the plain L1 scheme c_0 = 1 with strictly negative trailing weights.
     """
 
-    alpha: float
-    n: int
     weights: np.ndarray
 
     def __post_init__(self):
@@ -244,7 +242,7 @@ def _row(alpha: float, scheme: Scheme, n: int) -> CoefficientRow:
     final = -1.0 if n == 1 else _tail_weights(alpha, n, n + 1)[0]
     if n == 2:
         final -= scope.z
-    return CoefficientRow(alpha, n, np.concatenate(
+    return CoefficientRow(np.concatenate(
         ([scope.c0], scope.interior(n), [final])))
 
 

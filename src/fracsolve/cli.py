@@ -25,7 +25,7 @@ from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
 from .relaxation import choose_m
 from .specfun import mittag_leffler
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["run", "main"]
 
 
 def _positive(text: str) -> float:
@@ -56,7 +56,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsolve",
         description="Fractional relaxation and subdiffusion solvers "
@@ -208,7 +208,7 @@ def _cmd_converge(args) -> int:
 
 def run(argv=None) -> int:
     """Parse argv and dispatch; returns the process exit status."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,7 +10,6 @@ render to csv (the stable contract), markdown, or json-lines.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 # errors at roundoff level carry no rate information; their orders stay blank
-ORDER_FLOOR = 1e-12
+_ORDER_FLOOR = 1e-12
 
 _FORMATS = ("csv", "markdown", "jsonl")
 
@@ -53,8 +52,7 @@ class Ladder:
         if not 0.0 < self.base_step < math.inf:
             raise ValueError(
                 f"base_step must be positive and finite, got {self.base_step}")
-        if (isinstance(self.levels, bool)
-                or not isinstance(self.levels, numbers.Integral)):
+        if not relaxation._integer(self.levels):
             raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 2:
             raise ValueError(f"need at least 2 levels, got {self.levels}")
@@ -97,7 +95,7 @@ def _chain_orders(steps, errors) -> ConvergenceReport:
     rows = []
     for i in range(1, len(steps)):
         ec, ef = errors[i - 1], errors[i]
-        order = estimate_order(ec, ef) if min(ec, ef) > ORDER_FLOOR else None
+        order = estimate_order(ec, ef) if min(ec, ef) > _ORDER_FLOOR else None
         rows.append(ReportRow(steps[i], ef, order))
     return ConvergenceReport(tuple(rows))
 
@@ -113,16 +111,17 @@ def _study(family, scheme: Scheme, ladder: Ladder, corrected: bool,
     some rung's step makes no grid there is no batch, and that rung's solve
     makes its refusal in its turn.  The scope is dropped when the loop ends
     or a rung raises."""
+    if m is not None and not corrected:
+        raise ValueError(f"a degree m = {m} needs corrected=True")
     if corrected and m is None:
         m = relaxation.choose_m(family.alpha)
-    degree = m if corrected else None
     steps = [2.0 * ladder.base_step] + ladder.steps()
     try:
         marches = [family._rate(step) for step in steps]
     except (TypeError, ValueError, MemoryError):
         marches = ()
     with _solving(family.alpha, scheme, marches):
-        errors = [family.error(family.solve(step, scheme, degree))
+        errors = [family.error(family.solve(step, scheme, m))
                   for step in steps]
     return _chain_orders(steps, errors)
 
@@ -135,7 +134,8 @@ def run_relaxation_study(family: RelaxationFamily, scheme: Scheme,
     Each row's error is the maximum of |exact(x_n) - computed_n| over all
     grid nodes n >= 1 (node 0 is exact by construction).  With corrected=True
     the singularity-corrected solver runs instead, which requires the
-    homogeneous family; m defaults to the smallest valid degree.
+    homogeneous family; m defaults to the smallest valid degree, and is
+    refused without corrected=True.
     """
     if ladder.coupling is not Coupling.NONE:
         raise ValueError("relaxation ladders do not couple step sizes")
@@ -151,7 +151,8 @@ def run_subdiffusion_study(family: SubdiffusionFamily, scheme: Scheme,
     Each row's error is the maximum over interior space nodes at the final
     time.  The base step and its halvings must divide T into whole steps.
     With corrected=True the singularity-corrected solver of degree m runs
-    instead; m defaults to the smallest valid degree.
+    instead; m defaults to the smallest valid degree, and is refused
+    without corrected=True.
     """
     if ladder.coupling is not Coupling.SPACE_FROM_TIME:
         raise ValueError("subdiffusion ladders require the h = pi tau / 3 coupling")

@@ -11,6 +11,7 @@ polynomial would cancel to roundoff at T is refused.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -73,6 +74,13 @@ def _four_digits(count) -> str:
         # imported here: no other path needs it
         from decimal import Context, Decimal
         return f"{Decimal(count).normalize(Context(prec=4)):g}"
+
+
+def _integer(value) -> bool:
+    """Whether value is a Python or numpy integer and not a bool: the rule
+    of every count that the API takes, such as N, M, a mode number or a
+    ladder's levels."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _whole_steps(T: float, step: float, name: str = "h", width=None) -> int:
@@ -193,12 +201,6 @@ def _check_B(B: float) -> None:
         raise ValueError(f"B must be positive and finite, got {B}")
 
 
-# the polynomial is the first m + 1 terms of the E_alpha series, so a degree
-# past the series' term budget is refused; the smallest valid degree
-# 2 / alpha reaches it at alpha = 2e-4, and the sum costs m + 1 array passes
-_MAX_DEGREE = _SERIES_MAX_TERMS
-
-
 def taylor_poly(alpha: float, B: float, m: int, x):
     """Fractional Taylor polynomial sum_{n=0}^m (-B x^alpha)^n / Gamma(alpha n + 1).
 
@@ -208,8 +210,8 @@ def taylor_poly(alpha: float, B: float, m: int, x):
     """
     _check_alpha(alpha)
     _check_B(B)
-    if not 1 <= m <= _MAX_DEGREE:
-        raise ValueError(f"m must lie in [1, {_MAX_DEGREE}], got {m}")
+    if not 1 <= m <= _SERIES_MAX_TERMS:
+        raise ValueError(f"m must lie in [1, {_SERIES_MAX_TERMS}], got {m}")
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= 0.0) & (xa < math.inf)):
         raise ValueError("x must be finite and >= 0")
@@ -223,14 +225,16 @@ def choose_m(alpha: float) -> int:
     would exceed 10 000 is refused (beyond 2^53 a step of m would not even
     change m * alpha)."""
     _check_alpha(alpha)
-    if _MAX_DEGREE * alpha < 2.0:
+    if _SERIES_MAX_TERMS * alpha < 2.0:
         raise ValueError(
-            f"alpha = {alpha} needs a degree above {_MAX_DEGREE}")
-    m = max(1, math.ceil(2.0 / alpha))
+            f"alpha = {alpha} needs a degree above {_SERIES_MAX_TERMS}")
+    # ceil of the rounded 2 / alpha can fall one short, as at alpha =
+    # 0.39999999999999997, but never over: j alpha rounding up to 2 for the
+    # j below it would need 2 / alpha within j 2^-54 of j, which rounds
+    # 2 / alpha to j itself for every j < 2^53
+    m = math.ceil(2.0 / alpha)
     while m * alpha < 2.0:
         m += 1
-    while m > 1 and (m - 1) * alpha >= 2.0:
-        m -= 1
     return m
 
 

@@ -37,18 +37,7 @@ _SERIES_MAX_TERMS = 10_000
 
 
 class ConvergenceError(ArithmeticError):
-    """A series or quadrature failed to converge.
-
-    Attributes:
-        partial_sum: the partial result accumulated before giving up,
-            or None when no meaningful partial value exists.
-        terms_used: number of series terms consumed, when applicable.
-    """
-
-    def __init__(self, message, partial_sum=None, terms_used=None):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.terms_used = terms_used
+    """A series or quadrature failed to converge; the message says where."""
 
 
 def _eta(t: float) -> float:
@@ -156,8 +145,7 @@ def _ml_series(alpha: float, beta: float, x: np.ndarray,
         if not abs(step) < math.inf:
             raise ConvergenceError(
                 f"Mittag-Leffler term or sum overflows at n={n} for "
-                f"alpha={alpha}, beta={beta}, x={sign * top}",
-                partial_sum=total, terms_used=n)
+                f"alpha={alpha}, beta={beta}, x={sign * top}")
         coeffs.append(c)
         total = step
         if degree is None and c <= _SERIES_REL_TOL * abs(total):
@@ -167,7 +155,7 @@ def _ml_series(alpha: float, beta: float, x: np.ndarray,
             raise ConvergenceError(
                 f"Mittag-Leffler series did not converge within "
                 f"{_SERIES_MAX_TERMS} terms for alpha={alpha}, beta={beta}, "
-                f"x={sign * top}", partial_sum=total, terms_used=n)
+                f"x={sign * top}")
     u = x / top
     out = np.full_like(u, coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -351,6 +339,7 @@ def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):     # p^(1/alpha) for large s
         split[split] = np.exp(-peak[split] ** (1.0 / alpha)) != 0.0
     value = np.empty_like(s)
+    rules = []      # the quadrature levels that the integrals reach
     for near_peak in (False, True):
         cols = split == near_peak
         if cols.any():
@@ -358,7 +347,7 @@ def _ml_neg_spectral(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
                 functools.partial(integrand, near_peak, s[cols], peak[cols],
                                   width[cols]),
                 int(cols.sum()),
-                f"spectral integral of E_{{{alpha},{beta}}}(-s)")
+                f"spectral integral of E_{{{alpha},{beta}}}(-s)", rules)
     return value / (alpha * math.pi)
 
 
@@ -433,23 +422,25 @@ def _de_rule(level: int) -> _DERule:
     return _DERule(h, *(r[None, :] for r in rows))
 
 
-_DE_RULES = tuple(_de_rule(level) for level in range(_DE_LEVELS + 1))
-
-
-def _de_integrate(integrand, n: int, what: str) -> np.ndarray:
+def _de_integrate(integrand, n: int, what: str, rules: list) -> np.ndarray:
     """n integrals at once by the nested double-exponential rules.
 
     integrand(rule, idx) returns, for the columns idx, the (len(idx), m)
     transformed integrand (weights included) at the m nodes of `rule`.
     Each level's sum is half the previous level's plus the new nodes' sum,
     and a column stops once two levels agree to _DE_AGREE times the integral
-    of its absolute value.  ConvergenceError if a column's last two levels
+    of its absolute value.  rules holds the levels built so far, and the
+    call appends the ones it reaches first, so that the integrals of one
+    caller share them.  ConvergenceError if a column's last two levels
     differ by more than _DE_FAIL.
     """
     value, size = np.zeros(n), np.zeros(n)
     change = np.zeros(n)
     cols = np.arange(n)
-    for level, rule in enumerate(_DE_RULES):
+    for level in range(_DE_LEVELS + 1):
+        if level == len(rules):
+            rules.append(_de_rule(level))
+        rule = rules[level]
         part, part_abs = np.empty(cols.size), np.empty(cols.size)
         block = max(1, _DE_BLOCK // rule.y.size)
         for i in range(0, cols.size, block):

@@ -14,7 +14,6 @@ Taylor expansion of the time factor from the scalar march restores them.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,13 +42,13 @@ __all__ = [
 @dataclass(frozen=True)
 class SineMode:
     """Initial profile sin(k x); the mode number k is a positive integer, by
-    the rule of `Ladder.levels`."""
+    the rule of `relaxation._integer`."""
 
     k: int
 
     def __post_init__(self):
         k = self.k
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        if not relaxation._integer(k) or k < 1:
             raise ValueError(f"mode number must be an integer >= 1, got {k!r}")
 
 
@@ -83,6 +82,10 @@ class SubdiffusionProblem:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+        for name in ("N", "M"):
+            value = getattr(self, name)
+            if not relaxation._integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 2:
             raise ValueError(f"need at least 2 space intervals, got N={self.N}")
         if self.M < 1:
@@ -210,10 +213,9 @@ def _mode_rates(N: int, k):
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeSolution:
-    """Grid values u(x_n, t_m): row m holds time level m, columns 0 and N are
-    the (identically zero) boundary."""
+    """Grid values u(x_n, t_m) at x_n = n pi/N and t_m = m tau: row m holds
+    time level m, columns 0 and N are the (identically zero) boundary."""
 
-    h: float
     tau: float
     values: np.ndarray
 
@@ -253,12 +255,12 @@ def _advance(problem: SubdiffusionProblem, scheme: Scheme,
             u[rows:rows + _DST_ROWS] = _dst(u[rows:rows + _DST_ROWS])
         # the transform round trip is not exact; level 0 is the given data
         u[0] = u0
-        return SpaceTimeSolution(problem.h, tau, values)
+        return SpaceTimeSolution(tau, values)
     k, z = problem.initial.k, relaxation.solve(_mode_march(problem, m), scheme)
     series = (z.values if m is None else
               z.values + relaxation.taylor_poly(problem.alpha, 1.0, m, z.x))
     np.multiply.outer(series, np.sin(k * space_nodes(N)[1:-1]), out=values[:, 1:-1])
-    return SpaceTimeSolution(problem.h, tau, values)
+    return SpaceTimeSolution(tau, values)
 
 
 def _mode_march(problem: SubdiffusionProblem,

@@ -282,6 +282,11 @@ class TestCaputoApply:
         for scheme in Scheme:
             assert abs(caputo_apply(y, 0.5, 0.1, scheme)) <= 1e-12
 
+    def test_rejects_two_dimensional_samples(self):
+        with pytest.raises(ValueError,
+                           match="^samples must be a one-dimensional sequence$"):
+            caputo_apply(np.zeros((3, 3)), 0.5, 0.1)
+
     def test_linear_ramp_reference_point(self):
         y = np.arange(11) * 0.1
         got = caputo_apply(y, 0.5, 0.1, Scheme.L1)

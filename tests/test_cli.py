@@ -308,6 +308,15 @@ class TestConverge:
     def test_alpha_rejected_for_fixed_problem(self, capsys):
         assert run(["converge", "--problem", "s2", "--alpha", "0.4"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--problem", "s2", "--B", "2"],
+         "fracsolve: problem 's2' does not take --B\n"),
+        (["--problem", "r11", "--levels", "1"],
+         "fracsolve: need at least 2 levels, got 1\n"),
+    ])
+    def test_refusal_messages(self, argv, message):
+        assert run_captured(["converge", *argv]) == (2, "", message)
+
     @pytest.mark.parametrize("argv, study", [
         (["--problem", "s2"],
          lambda: run_subdiffusion_study(
@@ -332,6 +341,11 @@ class TestUsageErrors:
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_alpha_outside_the_open_interval(self, capsys):
+        assert run(["relax", "--alpha", "1.5", "--h", "0.1"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --alpha: alpha must lie in (0, 1), got 1.5\n")
 
     @pytest.mark.parametrize("argv", [
         ["relax", "--alpha", "0.5", "--B", "nan", "--h", "0.25"],

@@ -92,6 +92,17 @@ class TestReport:
         with pytest.raises(ValueError):
             render_report(ConvergenceReport(()), "xml")
 
+    def test_rejects_negative_error(self):
+        with pytest.raises(ValueError, match="^max_error must be >= 0$"):
+            ConvergenceReport((ReportRow(0.1, -1e-3, None),))
+
+    def test_jsonl_blank_lines_are_skipped(self):
+        report = ConvergenceReport((ReportRow(0.1, 2e-3, None),
+                                    ReportRow(0.05, 5e-4, 2.0)))
+        lines = render_report(report, "jsonl").splitlines()
+        text = "\n" + lines[0] + "\n  \n" + lines[1] + "\n\n"
+        assert parse_report_jsonl(text) == report
+
 
 def constant_family():
     # y = 1 solves the problem exactly, so every level hits roundoff
@@ -146,6 +157,19 @@ class TestRelaxationStudy:
         with pytest.raises(ValueError):
             run_relaxation_study(relaxation_family("r11"), Scheme.L1,
                                  Ladder(0.05, 3, Coupling.SPACE_FROM_TIME))
+
+
+@pytest.mark.parametrize("study,family,ladder", [
+    (run_relaxation_study, relaxation_family("relax-mlexact", alpha=0.3),
+     Ladder(0.05, 3)),
+    (run_subdiffusion_study, subdiffusion_family("s03"),
+     Ladder(0.05, 2, Coupling.SPACE_FROM_TIME)),
+])
+def test_degree_without_correction_is_refused(study, family, ladder):
+    # the degree was dropped, and the plain ladder's report returned
+    with pytest.raises(ValueError,
+                       match=r"^a degree m = 7 needs corrected=True$"):
+        study(family, Scheme.L1, ladder, m=7)
 
 
 class TestSubdiffusionStudy:
@@ -302,6 +326,8 @@ def test_problem_registry_validation():
         relaxation_family("nope")
     with pytest.raises(ValueError):
         relaxation_family("r11", alpha=0.3)
+    with pytest.raises(ValueError, match=r"^problem 'r11' has fixed B = 1$"):
+        relaxation_family("r11", B=2.0)
     with pytest.raises(ValueError):
         relaxation_family("relax-mlexact")
     with pytest.raises(KeyError):

@@ -59,6 +59,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             RelaxationProblem(0.5, 0.0, None, 1.0, T=1.0, h=0.1)
 
+    def test_rejects_negative_interval(self):
+        with pytest.raises(ValueError, match=r"^T must be positive, got -1.0$"):
+            RelaxationProblem(0.5, 1.0, None, 1.0, T=-1.0, h=0.1)
+
     @pytest.mark.parametrize("field", ["B", "y0", "T", "h"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
@@ -149,18 +153,29 @@ class TestTaylorPoly:
         with pytest.raises(ValueError):
             taylor_poly(0.5, 1.0, 0, 1.0)
 
+    def test_rejects_negative_point(self):
+        with pytest.raises(ValueError, match=r"^x must be finite and >= 0$"):
+            taylor_poly(0.5, 1.0, 4, -1.0)
+
     def test_rejects_degree_past_series_budget(self):
         with pytest.raises(ValueError):
             taylor_poly(1e-6, 1.0, 10_001, 1.0)
 
 
 class TestChooseM:
-    @pytest.mark.parametrize("alpha,m", [(0.3, 7), (0.7, 3), (0.5, 4)])
+    # at 0.39999999999999997, 2 / alpha rounds to 5.0 and 5 alpha to
+    # 1.9999999999999998 < 2, so the degree is one above ceil(2 / alpha)
+    @pytest.mark.parametrize("alpha,m", [(0.3, 7), (0.7, 3), (0.5, 4),
+                                         (0.39999999999999997, 6)])
     def test_reference_degrees(self, alpha, m):
         assert choose_m(alpha) == m
 
     def test_minimality(self):
-        for alpha in np.arange(0.05, 1.0, 0.05):
+        # also within a dozen ulps of every alpha = 2 / j, where m alpha
+        # rounds nearest to 2: the search only steps up from ceil(2 / alpha)
+        near = [alpha for j in range(3, 400)
+                for alpha in 2.0 / j * (1.0 + np.arange(-6, 7) * 2.0 ** -52)]
+        for alpha in [*np.arange(0.05, 1.0, 0.05), *near]:
             m = choose_m(float(alpha))
             assert m * alpha >= 2.0
             assert (m - 1) * alpha < 2.0

@@ -187,6 +187,39 @@ class TestSolvers:
                 SubdiffusionProblem(alpha=0.5, N=8, M=4, T=T, initial=SineMode(1))
 
 
+@pytest.mark.parametrize("N,M,bad", [
+    (6.5, 4, "N must be an integer, got 6.5"),
+    (6.0, 4, "N must be an integer, got 6.0"),
+    (True, 4, "N must be an integer, got True"),
+    (6, 4.0, "M must be an integer, got 4.0"),
+    (6, True, "M must be an integer, got True"),
+], ids=repr)
+def test_grid_counts_are_integers(N, M, bad):
+    """A float N or M failed only in the solve, with numpy's bare TypeError,
+    and M = True solved one step: both counts follow the rule of
+    `SineMode` and `Ladder.levels`."""
+    with pytest.raises(ValueError) as info:
+        single_mode_problem(0.5, N, M)
+    assert str(info.value) == bad
+
+
+def test_numpy_integer_grid_counts_are_accepted():
+    problem = single_mode_problem(0.5, np.int64(6), np.int32(4))
+    assert np.array_equal(solve_l1(problem).values,
+                          solve_l1(single_mode_problem(0.5, 6, 4)).values)
+
+
+@pytest.mark.parametrize("N,M,initial,error,message", [
+    (1, 4, SineMode(1), ValueError, "need at least 2 space intervals, got N=1"),
+    (6, 0, SineMode(1), ValueError, "need at least 1 time step, got M=0"),
+    (6, 4, None, TypeError, "initial must be a SineMode or Sampled profile"),
+])
+def test_problem_refusals(N, M, initial, error, message):
+    with pytest.raises(error) as info:
+        SubdiffusionProblem(alpha=0.5, N=N, M=M, T=1.0, initial=initial)
+    assert str(info.value) == message
+
+
 class TestOnePathPerProfile:
     """A sine mode is one scalar march spread over the grid; only a sampled
     profile goes through the sine transform."""
@@ -238,6 +271,9 @@ class TestExactSingleMode:
             exact_single_mode(0.5, 1, -0.1, 1.0)
         with pytest.raises(ValueError):
             exact_single_mode(0.5, 0, 1.0, 1.0)
+        with pytest.raises(ValueError) as info:
+            exact_single_mode(0.5, 1, 1.0, -1.0)
+        assert str(info.value) == "t must be finite and >= 0, got -1.0"
 
 
 @pytest.mark.parametrize("k", [0, -1, 1.5, 1.0, math.nan, True, "2"],
@@ -245,7 +281,7 @@ class TestExactSingleMode:
 def test_mode_numbers_are_positive_integers(k):
     """sin(1.5 x) is no eigenvector of the second difference and does not
     vanish at x = pi, and sin(True x) is no mode: each is refused, by the
-    rule of `Ladder.levels`."""
+    rule of `Ladder.levels` and the grid counts."""
     with pytest.raises(ValueError, match="mode number must be an integer"):
         SineMode(k)
     with pytest.raises(ValueError, match="mode number must be an integer"):
