@@ -48,7 +48,8 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import ConvergenceError, zeta_unit_strip
+from .specfun import (ConvergenceError, _check_alpha, _check_positive, _count,
+                      _points, zeta_unit_strip)
 
 __all__ = [
     "Scheme",
@@ -77,11 +78,6 @@ class CoefficientRow:
 
     def __post_init__(self):
         self.weights.setflags(write=False)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 # Interior weights are computed this many at a time: each block's temporaries
@@ -249,8 +245,7 @@ def _row(alpha: float, scheme: Scheme, n: int) -> CoefficientRow:
 def l1_weights(alpha: float, n: int) -> CoefficientRow:
     """Weight row of the L1 scheme at time level n >= 1."""
     _check_alpha(alpha)
-    if n < 1:
-        raise ValueError(f"l1_weights requires n >= 1, got {n}")
+    _count("n", n, 1)
     return _row(alpha, Scheme.L1, n)
 
 
@@ -263,8 +258,7 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
     receives the shift there.  Level 1 has no index 2 and falls back to L1.
     """
     _check_alpha(alpha)
-    if n < 2:
-        raise ValueError(f"ml1_weights requires n >= 2, got {n}")
+    _count("n", n, 2)
     return _row(alpha, Scheme.MODIFIED_L1, n)
 
 
@@ -310,6 +304,12 @@ def _step_scale(alpha: float, h: float) -> float:
     return math.gamma(2.0 - alpha) * h ** alpha
 
 
+def _check_steps(scheme: Scheme, n_steps: int) -> None:
+    """The one step count rule of a march: the modified scheme needs two."""
+    if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
+        raise ValueError("the modified L1 scheme needs at least 2 steps")
+
+
 def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
            out: np.ndarray) -> np.ndarray:
     """March v^(alpha) + B v = F(x) from v0 with the L1 or modified-L1
@@ -347,8 +347,7 @@ def _march(alpha: float, scheme: Scheme, h: float, v0, B, F,
     exactly once before its leaf is solved.
     """
     n_steps = len(F) - 1
-    if scheme is Scheme.MODIFIED_L1 and n_steps < 2:
-        raise ValueError("the modified L1 scheme needs at least 2 steps")
+    _check_steps(scheme, n_steps)
     gha = _step_scale(alpha, h)
     lam = B * gha
     v0 = np.asarray(v0, dtype=float)
@@ -469,8 +468,7 @@ def caputo_apply(samples, alpha: float, h: float,
         raise ValueError("samples must be a one-dimensional sequence")
     if not np.all(np.isfinite(y)):
         raise ValueError("samples must be finite")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    _check_positive("h", h)
     weights = ml1_weights if scheme is Scheme.MODIFIED_L1 else l1_weights
     row = weights(alpha, y.size - 1)
     derivative = float(row.weights @ y[::-1]) / _step_scale(alpha, h)
@@ -486,11 +484,9 @@ def caputo_power_rule(p: float, alpha: float, x: float) -> float:
     Requires p > 0; at x = 0 the derivative is 0 for p > alpha, finite for
     p = alpha and divergent for p < alpha.
     """
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"caputo_power_rule requires a finite p > 0, got {p}")
+    _check_positive("p", p)
     _check_alpha(alpha)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"caputo_power_rule requires a finite x >= 0, got {x}")
+    _points("x", x)
     c = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
     if x == 0.0:
         if p > alpha:

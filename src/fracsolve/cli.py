@@ -11,7 +11,6 @@ runs out.
 """
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,23 +22,26 @@ from .caputo import Scheme
 from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
                       run_subdiffusion_study)
 from .relaxation import choose_m
-from .specfun import mittag_leffler
+from .specfun import _check_alpha, _check_positive, _count, mittag_leffler
 
 __all__ = ["run", "main"]
 
 
+def _usage(check, *args):
+    """The value that one of `specfun`'s input checks passes; its ValueError
+    becomes argparse's usage error, which names the option."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
-    return value
+    return _usage(_check_positive, "value", float(text))
 
 
 def _alpha_open(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {text}")
-    return value
+    return _usage(_check_alpha, float(text))
 
 
 def _alpha_closed(text: str) -> float:
@@ -50,10 +52,7 @@ def _alpha_closed(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+    return _usage(_count, "value", int(text), 1)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import relaxation
-from .caputo import Scheme, _solving
+from .caputo import Scheme, _check_steps, _solving
 from .problems import RelaxationFamily, SubdiffusionFamily
+from .specfun import _check_positive, _count
 
 __all__ = [
     "Coupling",
@@ -49,13 +50,8 @@ class Ladder:
     coupling: Coupling = Coupling.NONE
 
     def __post_init__(self):
-        if not 0.0 < self.base_step < math.inf:
-            raise ValueError(
-                f"base_step must be positive and finite, got {self.base_step}")
-        if not relaxation._integer(self.levels):
-            raise ValueError(f"levels must be an integer, got {self.levels!r}")
-        if self.levels < 2:
-            raise ValueError(f"need at least 2 levels, got {self.levels}")
+        _check_positive("base_step", self.base_step)
+        _count("levels", self.levels, 2)
 
     def steps(self) -> list[float]:
         return [self.base_step / 2 ** i for i in range(self.levels)]
@@ -85,8 +81,8 @@ class ConvergenceReport:
 
 def estimate_order(err_coarse: float, err_fine: float) -> float:
     """Empirical order log2(err_coarse / err_fine) for one step halving."""
-    if err_coarse <= 0.0 or err_fine <= 0.0:
-        raise ValueError("both errors must be positive")
+    _check_positive("err_coarse", err_coarse)
+    _check_positive("err_fine", err_fine)
     return math.log2(err_coarse / err_fine)
 
 
@@ -103,23 +99,31 @@ def _chain_orders(steps, errors) -> ConvergenceReport:
 def _study(family, scheme: Scheme, ladder: Ladder, corrected: bool,
            m: int | None) -> ConvergenceReport:
     """The one ladder loop: the family picks the solver and measures the
-    error.  The rungs run in one `caputo._solving` scope at the family's
-    (alpha, scheme), so they share its weights and their transforms, and
-    every rung marches one scalar state, whose leaf matrices differ only in
-    their diagonal and size: one batched inversion, computed before the
-    first rung, serves them all, each rung with the bits of its own.  Where
-    some rung's step makes no grid there is no batch, and that rung's solve
-    makes its refusal in its turn.  The scope is dropped when the loop ends
-    or a rung raises."""
+    error.  Every run's march is built before any run is solved, so a
+    study that is refused solves nothing.  A refusal of the extra coarse
+    run names h0 and 2 h0, unless the first rung makes it too, which then
+    refuses in its own words.  The rungs run in one `caputo._solving` scope
+    at the family's (alpha, scheme), so they share its weights and their
+    transforms, and every rung marches one scalar state, whose leaf
+    matrices differ only in their diagonal and size: one batched inversion,
+    computed before the first rung, serves them all, each rung with the
+    bits of its own.  The scope is dropped when the loop ends or a rung
+    raises."""
     if m is not None and not corrected:
         raise ValueError(f"a degree m = {m} needs corrected=True")
     if corrected and m is None:
         m = relaxation.choose_m(family.alpha)
     steps = [2.0 * ladder.base_step] + ladder.steps()
     try:
-        marches = [family._rate(step) for step in steps]
-    except (TypeError, ValueError, MemoryError):
-        marches = ()
+        coarse = family._rate(steps[0])
+        # the coarse run has the fewest steps, so no rung fails this rule
+        _check_steps(scheme, coarse[2])
+    except ValueError as exc:
+        family._rate(steps[1])      # a refusal of the first rung is its own
+        raise ValueError(
+            f"h0 = {steps[1]}: the extra run at 2 h0 = {steps[0]}, which "
+            f"gives the first row its order, is refused: {exc}") from exc
+    marches = [coarse] + [family._rate(step) for step in steps[1:]]
     with _solving(family.alpha, scheme, marches):
         errors = [family.error(family.solve(step, scheme, m))
                   for step in steps]

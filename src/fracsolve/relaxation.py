@@ -11,14 +11,14 @@ polynomial would cancel to roundoff at T is refused.
 """
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caputo import Scheme, _check_alpha, _march
-from .specfun import (_SERIES_MAX_TERMS, ConvergenceError, _ml_neg, _ml_series,
+from .caputo import Scheme, _march
+from .specfun import (_SERIES_MAX_TERMS, ConvergenceError, _check_alpha,
+                      _check_positive, _count, _ml_neg, _ml_series, _points,
                       _power_over_gamma, ml_relaxation_exact)
 
 __all__ = [
@@ -76,13 +76,6 @@ def _four_digits(count) -> str:
         return f"{Decimal(count).normalize(Context(prec=4)):g}"
 
 
-def _integer(value) -> bool:
-    """Whether value is a Python or numpy integer and not a bool: the rule
-    of every count that the API takes, such as N, M, a mode number or a
-    ladder's levels."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _whole_steps(T: float, step: float, name: str = "h", width=None) -> int:
     """T / step rounded to the whole number N of steps, at least 1, that it
     must lie within 1e-8 max(1, T / step) of, else a ValueError that calls
@@ -99,6 +92,12 @@ def _whole_steps(T: float, step: float, name: str = "h", width=None) -> int:
     if count < 1 or abs(steps - count) > 1e-8 * max(1.0, steps):
         raise ValueError(f"T/{name} = {steps} is not a whole number of steps")
     return count
+
+
+def _check_y0(y0: float) -> None:
+    """The initial value of a relaxation problem is finite."""
+    if not math.isfinite(y0):
+        raise ValueError(f"y0 must be finite, got {y0}")
 
 
 @dataclass(frozen=True)
@@ -118,15 +117,10 @@ class RelaxationProblem:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        for name in ("B", "y0", "T", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.B <= 0.0:
-            raise ValueError(f"B must be positive, got {self.B}")
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if not 0.0 < self.h <= self.T:
+        for name in ("B", "T", "h"):
+            _check_positive(name, getattr(self, name))
+        _check_y0(self.y0)
+        if self.h > self.T:
             raise ValueError(f"h must lie in (0, T], got {self.h}")
         if self.forcing is not None and not isinstance(self.forcing, PowerSum):
             raise TypeError("forcing must be a PowerSum or None")
@@ -196,11 +190,6 @@ def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
     return _advance(problem, Scheme.MODIFIED_L1)
 
 
-def _check_B(B: float) -> None:
-    if not 0.0 < B < math.inf:
-        raise ValueError(f"B must be positive and finite, got {B}")
-
-
 def taylor_poly(alpha: float, B: float, m: int, x):
     """Fractional Taylor polynomial sum_{n=0}^m (-B x^alpha)^n / Gamma(alpha n + 1).
 
@@ -209,12 +198,11 @@ def taylor_poly(alpha: float, B: float, m: int, x):
     These are the first m + 1 terms of the series of E_alpha(-B x^alpha).
     """
     _check_alpha(alpha)
-    _check_B(B)
-    if not 1 <= m <= _SERIES_MAX_TERMS:
+    _check_positive("B", B)
+    _count("m", m, 1)
+    if m > _SERIES_MAX_TERMS:
         raise ValueError(f"m must lie in [1, {_SERIES_MAX_TERMS}], got {m}")
-    xa = np.asarray(x, dtype=float)
-    if not np.all((xa >= 0.0) & (xa < math.inf)):
-        raise ValueError("x must be finite and >= 0")
+    xa = _points("x", x)
     out = _ml_series(alpha, 1.0, -B * xa ** alpha, degree=m)[0]
     return float(out) if np.isscalar(x) else out
 
@@ -254,6 +242,7 @@ def corrected_problem(alpha: float, B: float, m: int, T: float,
     the forcing's coefficient or x^(alpha m) overflows on [0, T].
     """
     _check_alpha(alpha)
+    _count("m", m, 1)
     if m * alpha < 2.0:
         raise ValueError(
             f"m * alpha = {m * alpha} < 2; the remainder would not be C^2")
@@ -304,7 +293,8 @@ def exact_convolution(alpha: float, B: float, forcing, x, y0: float = 1.0):
     TypeError.
     """
     _check_alpha(alpha)
-    _check_B(B)
+    _check_positive("B", B)
+    _check_y0(y0)
     if not (forcing is None or isinstance(forcing, PowerSum)):
         raise TypeError("exact_convolution takes a PowerSum forcing or None")
     out = y0 * ml_relaxation_exact(alpha, B, x)

@@ -10,6 +10,7 @@ function of its arguments and safe to call concurrently.
 
 import functools
 import math
+import numbers
 import sys
 from typing import NamedTuple
 
@@ -38,6 +39,43 @@ _SERIES_MAX_TERMS = 10_000
 
 class ConvergenceError(ArithmeticError):
     """A series or quadrature failed to converge; the message says where."""
+
+
+# The four input rules of the API, each stated once here: every public entry
+# of the package and every option of the command line refuses an input that
+# breaks one with its ValueError.  Each check returns the value it passes.
+
+def _check_alpha(alpha: float) -> float:
+    """The order of the solvers' Caputo derivative lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
+def _check_positive(name: str, value: float) -> float:
+    """A rate, a step, an end time or an error is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _points(name: str, x) -> np.ndarray:
+    """A scalar or an array of points, every one finite and >= 0, as a float
+    array."""
+    xa = np.asarray(x, dtype=float)
+    bad = xa[~((xa >= 0.0) & (xa < math.inf))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and >= 0, got {bad[0]}")
+    return xa
+
+
+def _count(name: str, value, least: int):
+    """A count, such as N, M, a mode number, a degree or a ladder's levels,
+    is a Python or numpy integer, not a bool, of at least least."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _eta(t: float) -> float:
@@ -168,18 +206,17 @@ def mittag_leffler(alpha: float, beta: float, x):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(x).
 
     Takes a scalar or an array of x and returns a float or an array.
-    Restricted to 0 < alpha <= 1, beta > 0 and |x| <= 50.  For x >= 0 it
-    sums the power series sum_{n>=0} x^n / Gamma(alpha n + beta), truncated
-    once a term drops below 1e-15 times the partial sum at the largest x, and
-    raises ConvergenceError where 10 000 terms do not get there;
+    Restricted to 0 < alpha <= 1, a finite beta > 0 and |x| <= 50.  For
+    x >= 0 it sums the power series sum_{n>=0} x^n / Gamma(alpha n + beta),
+    truncated once a term drops below 1e-15 times the partial sum at the
+    largest x, and raises ConvergenceError where 10 000 terms do not get there;
     E_{alpha,beta}(0) = 1/Gamma(beta) exactly.  For x < 0 it is `_ml_neg`
     at s = -x, which picks the evaluation and raises ConvergenceError where
     none gives the value.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
-    if beta <= 0.0:
-        raise ValueError(f"mittag_leffler requires beta > 0, got {beta}")
+    _check_positive("beta", beta)
     xa = np.asarray(x, dtype=float)
     bad = xa[~(np.abs(xa) <= 50.0)]
     if bad.size:
@@ -358,14 +395,9 @@ def ml_relaxation_exact(alpha: float, B: float, x):
     at beta = 1 and s = B x^alpha, accurate on the whole domain and strictly
     decreasing in x.  An s that overflows to inf raises ValueError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"ml_relaxation_exact requires 0 < alpha < 1, got {alpha}")
-    if not 0.0 < B < math.inf:
-        raise ValueError(f"ml_relaxation_exact requires a finite B > 0, got {B}")
-    xa = np.asarray(x, dtype=float)
-    bad = xa[~((xa >= 0.0) & (xa < math.inf))]
-    if bad.size:
-        raise ValueError(f"ml_relaxation_exact requires a finite x >= 0, got {bad[0]}")
+    _check_alpha(alpha)
+    _check_positive("B", B)
+    xa = _points("x", x)
     with np.errstate(over="ignore"):
         s = B * xa ** alpha
     if not np.all(s < math.inf):

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import relaxation
-from .caputo import Scheme, _check_alpha, _march, _Scope
-from .specfun import ml_relaxation_exact
+from .caputo import Scheme, _march, _Scope
+from .specfun import (_check_alpha, _check_positive, _count, _points,
+                      ml_relaxation_exact)
 
 __all__ = [
     "SineMode",
@@ -42,14 +43,12 @@ __all__ = [
 @dataclass(frozen=True)
 class SineMode:
     """Initial profile sin(k x); the mode number k is a positive integer, by
-    the rule of `relaxation._integer`."""
+    the count rule of `specfun._count`."""
 
     k: int
 
     def __post_init__(self):
-        k = self.k
-        if not relaxation._integer(k) or k < 1:
-            raise ValueError(f"mode number must be an integer >= 1, got {k!r}")
+        _count("mode number", self.k, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,16 +81,9 @@ class SubdiffusionProblem:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        for name in ("N", "M"):
-            value = getattr(self, name)
-            if not relaxation._integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.N < 2:
-            raise ValueError(f"need at least 2 space intervals, got N={self.N}")
-        if self.M < 1:
-            raise ValueError(f"need at least 1 time step, got M={self.M}")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+        _count("N", self.N, 2)
+        _count("M", self.M, 1)
+        _check_positive("T", self.T)
         # a grid too large to index is refused before h^2 underflows
         relaxation._whole_steps(self.T, self.tau, "tau", self.N + 1)
         if isinstance(self.initial, Sampled):
@@ -150,10 +142,9 @@ def build_system(alpha: float, tau: float, h: float, N: int,
     positive shift) and the off-diagonals are -eta, so dominance always holds.
     """
     _check_alpha(alpha)
-    if N < 2:
-        raise ValueError(f"need at least 2 space intervals, got N={N}")
-    if tau <= 0.0 or h <= 0.0:
-        raise ValueError("tau and h must be positive")
+    _count("N", N, 2)
+    _check_positive("tau", tau)
+    _check_positive("h", h)
     eta = math.gamma(2.0 - alpha) * tau ** alpha / h ** 2
     main = np.full(N - 1, _Scope(alpha, scheme).c0 + 2.0 * eta)
     off = np.full(N - 2, -eta)
@@ -297,8 +288,7 @@ def exact_single_mode(alpha: float, k: int, x, t: float):
     xa = np.asarray(x, dtype=float)
     if not np.all((xa >= 0.0) & (xa <= math.pi)):
         raise ValueError("x must lie in [0, pi]")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _points("t", t)
     out = np.sin(k * xa) * ml_relaxation_exact(alpha, float(k * k), t)
     return float(out) if np.isscalar(x) else out
 

@@ -312,7 +312,7 @@ class TestConverge:
         (["--problem", "s2", "--B", "2"],
          "fracsolve: problem 's2' does not take --B\n"),
         (["--problem", "r11", "--levels", "1"],
-         "fracsolve: need at least 2 levels, got 1\n"),
+         "fracsolve: levels must be an integer >= 2, got 1\n"),
     ])
     def test_refusal_messages(self, argv, message):
         assert run_captured(["converge", *argv]) == (2, "", message)

@@ -60,7 +60,7 @@ class TestProblemValidation:
             RelaxationProblem(0.5, 0.0, None, 1.0, T=1.0, h=0.1)
 
     def test_rejects_negative_interval(self):
-        with pytest.raises(ValueError, match=r"^T must be positive, got -1.0$"):
+        with pytest.raises(ValueError, match=r"^T must be positive and finite, got -1.0$"):
             RelaxationProblem(0.5, 1.0, None, 1.0, T=-1.0, h=0.1)
 
     @pytest.mark.parametrize("field", ["B", "y0", "T", "h"])
@@ -154,7 +154,7 @@ class TestTaylorPoly:
             taylor_poly(0.5, 1.0, 0, 1.0)
 
     def test_rejects_negative_point(self):
-        with pytest.raises(ValueError, match=r"^x must be finite and >= 0$"):
+        with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got -1.0$"):
             taylor_poly(0.5, 1.0, 4, -1.0)
 
     def test_rejects_degree_past_series_budget(self):

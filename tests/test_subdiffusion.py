@@ -46,12 +46,31 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(0.5, 0.1, 0.2, 1)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["tau", "h"])
+    def test_rejects_steps_that_are_not_positive_and_finite(self, name, value):
+        steps = {"tau": 0.1, "h": 0.2, name: value}
+        with pytest.raises(ValueError) as info:
+            build_system(0.5, steps["tau"], steps["h"], 10)
+        assert str(info.value) == (
+            f"{name} must be positive and finite, got {value}")
+
 
 class TestTridiagonalSolve:
     def test_system_requires_dominance(self):
         with pytest.raises(ValueError):
             TridiagonalSystem(np.array([-1.0]), np.array([1.0, 1.0]),
                               np.array([-1.0]))
+
+    def test_rejects_an_empty_system(self):
+        with pytest.raises(ValueError, match="^empty system$"):
+            TridiagonalSystem(np.array([]), np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("lower, upper", [(2, 3), (3, 2), (4, 4)])
+    def test_rejects_off_diagonals_of_another_length(self, lower, upper):
+        with pytest.raises(ValueError,
+                           match="^off-diagonals must have length dim - 1$"):
+            TridiagonalSystem(np.zeros(lower), np.ones(4), np.zeros(upper))
 
     def test_identity_system(self):
         system = TridiagonalSystem(np.zeros(4), np.ones(5), np.zeros(4))
@@ -117,6 +136,11 @@ class TestSolvers:
         problem = single_mode_problem(0.5, 12, 8)
         sol = solve_ml1(problem)
         assert np.array_equal(sol.values[0, 1:-1], np.sin(sol.x[1:-1]))
+
+    def test_time_levels(self):
+        sol = solve_l1(single_mode_problem(0.5, 6, 8, T=2.0))
+        assert np.array_equal(sol.t, np.arange(9) * 0.25)
+        assert sol.t[-1] == 2.0
 
     def test_grid_ends_exactly_at_pi(self):
         # arange(N + 1) * (pi / N) overshoots pi by one ulp for these N, which
@@ -188,11 +212,11 @@ class TestSolvers:
 
 
 @pytest.mark.parametrize("N,M,bad", [
-    (6.5, 4, "N must be an integer, got 6.5"),
-    (6.0, 4, "N must be an integer, got 6.0"),
-    (True, 4, "N must be an integer, got True"),
-    (6, 4.0, "M must be an integer, got 4.0"),
-    (6, True, "M must be an integer, got True"),
+    (6.5, 4, "N must be an integer >= 2, got 6.5"),
+    (6.0, 4, "N must be an integer >= 2, got 6.0"),
+    (True, 4, "N must be an integer >= 2, got True"),
+    (6, 4.0, "M must be an integer >= 1, got 4.0"),
+    (6, True, "M must be an integer >= 1, got True"),
 ], ids=repr)
 def test_grid_counts_are_integers(N, M, bad):
     """A float N or M failed only in the solve, with numpy's bare TypeError,
@@ -210,8 +234,8 @@ def test_numpy_integer_grid_counts_are_accepted():
 
 
 @pytest.mark.parametrize("N,M,initial,error,message", [
-    (1, 4, SineMode(1), ValueError, "need at least 2 space intervals, got N=1"),
-    (6, 0, SineMode(1), ValueError, "need at least 1 time step, got M=0"),
+    (1, 4, SineMode(1), ValueError, "N must be an integer >= 2, got 1"),
+    (6, 0, SineMode(1), ValueError, "M must be an integer >= 1, got 0"),
     (6, 4, None, TypeError, "initial must be a SineMode or Sampled profile"),
 ])
 def test_problem_refusals(N, M, initial, error, message):
