@@ -255,7 +255,8 @@ def ml1_weights(alpha: float, n: int) -> CoefficientRow:
     Identical to the L1 row except that indices 0, 1, 2 are shifted by
     -z, +2z, -z with z = zeta(alpha - 1); the shifts cancel, so the row
     still sums to zero.  At n = 2 the index-2 slot is the tail weight and
-    receives the shift there.  Level 1 has no index 2 and falls back to L1.
+    receives the shift there.  Level 1 has no index 2: the march takes the
+    L1 step there, and this function refuses n = 1.
     """
     _check_alpha(alpha)
     _count("n", n, 2)

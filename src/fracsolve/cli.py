@@ -5,9 +5,10 @@ Four subcommands: `ml` evaluates the Mittag-Leffler function, `relax` and
 `converge` runs a step-halving convergence study.  Each of the last three
 builds a problem family from `problems`; `relax` and `subdiff` call its
 `solve`, and `converge` passes it to the harness study.  `--correct [M]`
-selects the start-up corrected solver of degree M.  Exit status is 0 on
-success, 2 on usage or domain errors, 1 on numerical failure or when memory
-runs out.
+selects the start-up corrected solver of degree M.  Options parse as plain
+numbers and go to the library as given: its checks refuse a bad value in
+their own words.  Exit status is 0 on success, 2 on usage or domain errors,
+1 on numerical failure or when memory runs out.
 """
 
 import argparse
@@ -22,37 +23,9 @@ from .caputo import Scheme
 from .harness import (Coupling, Ladder, render_report, run_relaxation_study,
                       run_subdiffusion_study)
 from .relaxation import choose_m
-from .specfun import _check_alpha, _check_positive, _count, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = ["run", "main"]
-
-
-def _usage(check, *args):
-    """The value that one of `specfun`'s input checks passes; its ValueError
-    becomes argparse's usage error, which names the option."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _positive(text: str) -> float:
-    return _usage(_check_positive, "value", float(text))
-
-
-def _alpha_open(text: str) -> float:
-    return _usage(_check_alpha, float(text))
-
-
-def _alpha_closed(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1], got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _usage(_count, "value", int(text), 1)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -67,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--scheme", choices=["l1", "ml1"], default="l1",
                         help="time discretization")
-    solver.add_argument("--correct", type=_positive_int, nargs="?", const=0,
+    solver.add_argument("--correct", type=int, nargs="?", const=choose_m,
                         default=None, metavar="M",
                         help="apply the start-up correction of degree M "
                              "(omit M to pick the smallest valid degree)")
@@ -76,9 +49,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ml = sub.add_parser("ml", formatter_class=fmt,
                           help="evaluate the Mittag-Leffler function E_{alpha,beta}(x)")
-    p_ml.add_argument("--alpha", type=_alpha_closed, required=True,
+    p_ml.add_argument("--alpha", type=float, required=True,
                       help="series parameter alpha in (0, 1]")
-    p_ml.add_argument("--beta", type=_positive, default=1.0,
+    p_ml.add_argument("--beta", type=float, default=1.0,
                       help="series parameter beta > 0")
     p_ml.add_argument("--x", type=float, required=True, help="argument, |x| <= 50")
     p_ml.set_defaults(func=_cmd_ml)
@@ -87,23 +60,23 @@ def _parser() -> argparse.ArgumentParser:
                              help="solve one fractional relaxation problem")
     p_relax.add_argument("--problem", choices=problems.RELAXATION_IDS,
                          default="relax-mlexact", help="built-in problem id")
-    p_relax.add_argument("--alpha", type=_alpha_open, default=None,
+    p_relax.add_argument("--alpha", type=float, default=None,
                          help="derivative order (required for relax-mlexact)")
-    p_relax.add_argument("--B", type=_positive, default=None,
+    p_relax.add_argument("--B", type=float, default=None,
                          help="decay coefficient (relax-mlexact only)")
-    p_relax.add_argument("--h", type=_positive, required=True, help="step size")
-    p_relax.add_argument("--T", type=_positive, default=1.0, help="interval end")
+    p_relax.add_argument("--h", type=float, required=True, help="step size")
+    p_relax.add_argument("--T", type=float, default=1.0, help="interval end")
     p_relax.set_defaults(func=_cmd_relax)
 
     p_sub = sub.add_parser("subdiff", parents=[solver], formatter_class=fmt,
                            help="solve one subdiffusion problem on [0, pi]")
     p_sub.add_argument("--problem", choices=problems.SUBDIFFUSION_IDS, default=None,
                        help="built-in problem id (fixes alpha)")
-    p_sub.add_argument("--alpha", type=_alpha_open, default=None,
+    p_sub.add_argument("--alpha", type=float, default=None,
                        help="derivative order (when no --problem is given)")
-    p_sub.add_argument("--tau", type=_positive, required=True, help="time step")
-    p_sub.add_argument("--T", type=_positive, default=1.0, help="final time")
-    p_sub.add_argument("--N", type=_positive_int, default=None,
+    p_sub.add_argument("--tau", type=float, required=True, help="time step")
+    p_sub.add_argument("--T", type=float, default=1.0, help="final time")
+    p_sub.add_argument("--N", type=int, default=None,
                        help="space intervals (default: 3 T / tau, i.e. "
                             "h = pi tau / (3 T))")
     p_sub.set_defaults(func=_cmd_subdiff)
@@ -112,13 +85,13 @@ def _parser() -> argparse.ArgumentParser:
                             help="run a step-halving convergence study")
     p_conv.add_argument("--problem", choices=problems.PROBLEM_IDS, required=True,
                         help="built-in problem id")
-    p_conv.add_argument("--alpha", type=_alpha_open, default=None,
+    p_conv.add_argument("--alpha", type=float, default=None,
                         help="derivative order (relax-mlexact only)")
-    p_conv.add_argument("--B", type=_positive, default=None,
+    p_conv.add_argument("--B", type=float, default=None,
                         help="decay coefficient (relax-mlexact only)")
-    p_conv.add_argument("--h0", type=_positive, default=0.05,
+    p_conv.add_argument("--h0", type=float, default=0.05,
                         help="base step of the halving ladder")
-    p_conv.add_argument("--levels", type=_positive_int, default=5,
+    p_conv.add_argument("--levels", type=int, default=5,
                         help="number of halvings (>= 2)")
     p_conv.add_argument("--format", choices=["csv", "markdown", "jsonl"],
                         default="csv", help="report format")
@@ -131,11 +104,12 @@ def _scheme(args) -> Scheme:
     return Scheme(args.scheme)
 
 
-def _resolve_correct(value: int | None, alpha: float) -> int | None:
+def _resolve_correct(value, alpha: float) -> int | None:
     """Map the --correct flag to a correction degree: None when absent, the
-    smallest valid degree when given without M (argparse passes the const 0
-    through unconverted), else M."""
-    return choose_m(alpha) if value == 0 else value
+    smallest valid degree when given without M (the const choose_m, which
+    argparse does not convert and no integer M equals), else M, which the
+    solver checks."""
+    return choose_m(alpha) if value is choose_m else value
 
 
 def _emit(chunks, out: Path | None) -> None:

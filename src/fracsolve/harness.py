@@ -80,10 +80,15 @@ class ConvergenceReport:
 
 
 def estimate_order(err_coarse: float, err_fine: float) -> float:
-    """Empirical order log2(err_coarse / err_fine) for one step halving."""
+    """Empirical order log2(err_coarse / err_fine) for one step halving;
+    where the quotient underflows to 0 or overflows, the difference of the
+    two logarithms, which neither does."""
     _check_positive("err_coarse", err_coarse)
     _check_positive("err_fine", err_fine)
-    return math.log2(err_coarse / err_fine)
+    q = err_coarse / err_fine
+    if 0.0 < q < math.inf:
+        return math.log2(q)
+    return math.log2(err_coarse) - math.log2(err_fine)
 
 
 def _chain_orders(steps, errors) -> ConvergenceReport:

@@ -24,7 +24,7 @@ import numpy as np
 from . import relaxation, subdiffusion
 from .caputo import Scheme
 from .relaxation import PowerSum, RelaxationProblem, TimeSeries
-from .specfun import ml_relaxation_exact
+from .specfun import _check_alpha, _check_positive, _count, ml_relaxation_exact
 from .subdiffusion import (SineMode, SpaceTimeSolution, SubdiffusionProblem,
                            exact_single_mode)
 
@@ -114,9 +114,13 @@ class SubdiffusionFamily:
 
     def _problem(self, step: float, N: int | None = None) -> SubdiffusionProblem:
         """The problem of the rung of step `step`: M = T / step time levels,
-        N = 3 M space intervals by default."""
+        N = 3 M space intervals by default.  alpha, T, the step (named tau)
+        and a given N are checked before the step divides T."""
+        _check_alpha(self.alpha)
+        _check_positive("T", self.T)
+        _check_positive("tau", step)
         # the grid's width is N + 1 space nodes
-        width = 3.0 * self.T / step + 1.0 if N is None else N + 1
+        width = 3.0 * self.T / step + 1.0 if N is None else _count("N", N, 2) + 1
         M = relaxation._whole_steps(self.T, step, "tau", width)
         return SubdiffusionProblem(alpha=self.alpha, N=3 * M if N is None else N,
                                    M=M, T=self.T, initial=SineMode(1))

@@ -190,6 +190,14 @@ def solve_ml1(problem: RelaxationProblem) -> TimeSeries:
     return _advance(problem, Scheme.MODIFIED_L1)
 
 
+def _check_degree(m: int) -> None:
+    """A Taylor degree is an integer in [1, 10 000], the most terms that the
+    series sums."""
+    _count("m", m, 1)
+    if m > _SERIES_MAX_TERMS:
+        raise ValueError(f"m must lie in [1, {_SERIES_MAX_TERMS}], got {m}")
+
+
 def taylor_poly(alpha: float, B: float, m: int, x):
     """Fractional Taylor polynomial sum_{n=0}^m (-B x^alpha)^n / Gamma(alpha n + 1).
 
@@ -199,9 +207,7 @@ def taylor_poly(alpha: float, B: float, m: int, x):
     """
     _check_alpha(alpha)
     _check_positive("B", B)
-    _count("m", m, 1)
-    if m > _SERIES_MAX_TERMS:
-        raise ValueError(f"m must lie in [1, {_SERIES_MAX_TERMS}], got {m}")
+    _check_degree(m)
     xa = _points("x", x)
     out = _ml_series(alpha, 1.0, -B * xa ** alpha, degree=m)[0]
     return float(out) if np.isscalar(x) else out
@@ -242,7 +248,7 @@ def corrected_problem(alpha: float, B: float, m: int, T: float,
     the forcing's coefficient or x^(alpha m) overflows on [0, T].
     """
     _check_alpha(alpha)
-    _count("m", m, 1)
+    _check_degree(m)
     if m * alpha < 2.0:
         raise ValueError(
             f"m * alpha = {m * alpha} < 2; the remainder would not be C^2")

@@ -332,6 +332,11 @@ class TestConverge:
         assert capsys.readouterr().out == render_report(study())
 
 
+# values that every solver command refuses as a step or a T, and as an N
+BAD_STEPS = ["0", "-0.5", "nan", "inf", "-inf"]
+BAD_N = ["-5", "0", "1"]
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run(["ml", "--alpha", "1", "--x", "1", "--nope"]) == 2
@@ -344,8 +349,23 @@ class TestUsageErrors:
 
     def test_alpha_outside_the_open_interval(self, capsys):
         assert run(["relax", "--alpha", "1.5", "--h", "0.1"]) == 2
-        assert capsys.readouterr().err.endswith(
-            "error: argument --alpha: alpha must lie in (0, 1), got 1.5\n")
+        assert capsys.readouterr().err == (
+            "fracsolve: alpha must lie in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["relax", "--alpha", "0.5", "--h", "x"],
+         "fracsolve relax: error: argument --h: invalid float value: 'x'"),
+        (["subdiff", "--problem", "s2", "--tau", "0.25", "--N", "2.5"],
+         "fracsolve subdiff: error: argument --N: invalid int value: '2.5'"),
+        (["relax", "--alpha", "0.5", "--h", "0.25", "--correct", "x"],
+         "fracsolve relax: error: argument --correct: invalid int value: 'x'"),
+    ])
+    def test_malformed_text_is_a_usage_error(self, argv, line, capsys):
+        # the converters' names used to stand in for "float" and "int"
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1] == line
 
     @pytest.mark.parametrize("argv", [
         ["relax", "--alpha", "0.5", "--B", "nan", "--h", "0.25"],
@@ -380,26 +400,36 @@ class TestUsageErrors:
     @given(command=st.sampled_from(["relax", "subdiff", "converge"]),
            problem=st.sampled_from(["relax-mlexact", "s2", "s03"]),
            alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           step=st.sampled_from(["1", "0.5", "0.3", "0.25", "0.125"]),
+           step=st.sampled_from(["1", "0.5", "0.3", "0.25", "0.125"]
+                                + BAD_STEPS),
+           T=st.one_of(st.none(), st.sampled_from(["0.5", "1"] + BAD_STEPS)),
+           N=st.one_of(st.none(), st.sampled_from(["2", "7"] + BAD_N)),
            scheme=st.sampled_from(["l1", "ml1"]),
            correct=st.one_of(st.none(), st.just("--correct"),
                              st.one_of(st.integers(-2, 30),
                                        st.integers(342, 10_000)).map(
                                  lambda m: f"--correct={m}")))
     def test_solver_exit_status_contract(self, command, problem, alpha, step,
-                                         scheme, correct):
+                                         T, N, scheme, correct):
         if command == "relax":
-            argv = ["relax", f"--alpha={alpha!r}", "--h", step]
+            argv = ["relax", f"--alpha={alpha!r}", f"--h={step}"]
+            N = None                # only subdiff takes --N
         elif command == "subdiff":
-            argv = ["subdiff", f"--alpha={alpha!r}", "--tau", step]
+            argv = ["subdiff", f"--alpha={alpha!r}", f"--tau={step}"]
+            argv += [] if N is None else [f"--N={N}"]
         else:
-            argv = ["converge", "--problem", problem, "--h0", step,
+            argv = ["converge", "--problem", problem, f"--h0={step}",
                     "--levels", "2", "--format", "csv"]
             if problem == "relax-mlexact":
                 argv.append(f"--alpha={alpha!r}")
+            T = N = None            # a study takes neither
+        argv += [] if T is None else [f"--T={T}"]
         argv += ["--scheme", scheme] + ([] if correct is None else [correct])
         status, out, err = run_captured(argv)
         assert status in (0, 1, 2)
+        if step in BAD_STEPS or T in BAD_STEPS or N in BAD_N:
+            assert status == 2
+            assert out == "" and err.startswith("fracsolve: ")
         assert "Traceback" not in err
         # a numerical failure names its cause, not a bare OverflowError
         assert "range error" not in err and "out of range" not in err

@@ -1,16 +1,20 @@
 """The domain the API accepts: four input rules, each worded once in
-`specfun` and applied by every public entry and by the command line."""
+`specfun` and applied by every public entry, which the command line passes
+its options to as given."""
 
 import ast
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import fracsolve
-from fracsolve import caputo, harness, relaxation, specfun, subdiffusion
+from fracsolve import (caputo, cli, harness, problems, relaxation,
+                       specfun, subdiffusion)
+from fracsolve.caputo import Scheme
 from fracsolve.cli import run
 
 SOURCES = sorted(Path(fracsolve.__file__).parent.glob("*.py"))
@@ -90,6 +94,43 @@ def test_public_entries_apply_the_rules(call, message):
     assert str(info.value) == message
 
 
+def test_the_degree_bound_comes_before_the_series():
+    # the remainder problem was built, forcing (0.0, 10000.5), and the
+    # degree-m series summed, before taylor_poly applied the bound
+    with pytest.raises(ValueError) as info:
+        relaxation.corrected_problem(0.5, 1.0, 20001, 1.0, 0.5)
+    assert str(info.value) == "m must lie in [1, 10000], got 20001"
+
+
+@pytest.mark.parametrize("err_coarse, err_fine", [(1e-320, 1e300),
+                                                  (1e300, 1e-320)])
+def test_an_order_of_errors_far_apart_keeps_its_bits(err_coarse, err_fine):
+    # the quotient underflows to 0 or overflows to inf
+    order = harness.estimate_order(err_coarse, err_fine)
+    assert order == math.log2(err_coarse) - math.log2(err_fine)
+    assert abs(order) == pytest.approx(2059.6, abs=0.05)
+
+
+def subdiffusion_solve(step=0.25, T=1.0, N=None):
+    return replace(problems.subdiffusion_family("s2"), T=T).solve(
+        step, Scheme.L1, N=N)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    *[({"step": step}, f"tau must be positive and finite, got {step}")
+      for step in (0.0, -0.5, math.nan, math.inf)],
+    *[({"T": T}, f"T must be positive and finite, got {T}")
+      for T in (0.0, -1.0, math.inf, math.nan)],
+    *[({"N": N}, f"N must be an integer >= 2, got {N}") for N in (-5, 0, 1)],
+], ids=str)
+def test_the_subdiffusion_family_checks_its_inputs(kwargs, message):
+    # the step and T cases and N = -5 raised ZeroDivisionError, MemoryError
+    # or "T/tau = ... is not a whole number of steps"
+    with pytest.raises(ValueError) as info:
+        subdiffusion_solve(**kwargs)
+    assert str(info.value) == message
+
+
 def test_relaxation_problem_and_exact_convolution_share_the_y0_check():
     with pytest.raises(ValueError) as problem:
         relaxation.RelaxationProblem(0.5, 1.0, None, math.inf, 1.0, 0.1)
@@ -140,14 +181,42 @@ def test_a_refusal_of_the_rungs_too_keeps_its_message(argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["relax", "--alpha", "0.5", "--h", "0"],
-     "argument --h: value must be positive and finite, got 0.0"),
+     "h must be positive and finite, got 0.0"),
     (["relax", "--alpha", "1", "--h", "0.1"],
-     "argument --alpha: alpha must lie in (0, 1), got 1.0"),
+     "alpha must lie in (0, 1), got 1.0"),
     (["subdiff", "--problem", "s2", "--tau", "0.1", "--N", "0"],
-     "argument --N: value must be an integer >= 1, got 0"),
+     "N must be an integer >= 2, got 0"),
+    (["ml", "--alpha", "1.5", "--x", "1"],
+     "mittag_leffler requires 0 < alpha <= 1, got 1.5"),
+    (["ml", "--alpha", "0.5", "--x", "1", "--beta", "0"],
+     "beta must be positive and finite, got 0.0"),
+    (["relax", "--alpha", "0.5", "--h", "0.25", "--B", "-1"],
+     "B must be positive and finite, got -1.0"),
+    (["relax", "--alpha", "0.5", "--h", "0.25", "--T", "inf"],
+     "T must be positive and finite, got inf"),
+    (["subdiff", "--problem", "s2", "--tau", "nan"],
+     "tau must be positive and finite, got nan"),
+    (["subdiff", "--problem", "s2", "--tau", "1e-300", "--N", "1"],
+     "N must be an integer >= 2, got 1"),
+    (["subdiff", "--alpha", "1.5", "--tau", "1e-300"],
+     "alpha must lie in (0, 1), got 1.5"),
+    (["converge", "--problem", "r11", "--h0", "0"],
+     "base_step must be positive and finite, got 0.0"),
+    (["converge", "--problem", "r11", "--levels", "0"],
+     "levels must be an integer >= 2, got 0"),
+    (["converge", "--problem", "s2", "--levels", "2", "--correct", "0"],
+     "m must be an integer >= 1, got 0"),
+    (["relax", "--alpha", "0.5", "--h", "0.5", "--correct", "100000000"],
+     "m must lie in [1, 10000], got 100000000"),
 ])
 def test_the_command_line_words_each_rule_as_the_library_does(argv, message):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         assert run(argv) == 2
-    assert err.getvalue().endswith(f"error: {message}\n")
+    assert err.getvalue() == f"fracsolve: {message}\n"
+
+
+def test_the_command_line_checks_no_value_itself():
+    assert not {"_usage", "_positive", "_alpha_open", "_alpha_closed",
+                "_positive_int"} & set(vars(cli))
+    assert not [name for name in vars(cli) if name.startswith("_check")]
